@@ -83,28 +83,20 @@ def branch_currents(sys: SystemMatrices, circ: CircuitParams, sol: AcSolution) -
     spec = sys.spec
     if len(circ.r_coupling) != spec.n_edges:
         raise InvalidParameterError("circuit parameters do not match the lattice spec")
-    v = sol.voltages
-    w2 = sol.omega * sol.omega
+    v = np.append(sol.voltages, 0.0)   # index n_dof is ground
+    p, q = sys.branches.T
+    current = (v[p] - v[q]) / np.concatenate([circ.r_internal, circ.r_coupling])
+    # FDNR admittance at w is -w^2 D
+    shunt = -(sol.omega * sol.omega) * sys.inertia * sol.voltages
+    return BranchCurrents(omega=sol.omega, edge_current=current[spec.n_cells:],
+                          node_shunt=shunt, internal_current=current[:spec.n_cells])
 
-    def volt(cell: int) -> float:
-        d = sys.outer_dof[cell]
-        return 0.0 if d < 0 else v[d]
 
-    edge = np.zeros(spec.n_edges)
-    for k, (a, b) in enumerate(spec.edges):
-        if a in spec.grounded and b in spec.grounded:
-            continue
-        edge[k] = (volt(a) - volt(b)) / circ.r_coupling[k]
-
-    shunt = -w2 * sys.inertia * v  # FDNR admittance at w is -w^2 D
-
-    internal = np.zeros(spec.n_cells)
-    for c in spec.active_cells:
-        o, i = sys.outer_dof[c], sys.inner_dof[c]
-        internal[c] = (v[o] - v[i]) / circ.r_internal[c]
-
-    return BranchCurrents(omega=sol.omega, edge_current=edge,
-                          node_shunt=shunt, internal_current=internal)
+def _inflow(size: int, ends: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Net current into each of `size` nodes from branches flowing ends[:,0] -> ends[:,1]."""
+    inflow = np.zeros(size)
+    np.add.at(inflow, ends.ravel(), np.stack([-current, current], axis=1).ravel())
+    return inflow
 
 
 def cell_input_currents(sys: SystemMatrices, bc: BranchCurrents) -> np.ndarray:
@@ -114,27 +106,15 @@ def cell_input_currents(sys: SystemMatrices, bc: BranchCurrents) -> np.ndarray:
     impedance; the injection cell additionally receives the source current.
     """
     spec = sys.spec
-    inflow = np.zeros(spec.n_cells)
-    for k, (a, b) in enumerate(spec.edges):
-        inflow[a] -= bc.edge_current[k]
-        inflow[b] += bc.edge_current[k]
-    return inflow
+    return _inflow(spec.n_cells, np.asarray(spec.edges, dtype=int).reshape(-1, 2),
+                   bc.edge_current)
 
 
 def kcl_residual(sys: SystemMatrices, sol: AcSolution, bc: BranchCurrents) -> float:
     """Worst per-node current imbalance, relative to the injection."""
-    spec = sys.spec
-    balance = np.zeros(sys.n_dof)
+    current = np.concatenate([bc.internal_current, bc.edge_current])
+    balance = _inflow(sys.n_dof + 1, sys.branches, current)[:-1]
     balance[sys.input_dof] += sol.i_in
-    for k, (a, b) in enumerate(spec.edges):
-        if a not in spec.grounded:
-            balance[sys.outer_dof[a]] -= bc.edge_current[k]
-        if b not in spec.grounded:
-            balance[sys.outer_dof[b]] += bc.edge_current[k]
-    for c in spec.active_cells:
-        o, i = sys.outer_dof[c], sys.inner_dof[c]
-        balance[o] -= bc.internal_current[c]
-        balance[i] += bc.internal_current[c]
     balance -= bc.node_shunt
     return float(np.max(np.abs(balance)) / abs(sol.i_in))
 

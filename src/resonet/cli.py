@@ -19,7 +19,6 @@ produces byte-identical files.  Nothing is overwritten without --force.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -95,19 +94,6 @@ def _read_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _threads_ctx(n: int | None):
-    """BLAS worker cap via threadpoolctl when present; otherwise a no-op."""
-    if n is None:
-        return contextlib.nullcontext()
-    if n < 1:
-        raise ConfigError("--threads must be >= 1")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=int(n))
 
 
 def _load_system(path):
@@ -190,32 +176,19 @@ def _train_config_from_dict(d: dict, seed_override) -> trainer.TrainConfig:
         raise ConfigError(f"bad train section: {exc}") from exc
 
 
-def _export_artifacts(spec, mech, exp_cfg: dict, heldout, out: Path,
-                      force: bool) -> list[str]:
-    r_target = float(exp_cfg.get("r_target_ohm", 1e6))
-    series = str(exp_cfg.get("series", "E96"))
-    scaling = lattice.choose_scaling(mech, r_target)
-    circ = lattice.mech_to_circuit(mech, scaling)
-    lines = []
+def _write_system_files(out: Path, spec, scaling, circ, quantized, report,
+                        force: bool) -> list[str]:
+    """system.json, plus the quantized twin and its report when there is one."""
     p = _write_json(out / "system.json",
                     lattice.system_to_json_dict(spec, circ, scaling), force)
-    lines.append(f"system: {p}")
-    quant = None
-    if series.lower() != "none":
-        quant, report = lattice.quantize_eseries(circ, series.upper())
+    lines = [f"system: {p}"]
+    if quantized is not None:
         p = _write_json(out / "system_quantized.json",
-                        lattice.system_to_json_dict(spec, quant, scaling), force)
+                        lattice.system_to_json_dict(spec, quantized, scaling), force)
         lines.append(f"quantized system: {p}")
         p = _write_json(out / "quantization.json", report.to_json_dict(), force)
         lines.append(f"quantization report: {p} "
                      f"(max rel error {report.max_rel_error:.4%})")
-    if heldout:
-        acc = trainer.evaluate_system(simulator.assemble(spec, circ), heldout).accuracy
-        lines.append(f"held-out accuracy (exact circuit): {acc:.4f}")
-        if quant is not None:
-            acc_q = trainer.evaluate_system(simulator.assemble(spec, quant),
-                                            heldout).accuracy
-            lines.append(f"held-out accuracy (quantized):     {acc_q:.4f}")
     return lines
 
 
@@ -254,34 +227,41 @@ def cmd_train(args) -> int:
             print(f"epoch {h['epoch']:3d}  loss {h['loss']:.4f}  "
                   f"train_acc {h['train_acc']:.3f}  val_acc {h['val_acc']:.3f}")
 
-    threads = args.threads if args.threads is not None else 1
-    with _threads_ctx(threads):
-        result = trainer.train(spec, ds, cfg, resume=resume, on_epoch=on_epoch)
+    result = trainer.train(spec, ds, cfg, resume=resume, on_epoch=on_epoch)
 
-        _write_csv(metrics_path, ["epoch", "loss", "train_acc", "val_acc"],
-                   [(h["epoch"], h["loss"], h["train_acc"], h["val_acc"])
-                    for h in result.history], args.force)
-        model = lattice.mech_to_json_dict(spec, result.mech)
-        model["history"] = [dict(h) for h in result.history]
-        model["stop_reason"] = result.stop_reason
-        model["train_config"] = asdict(cfg)
-        _write_json(model_path, model, args.force)
+    _write_csv(metrics_path, ["epoch", "loss", "train_acc", "val_acc"],
+               [(h["epoch"], h["loss"], h["train_acc"], h["val_acc"])
+                for h in result.history], args.force)
+    model = lattice.mech_to_json_dict(spec, result.mech)
+    model["history"] = [dict(h) for h in result.history]
+    model["stop_reason"] = result.stop_reason
+    model["train_config"] = asdict(cfg)
+    _write_json(model_path, model, args.force)
 
-        print(f"metrics: {metrics_path}")
-        print(f"model: {model_path}")
-        if result.history:
-            h = result.history[-1]
-            print(f"stopped after epoch {h['epoch']} ({result.stop_reason}): "
-                  f"loss {h['loss']:.4f}, train_acc {h['train_acc']:.3f}, "
-                  f"val_acc {h['val_acc']:.3f}")
-        if result.aborted:
-            print("training diverged; artifacts hold the last stable epoch",
-                  file=sys.stderr)
-            return NUMERIC_EXIT
-        for line in _export_artifacts(spec, result.mech,
-                                      cfg_dict.get("export", {}),
-                                      ds.split("test"), out, args.force):
-            print(line)
+    print(f"metrics: {metrics_path}")
+    print(f"model: {model_path}")
+    if result.history:
+        h = result.history[-1]
+        print(f"stopped after epoch {h['epoch']} ({result.stop_reason}): "
+              f"loss {h['loss']:.4f}, train_acc {h['train_acc']:.3f}, "
+              f"val_acc {h['val_acc']:.3f}")
+    if result.aborted:
+        print("training diverged; artifacts hold the last stable epoch",
+              file=sys.stderr)
+        return NUMERIC_EXIT
+    exp_cfg = cfg_dict.get("export", {})
+    exp = trainer.export_trained(spec, result.mech,
+                                 float(exp_cfg.get("r_target_ohm", 1e6)),
+                                 str(exp_cfg.get("series", "E96")),
+                                 heldout=ds.split("test"))
+    lines = _write_system_files(out, spec, exp.scaling, exp.circuit,
+                                exp.quantized, exp.report, args.force)
+    if exp.accuracy_exact is not None:
+        lines.append(f"held-out accuracy (exact circuit): {exp.accuracy_exact:.4f}")
+    if exp.accuracy_quantized is not None:
+        lines.append(f"held-out accuracy (quantized):     {exp.accuracy_quantized:.4f}")
+    for line in lines:
+        print(line)
     return 0
 
 
@@ -295,40 +275,39 @@ def cmd_classify(args) -> int:
     verdicts = []
     n_correct = 0
     n_labeled = 0
-    with _threads_ctx(args.threads):
-        if args.manifest is not None:
-            manifest_path = Path(args.manifest)
-            ds = signals.load_dataset(manifest_path)
-            with open(manifest_path) as fh:
-                entry_paths = [e["path"] for e in json.load(fh)["samples"]]
-            items = [(str(manifest_path.parent / p), s.label, s.signal)
-                     for p, s in zip(entry_paths, ds.samples)]
-        else:
-            items = [(str(p), None, signals.load_csv(p, rate=args.rate))
-                     for p in args.input]
-        for source, label, sig in items:
-            try:
-                traj = simulator.run(sys_m, sig,
-                                     simulator.SimConfig(record="outputs"))
-            except _NUMERIC_ERRORS as exc:
-                raise type(exc)(f"{source}: {exc}") from exc
-            energies = simulator.integrate_energy(traj, traj.dofs)
-            try:
-                pred, probs = simulator.classify(energies)
-                probs_out = [float(p) for p in probs]
-            except UndecidableError:
-                pred, probs_out = None, None   # zero-energy sample: no verdict
-            verdict = {"file": source, "energies": [float(e) for e in energies],
-                       "probs": probs_out, "class": pred}
-            if label is not None:
-                verdict["label"] = label
-                n_labeled += 1
-                n_correct += int(pred == label)
-            verdicts.append(verdict)
-            if args.verbose:
-                shown = "undecidable" if probs_out is None else (
-                    f"{pred} (probs {', '.join(f'{p:.3f}' for p in probs_out)})")
-                print(f"{source}: class {shown}")
+    if args.manifest is not None:
+        manifest_path = Path(args.manifest)
+        ds = signals.load_dataset(manifest_path)
+        with open(manifest_path) as fh:
+            entry_paths = [e["path"] for e in json.load(fh)["samples"]]
+        items = [(str(manifest_path.parent / p), s.label, s.signal)
+                 for p, s in zip(entry_paths, ds.samples)]
+    else:
+        items = [(str(p), None, signals.load_csv(p, rate=args.rate))
+                 for p in args.input]
+    for source, label, sig in items:
+        try:
+            traj = simulator.run(sys_m, sig,
+                                 simulator.SimConfig(record="outputs"))
+        except _NUMERIC_ERRORS as exc:
+            raise type(exc)(f"{source}: {exc}") from exc
+        energies = simulator.integrate_energy(traj, traj.dofs)
+        try:
+            pred, probs = simulator.classify(energies)
+            probs_out = [float(p) for p in probs]
+        except UndecidableError:
+            pred, probs_out = None, None   # zero-energy sample: no verdict
+        verdict = {"file": source, "energies": [float(e) for e in energies],
+                   "probs": probs_out, "class": pred}
+        if label is not None:
+            verdict["label"] = label
+            n_labeled += 1
+            n_correct += int(pred == label)
+        verdicts.append(verdict)
+        if args.verbose:
+            shown = "undecidable" if probs_out is None else (
+                f"{pred} (probs {', '.join(f'{p:.3f}' for p in probs_out)})")
+            print(f"{source}: class {shown}")
     doc: dict = {"verdicts": verdicts}
     if n_labeled:
         confusion = np.zeros((n_out, n_out), dtype=int)
@@ -428,30 +407,29 @@ def cmd_ac_sweep(args) -> int:
     spec, circ, scaling, sys_m = _load_system(args.system)
     n_out = len(spec.outputs)
     h_names = [f"h{i + 1}" for i in range(n_out)]
-    with _threads_ctx(args.threads):
-        if args.method == "ac":
-            freqs = np.linspace(f_start, f_stop, args.points)
-            h, flags = acsolver.transmission(sys_m, 2.0 * math.pi * freqs,
-                                             guard_hz=args.guard_hz,
-                                             z_ref_ohm=args.z_ref)
-            # guard/singular bins keep their row (h = nan) with the reason in
-            # the flags column
-            rows = ([f] + list(h[:, j]) + [flags[j]]
-                    for j, f in enumerate(freqs))
-            path = _write_csv(args.out, ["freq_hz"] + h_names + ["flags"],
-                              rows, args.force)
-            n_skip = sum(1 for fl in flags if fl)
-            print(f"transmission sweep: {path} "
-                  f"({len(freqs)} rows, {n_skip} flagged resonance bins)")
-        else:
-            meas = signals.measure_transfer(sys_m, f_start, f_stop,
-                                            rate_hz=args.rate,
-                                            sweep_rate_hz_per_s=args.sweep_rate,
-                                            g_m=args.g_m, window_s=args.window)
-            rows = ([f] + list(meas.h[:, j])
-                    for j, f in enumerate(meas.freqs_hz))
-            path = _write_csv(args.out, ["freq_hz"] + h_names, rows, args.force)
-            print(f"swept-sine measurement: {path} ({len(meas.freqs_hz)} rows)")
+    if args.method == "ac":
+        freqs = np.linspace(f_start, f_stop, args.points)
+        h, flags = acsolver.transmission(sys_m, 2.0 * math.pi * freqs,
+                                         guard_hz=args.guard_hz,
+                                         z_ref_ohm=args.z_ref)
+        # guard/singular bins keep their row (h = nan) with the reason in
+        # the flags column
+        rows = ([f] + list(h[:, j]) + [flags[j]]
+                for j, f in enumerate(freqs))
+        path = _write_csv(args.out, ["freq_hz"] + h_names + ["flags"],
+                          rows, args.force)
+        n_skip = sum(1 for fl in flags if fl)
+        print(f"transmission sweep: {path} "
+              f"({len(freqs)} rows, {n_skip} flagged resonance bins)")
+    else:
+        meas = signals.measure_transfer(sys_m, f_start, f_stop,
+                                        rate_hz=args.rate,
+                                        sweep_rate_hz_per_s=args.sweep_rate,
+                                        g_m=args.g_m, window_s=args.window)
+        rows = ([f] + list(meas.h[:, j])
+                for j, f in enumerate(meas.freqs_hz))
+        path = _write_csv(args.out, ["freq_hz"] + h_names, rows, args.force)
+        print(f"swept-sine measurement: {path} ({len(meas.freqs_hz)} rows)")
     return 0
 
 
@@ -495,30 +473,21 @@ def cmd_landscape(args) -> int:
 def cmd_export_netlist(args) -> int:
     if (args.model is None) == (args.system is None):
         raise ConfigError("give exactly one of --model or --system")
-    series = args.series
     if args.model is not None:
         spec, mech = lattice.mech_from_json_dict(_read_json(args.model))
-        scaling = lattice.choose_scaling(mech, args.r_target)
-        circ = lattice.mech_to_circuit(mech, scaling)
+        exp = trainer.export_trained(spec, mech, args.r_target, args.series)
+        scaling, circ = exp.scaling, exp.circuit
+        quantized, report = exp.quantized, exp.report
     else:
         spec, circ, scaling = lattice.load_system(args.system)
+        quantized = report = None
+        if args.series.lower() != "none":
+            quantized, report = lattice.quantize_eseries(circ, args.series.upper())
 
     out = Path(args.out)
-    lines = []
-    p = _write_json(out / "system.json",
-                    lattice.system_to_json_dict(spec, circ, scaling), args.force)
-    lines.append(f"system: {p}")
-    final = circ
-    if series.lower() != "none":
-        final, report = lattice.quantize_eseries(circ, series.upper())
-        p = _write_json(out / "system_quantized.json",
-                        lattice.system_to_json_dict(spec, final, scaling),
-                        args.force)
-        lines.append(f"quantized system: {p}")
-        p = _write_json(out / "quantization.json", report.to_json_dict(),
-                        args.force)
-        lines.append(f"quantization report: {p} "
-                     f"(max rel error {report.max_rel_error:.4%})")
+    lines = _write_system_files(out, spec, scaling, circ, quantized, report,
+                                args.force)
+    final = circ if quantized is None else quantized
     rows = lattice.netlist_rows(spec, final)
     p = _write_csv(out / "netlist.csv",
                    ["ref", "kind", "value", "unit", "node_a", "node_b"],
@@ -539,9 +508,6 @@ def build_parser() -> _Parser:
                                 metavar="COMMAND")
 
     common = _Parser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS worker threads (default: library choice; "
-                             "train defaults to 1 for reproducibility)")
     common.add_argument("--force", action="store_true",
                         help="overwrite existing output files")
     common.add_argument("-v", "--verbose", action="store_true",
@@ -673,9 +639,6 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
     try:
-        threads = getattr(args, "threads", None)
-        if threads is not None and threads < 1:
-            raise ConfigError("--threads must be >= 1")
         return args.func(args)
     except _NUMERIC_ERRORS as exc:
         print(f"resonet: numeric failure: {exc}", file=sys.stderr)

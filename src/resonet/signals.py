@@ -203,11 +203,23 @@ def load_dataset(manifest_path) -> Dataset:
         entries = manifest["samples"]
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}: malformed manifest: {exc}") from exc
+    if not isinstance(entries, list):
+        raise DataFormatError(f"{path}: 'samples' must be a list of entries")
     counters: dict[tuple[int, str], int] = {}
     samples = []
-    for e in entries:
-        sig = load_csv(path.parent / e["path"], rate=rate)
-        label, split = int(e["label"]), str(e["split"])
+    for i, e in enumerate(entries):
+        try:
+            name, label, split = str(e["path"]), int(e["label"]), str(e["split"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: sample entry {i} is malformed "
+                                  f"({type(exc).__name__}: {exc})") from exc
+        if not 0 <= label < len(centers):
+            raise DataFormatError(f"{path}: sample entry {i} ({name}) has label "
+                                  f"{label}, outside 0..{len(centers) - 1}")
+        if split not in ("train", "test"):
+            raise DataFormatError(f"{path}: sample entry {i} ({name}) has split "
+                                  f"{split!r}, expected 'train' or 'test'")
+        sig = load_csv(path.parent / name, rate=rate)
         idx = counters.get((label, split), 0)
         counters[(label, split)] = idx + 1
         samples.append(Sample(sig, label, split, idx))
@@ -225,13 +237,15 @@ def load_csv(path, rate: float | None = None) -> Signal:
     """Read a waveform CSV: either (t, v) rows or bare values plus a rate.
 
     Two-column files must be uniformly sampled (1e-6 relative); non-numeric
-    rows are rejected with their line number.
+    and non-finite rows are rejected with their line number.
     """
     rows = []
+    linenos = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
+            linenos.append(lineno)
             try:
                 rows.append([float(x) for x in row])
             except ValueError:
@@ -243,6 +257,10 @@ def load_csv(path, rate: float | None = None) -> Signal:
     if not rows:
         raise DataFormatError(f"{path}: no samples")
     arr = np.asarray(rows, dtype=float)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise DataFormatError(f"{path}:{linenos[bad]}: non-finite value in row {rows[bad]!r}")
     if arr.shape[1] == 1:
         if rate is None:
             raise DataFormatError(f"{path}: single-column file needs an explicit rate")

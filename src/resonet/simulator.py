@@ -26,6 +26,7 @@ cell's outer node; readout is the inner-node voltage of each output cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,6 +58,25 @@ class SystemMatrices:
     @property
     def n_dof(self) -> int:
         return len(self.inertia)
+
+    @cached_property
+    def branches(self) -> np.ndarray:
+        """(n_cells + n_edges, 2) DOF ends of every element; n_dof is ground.
+
+        One row per cell (internal element, outer -> inner) and then one per
+        edge (coupling element, a -> b), in concat(g_internal, g_coupling)
+        order.  A grounded cell's nodes are clamped, so its ends read n_dof.
+        """
+        return _branch_ends(self.spec, self.outer_dof, self.inner_dof, self.n_dof)
+
+
+def _branch_ends(spec: LatticeSpec, outer: np.ndarray, inner: np.ndarray,
+                 n: int) -> np.ndarray:
+    edges = np.asarray(spec.edges, dtype=int).reshape(-1, 2)
+    ends = np.concatenate([np.stack([outer, inner], axis=1), outer[edges]])
+    ends[ends < 0] = n
+    ends.setflags(write=False)
+    return ends
 
 
 def _cell_quantities(params) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -97,28 +117,15 @@ def assemble(spec: LatticeSpec, params, damping: float = 0.0) -> SystemMatrices:
     inertia[0::2] = io[list(active)]
     inertia[1::2] = ii[list(active)]
 
-    y = np.zeros((n, n))
-    for c in active:
-        o, i = outer[c], inner[c]
-        g = gi[c]
-        y[o, o] += g
-        y[i, i] += g
-        y[o, i] -= g
-        y[i, o] -= g
-    for k, (a, b) in enumerate(spec.edges):
-        g = gc[k]
-        ga, gb = a in spec.grounded, b in spec.grounded
-        if ga and gb:
-            continue
-        if ga or gb:
-            live = b if ga else a
-            y[outer[live], outer[live]] += g  # edge to a clamped cell grounds the live node
-        else:
-            oa, ob = outer[a], outer[b]
-            y[oa, oa] += g
-            y[ob, ob] += g
-            y[oa, ob] -= g
-            y[ob, oa] -= g
+    # Each element adds g at (p,p) and (q,q) and -g at (p,q) and (q,p); the
+    # ground row and column of the padded matrix absorb the clamped ends.
+    p, q = _branch_ends(spec, outer, inner, n).T
+    g = np.concatenate([gi, gc])
+    padded = np.zeros((n + 1, n + 1))
+    np.add.at(padded, (np.stack([p, q, p, q], axis=1).ravel(),
+                       np.stack([p, q, q, p], axis=1).ravel()),
+              np.stack([g, g, -g, -g], axis=1).ravel())
+    y = padded[:n, :n].copy()
 
     # reachability: every output must see the input through live cells
     adj = {c: [] for c in active}
@@ -217,11 +224,50 @@ def _step_coeffs(sys: SystemMatrices, dt: float):
     return a, b, c_plus, c_minus
 
 
+def leapfrog(sys: SystemMatrices, dt: float, drive: np.ndarray,
+             u_prev: np.ndarray | None = None, u_curr: np.ndarray | None = None,
+             dofs: np.ndarray | None = None,
+             limit: float = BLOWUP_LIMIT) -> np.ndarray:
+    """The central-difference stepper: one step per row of `drive`.
+
+    A (T,) drive steps state vectors of shape (n,); a (T, B) drive steps B
+    independent signals in lockstep with states of shape (n, B).  The state
+    starts at rest unless u_prev/u_curr are given.  Row t of the result holds
+    u[t+1] at the DOF indices `dofs`, or every DOF when dofs is None.  Raises
+    NumericError citing the step (and batch column) once any |u| exceeds
+    `limit`.
+    """
+    a, b, c_plus, c_minus = _step_coeffs(sys, dt)
+    in_dof = sys.input_dof
+    b_in = b[in_dof]
+    shape = (sys.n_dof,) + drive.shape[1:]
+    u_prev = np.zeros(shape) if u_prev is None else u_prev
+    u_curr = np.zeros(shape) if u_curr is None else u_curr
+    width = sys.n_dof if dofs is None else len(dofs)
+    out = np.empty((len(drive), width) + drive.shape[1:])
+    for t in range(len(drive)):
+        u_next = 2.0 * u_curr - c_minus * u_prev - a @ u_curr
+        u_next[in_dof] += b_in * drive[t]
+        if c_plus != 1.0:
+            u_next /= c_plus
+        peak = np.max(np.abs(u_next))
+        if not peak <= limit:
+            sample, where = None, ""
+            if u_next.ndim == 2:
+                sample = int(np.argmax(np.max(np.abs(u_next), axis=0)))
+                where = f" in batch sample {sample}"
+            raise NumericError(
+                f"|u| reached {peak:.3e} (> {limit:.1e}) at step {t}{where}: "
+                "unstable or diverging", step=t, sample=sample)
+        out[t] = u_next if dofs is None else u_next[dofs]
+        u_prev, u_curr = u_curr, u_next
+    return out
+
+
 def step(sys: SystemMatrices, state: SimState, drive: float, dt: float) -> SimState:
     """Advance one central-difference step under injected current/force `drive`."""
-    a, b, c_plus, c_minus = _step_coeffs(sys, dt)
-    u_next = (2.0 * state.u_curr - c_minus * state.u_prev
-              - a @ state.u_curr + b * drive) / c_plus
+    u_next = leapfrog(sys, dt, np.array([drive], dtype=float),
+                      state.u_prev, state.u_curr)[0]
     return SimState(u_prev=state.u_curr, u_curr=u_next,
                     step_index=state.step_index + 1)
 
@@ -296,25 +342,12 @@ def run(sys: SystemMatrices, signal: "Signal | None" = None,
             raise InvalidParameterError(
                 f"dt={dt} exceeds the stability limit {dt_max:.3e}; "
                 "reduce dt or the stiffest element values")
-    a, b, c_plus, c_minus = _step_coeffs(sys, dt)
     dofs = _recorded_dofs(sys, cfg)
     state = initial if initial is not None else initial_state(sys)
-    u_prev = state.u_prev.copy()
-    u_curr = state.u_curr.copy()
     drive = np.zeros(n_steps) if signal is None else np.asarray(signal.values, dtype=float)
-    out = np.empty((n_steps, len(dofs)))
-    limit = cfg.blowup_limit
-    col = np.asarray(dofs, dtype=int)
-    for t in range(n_steps):
-        u_next = (2.0 * u_curr - c_minus * u_prev - a @ u_curr + b * drive[t]) / c_plus
-        peak = np.max(np.abs(u_next))
-        if not peak <= limit:
-            raise NumericError(
-                f"|u| reached {peak:.3e} (> {limit:.1e}) at step {t}: unstable or diverging",
-                step=t)
-        out[t] = u_next[col]
-        u_prev, u_curr = u_curr, u_next
-    return Trajectory(dt=dt, dofs=dofs, values=out)
+    values = leapfrog(sys, dt, drive, state.u_prev, state.u_curr,
+                      np.asarray(dofs, dtype=int), cfg.blowup_limit)
+    return Trajectory(dt=dt, dofs=dofs, values=values)
 
 
 # --- explicit recurrent-network form ---------------------------------------

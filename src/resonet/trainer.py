@@ -15,10 +15,13 @@ linear appearance of the coupling matrix in the update, so
 
     dL/dY = dt^2 D^-1 ( -sum_t lambda[t+1] u[t]^T )
 
-with lambda the adjoint state, projected onto the per-cell/per-edge stencils
-of Y and chained through k = exp(theta).  A trained network converts to
-circuit values with an arbitrary analogy scale (dynamics are scale-invariant)
-and survives E-series quantization of its resistors.
+with lambda the adjoint state, projected onto the elements through the
+system's branch table (element k joining DOFs p and q receives
+dL/dY[p,p] + dL/dY[q,q] - dL/dY[p,q] - dL/dY[q,p]) and chained through
+k = exp(theta).  The forward pass is the simulator's single leapfrog stepper
+run on (dof, batch) states.  A trained network converts to circuit values
+with an arbitrary analogy scale (dynamics are scale-invariant) and survives
+E-series quantization of its resistors.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 30
     lr: float = 0.02                    # Adam step in log-stiffness space
-    dt: float | None = None             # None: derive from the dataset rate
     seed: int = 0
     loss_floor: float = 0.0             # early stop when epoch loss drops below; 0 disables
     prob_epsilon: float = 1e-12         # relative energy guard in the readout
@@ -208,32 +210,6 @@ def _assemble_checked(spec: LatticeSpec, cfg: TrainConfig, params: TrainablePara
     return sys
 
 
-def _forward_hist(sys: simulator.SystemMatrices, dt: float,
-                  drive: np.ndarray) -> np.ndarray:
-    """Displacement history (T, n_dof, B) of the whole batch, or NumericError."""
-    a, b_vec, c_plus, c_minus = simulator._step_coeffs(sys, dt)
-    t_len, batch = drive.shape
-    n = sys.n_dof
-    hist = np.empty((t_len, n, batch))
-    u_prev = np.zeros((n, batch))
-    u_curr = np.zeros((n, batch))
-    in_dof = sys.input_dof
-    for t in range(t_len):
-        u_next = 2.0 * u_curr - c_minus * u_prev - a @ u_curr
-        u_next[in_dof] += b_vec[in_dof] * drive[t]
-        if c_plus != 1.0:
-            u_next /= c_plus
-        peak = np.max(np.abs(u_next))
-        if not peak <= simulator.BLOWUP_LIMIT:
-            col = int(np.argmax(np.max(np.abs(u_next), axis=0)))
-            raise NumericError(
-                f"batch sample {col} diverged at step {t} (|u|={peak:.3e})",
-                step=t, sample=col)
-        hist[t] = u_next
-        u_prev, u_curr = u_curr, u_next
-    return hist
-
-
 def _energies(hist: np.ndarray, out_dofs, dt: float) -> np.ndarray:
     u_out = hist[:, list(out_dofs), :]
     return np.sum(u_out * u_out, axis=0) * dt   # (C, B)
@@ -253,18 +229,6 @@ def _probs_and_loss(energies: np.ndarray, labels: np.ndarray,
     dl_de[labels, np.arange(batch)] -= 1.0 / picked
     dl_de /= batch
     return probs.T, loss, dl_de
-
-
-def forward(spec: LatticeSpec, cfg: TrainConfig, params: TrainableParams,
-            samples, dt: float | None = None) -> tuple[np.ndarray, float]:
-    """Batch forward pass: probabilities (B, C) and mean cross-entropy loss."""
-    dt = dt if dt is not None else 1.0 / samples[0].signal.rate_hz
-    drive, labels = stack_batch(samples, dt)
-    sys = _assemble_checked(spec, cfg, params, dt)
-    hist = _forward_hist(sys, dt, drive)
-    energies = _energies(hist, sys.output_dofs, dt)
-    probs, loss, _ = _probs_and_loss(energies, labels, cfg.prob_epsilon)
-    return probs, loss
 
 
 def _grad_from_hist(sys: simulator.SystemMatrices, dt: float, hist: np.ndarray,
@@ -295,25 +259,13 @@ def _grad_from_hist(sys: simulator.SystemMatrices, dt: float, hist: np.ndarray,
     return (dt * dt / sys.inertia)[:, None] * g_a
 
 
-def _project_grad(spec: LatticeSpec, sys: simulator.SystemMatrices,
-                  g_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Contract dL/dY onto the per-cell and per-edge stiffness stencils."""
-    g_kn = np.zeros(spec.n_cells)
-    for c in spec.active_cells:
-        o, i = sys.outer_dof[c], sys.inner_dof[c]
-        g_kn[c] = g_y[o, o] + g_y[i, i] - g_y[o, i] - g_y[i, o]
-    g_kc = np.zeros(spec.n_edges)
-    for k, (p, q) in enumerate(spec.edges):
-        gp, gq = p in spec.grounded, q in spec.grounded
-        if gp and gq:
-            continue
-        if gp or gq:
-            live = sys.outer_dof[q if gp else p]
-            g_kc[k] = g_y[live, live]
-        else:
-            op, oq = sys.outer_dof[p], sys.outer_dof[q]
-            g_kc[k] = g_y[op, op] + g_y[oq, oq] - g_y[op, oq] - g_y[oq, op]
-    return g_kn, g_kc
+def _project_grad(sys: simulator.SystemMatrices, g_y: np.ndarray) -> np.ndarray:
+    """Contract dL/dY onto the elements, in packed (cells, then edges) order."""
+    n = sys.n_dof
+    g = np.zeros((n + 1, n + 1))   # the ground row and column stay zero
+    g[:n, :n] = g_y
+    p, q = sys.branches.T
+    return g[p, p] + g[q, q] - g[p, q] - g[q, p]
 
 
 def loss_and_grad(spec: LatticeSpec, cfg: TrainConfig, params: TrainableParams,
@@ -321,24 +273,13 @@ def loss_and_grad(spec: LatticeSpec, cfg: TrainConfig, params: TrainableParams,
                   dt: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """(loss, probs, grad on packed theta, energies) for one labeled batch."""
     sys = _assemble_checked(spec, cfg, params, dt)
-    hist = _forward_hist(sys, dt, drive)
+    hist = simulator.leapfrog(sys, dt, drive)
     energies = _energies(hist, sys.output_dofs, dt)
     probs, loss, dl_de = _probs_and_loss(energies, labels, cfg.prob_epsilon)
     g_y = _grad_from_hist(sys, dt, hist, dl_de)
-    g_kn, g_kc = _project_grad(spec, sys, g_y)
-    k_n, k_c = params.realize()   # d k / d theta = k for the log parameterization
-    grad = np.concatenate([g_kn * k_n, g_kc * k_c])
+    # d k / d theta = k for the log parameterization
+    grad = _project_grad(sys, g_y) * np.concatenate(params.realize())
     return loss, probs, grad, energies
-
-
-def backward(spec: LatticeSpec, cfg: TrainConfig, params: TrainableParams,
-             samples, dt: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the mean batch loss w.r.t. (theta_kn, theta_kc)."""
-    dt = dt if dt is not None else 1.0 / samples[0].signal.rate_hz
-    drive, labels = stack_batch(samples, dt)
-    _, _, grad, _ = loss_and_grad(spec, cfg, params, drive, labels, dt)
-    n = spec.n_cells
-    return grad[:n], grad[n:]
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -360,7 +301,7 @@ def evaluate_system(sys: simulator.SystemMatrices, samples,
     if dt > dt_max:
         raise NumericError(f"dt={dt} exceeds the stability limit {dt_max:.3e}")
     drive, labels = stack_batch(samples, dt)
-    hist = _forward_hist(sys, dt, drive)
+    hist = simulator.leapfrog(sys, dt, drive)
     energies = _energies(hist, sys.output_dofs, dt)
     probs, loss, _ = _probs_and_loss(energies, labels, prob_epsilon)
     preds = np.argmax(energies, axis=0)
@@ -436,8 +377,7 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
     val_samples = dataset.split("test")
     if not train_samples:
         raise InvalidParameterError("dataset has no training split")
-    rate = train_samples[0].signal.rate_hz
-    dt = cfg.dt if cfg.dt is not None else 1.0 / rate
+    dt = 1.0 / train_samples[0].signal.rate_hz
     drive, labels = stack_batch(train_samples, dt)
 
     if resume is None:
@@ -525,8 +465,8 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
 class ExportResult:
     scaling: ScalingFactor
     circuit: CircuitParams
-    quantized: CircuitParams
-    report: QuantizationReport
+    quantized: CircuitParams | None       # None when series is "none"
+    report: QuantizationReport | None
     accuracy_exact: float | None
     accuracy_quantized: float | None
 
@@ -536,19 +476,22 @@ def export_trained(spec: LatticeSpec, mech: MechanicalParams,
                    heldout=None, prob_epsilon: float = 1e-12) -> ExportResult:
     """Convert trained mechanics to circuit values and quantize the resistors.
 
-    When a held-out sample list is supplied, both the exact and the quantized
-    circuit are re-scored on it (the analogy scale itself cannot change
-    predictions; quantization can, slightly).
+    series names the E-series (any case); "none" skips quantization.  When a
+    held-out sample list is supplied, the exact and the quantized circuit are
+    re-scored on it (the analogy scale itself cannot change predictions;
+    quantization can, slightly).
     """
     scaling = choose_scaling(mech, r_target_ohm)
     circuit = mech_to_circuit(mech, scaling)
-    quantized, report = quantize_eseries(circuit, series)
-    acc_exact = acc_quant = None
+    quantized = report = acc_exact = acc_quant = None
+    if series.lower() != "none":
+        quantized, report = quantize_eseries(circuit, series.upper())
     if heldout:
-        sys_exact = simulator.assemble(spec, circuit)
-        sys_quant = simulator.assemble(spec, quantized)
-        acc_exact = evaluate_system(sys_exact, heldout, prob_epsilon).accuracy
-        acc_quant = evaluate_system(sys_quant, heldout, prob_epsilon).accuracy
+        acc_exact = evaluate_system(simulator.assemble(spec, circuit), heldout,
+                                    prob_epsilon).accuracy
+        if quantized is not None:
+            acc_quant = evaluate_system(simulator.assemble(spec, quantized),
+                                        heldout, prob_epsilon).accuracy
     return ExportResult(scaling=scaling, circuit=circuit, quantized=quantized,
                         report=report, accuracy_exact=acc_exact,
                         accuracy_quantized=acc_quant)

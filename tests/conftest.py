@@ -91,6 +91,24 @@ def random_small_system(rng: np.random.Generator):
             continue  # unreachable outputs etc. -- redraw
 
 
+def grounded_corner():
+    """2x3 grid with cells 4 and 5 clamped, every element value distinct.
+
+        0 - 1 - 2        edges (0,1) (0,3) (1,2) (1,4) (2,5) (3,4) (4,5)
+        |   |   |        k_coupling  10   11   12   13   14   15   16
+        3 - 4#- 5#       k_internal of cell c is c + 1
+
+    Edges (1,4), (2,5) and (3,4) run into a grounded cell, (4,5) joins two.
+    DOFs: cell c < 4 has outer 2c and inner 2c + 1; index 8 is ground.
+    """
+    spec = LatticeSpec(rows=2, cols=3, grounded=(4, 5), input_cell=0,
+                       outputs=(2, 3))
+    mech = MechanicalParams(mass_outer=np.ones(6), mass_inner=np.ones(6),
+                            k_internal=np.arange(1.0, 7.0),
+                            k_coupling=np.arange(10.0, 17.0))
+    return spec, mech, simulator.assemble(spec, mech)
+
+
 @pytest.fixture(scope="session")
 def default_dataset():
     """The stock 3-class pulse dataset (300 train + 60 held-out samples)."""

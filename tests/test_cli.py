@@ -6,6 +6,7 @@ Exit code mapping under test: 0 success, 1 usage, 2 configuration/data,
 
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,54 @@ def test_train_divergence_exits_3(tmp_path, capsys):
     }))
     assert run_cli(["train", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert "diverged" in capsys.readouterr().err
+
+
+def _train_on_edited_copy(workspace, tmp_path, edit):
+    """Train on a copy of the workspace dataset after `edit(ds_dir, manifest)`."""
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace["ds"], ds)
+    manifest = json.loads((ds / "manifest.json").read_text())
+    edit(ds, manifest)
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    cfg = tmp_path / "cfg.json"
+    doc = json.loads(workspace["config"].read_text())
+    doc["dataset"]["manifest"] = str(ds / "manifest.json")
+    cfg.write_text(json.dumps(doc))
+    return run_cli(["train", "--config", cfg, "--out", tmp_path / "o"])
+
+
+def test_train_manifest_label_out_of_range_is_a_data_error(workspace, tmp_path,
+                                                            capsys):
+    def edit(ds, manifest):
+        manifest["samples"][4]["label"] = 7    # a 2-class set
+    assert _train_on_edited_copy(workspace, tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "entry 4" in err and "label 7" in err
+
+
+def test_train_manifest_entry_without_path_is_a_data_error(workspace, tmp_path,
+                                                            capsys):
+    def edit(ds, manifest):
+        del manifest["samples"][2]["path"]
+    assert _train_on_edited_copy(workspace, tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "entry 2" in err and "path" in err
+
+
+def test_train_nan_in_a_test_csv_is_a_data_error_not_divergence(workspace,
+                                                                 tmp_path,
+                                                                 capsys):
+    names = []
+
+    def edit(ds, manifest):
+        entry = next(e for e in manifest["samples"] if e["split"] == "test")
+        lines = (ds / entry["path"]).read_text().splitlines()
+        lines[4] = "nan"
+        (ds / entry["path"]).write_text("\n".join(lines) + "\n")
+        names.append(entry["path"])
+    assert _train_on_edited_copy(workspace, tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert f"{names[0]}:5:" in err and "diverged" not in err
 
 
 # --- classify ----------------------------------------------------------------------
@@ -432,9 +481,7 @@ def test_netlist_requires_exactly_one_source(workspace, tmp_path):
 # --- global flags ------------------------------------------------------------------
 
 def test_threads_flag(workspace, tmp_path):
-    out = tmp_path / "cell.csv"
-    rc = run_cli(["ac-sweep", "--cell", "--preset", "1-100", "--out", out,
-                  "--threads", "1"])
-    assert rc == 0
+    # --threads never capped anything (its BLAS limiter was never a
+    # dependency), so it is gone and argparse rejects it as a usage error.
     assert run_cli(["ac-sweep", "--cell", "--preset", "1-100",
-                    "--out", tmp_path / "y.csv", "--threads", "0"]) == 2
+                    "--out", tmp_path / "cell.csv", "--threads", "1"]) == 1

@@ -19,7 +19,7 @@ from resonet.simulator import (SimConfig, SystemMatrices, Trajectory, assemble,
                                natural_frequencies, run, run_rnn, step)
 from resonet.unitcell import UnitCellParams, resonance_freqs
 
-from conftest import make_uniform_plant, random_small_system
+from conftest import grounded_corner, make_uniform_plant, random_small_system
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,13 +50,40 @@ def test_two_cell_coupling_appears_between_outer_nodes():
     assert y[0, 0] == 2.0 + 7.0 and y[1, 1] == 2.0
 
 
+def test_branch_table_and_stiffness_of_a_grounded_corner():
+    spec, _, sys_m = grounded_corner()
+    assert spec.edges == ((0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5))
+    assert sys_m.branches.tolist() == [
+        [0, 1], [2, 3], [4, 5], [6, 7], [8, 8], [8, 8],        # cells 0..5
+        [0, 2], [0, 6], [2, 4], [2, 8], [4, 8], [6, 8], [8, 8]]  # edges
+    expect = np.zeros((8, 8))
+    for c in range(4):                       # internal elements
+        o, i, k = 2 * c, 2 * c + 1, c + 1.0
+        expect[o, o] += k
+        expect[i, i] += k
+        expect[o, i] = expect[i, o] = -k
+    for o_a, o_b, k in ((0, 2, 10.0), (0, 6, 11.0), (2, 4, 12.0)):
+        expect[o_a, o_a] += k
+        expect[o_b, o_b] += k
+        expect[o_a, o_b] = expect[o_b, o_a] = -k
+    expect[2, 2] += 13.0    # (1,4): grounds cell 1's outer node
+    expect[4, 4] += 14.0    # (2,5): grounds cell 2's outer node
+    expect[6, 6] += 15.0    # (3,4): grounds cell 3's outer node
+    np.testing.assert_array_equal(sys_m.stiffness, expect)   # (4,5) adds nothing
+
+
 def test_row_sums_equal_grounding_conductance():
-    spec = LatticeSpec(rows=1, cols=3, grounded=(2,), input_cell=0, outputs=(1,))
-    mech = MechanicalParams.uniform(spec, 1.0, 1.0, 2.0, 7.0)
-    sys_m = assemble(spec, mech)
-    sums = sys_m.stiffness.sum(axis=1)
-    # cell 1's outer node couples to the clamped cell 2: its row leaks 7.0
-    np.testing.assert_allclose(sums, [0.0, 0.0, 7.0, 0.0], atol=1e-12)
+    row = LatticeSpec(rows=1, cols=3, grounded=(2,), input_cell=0, outputs=(1,))
+    cases = [
+        # cell 1's outer node couples to the clamped cell 2: its row leaks 7.0
+        (row, [0.0, 0.0, 7.0, 0.0]),
+        # outer nodes of cells 1, 2 and 3 each couple to one clamped cell
+        (grounded_corner()[0], [0.0, 0.0, 7.0, 0.0, 7.0, 0.0, 7.0, 0.0]),
+    ]
+    for spec, leaks in cases:
+        mech = MechanicalParams.uniform(spec, 1.0, 1.0, 2.0, 7.0)
+        sums = assemble(spec, mech).stiffness.sum(axis=1)
+        np.testing.assert_allclose(sums, leaks, atol=1e-12)
 
 
 def test_default_grid_is_42_dof_positive_definite(uniform_plant):
@@ -193,6 +220,33 @@ def test_driven_cell_matches_analytic_modal_solution(drive_at):
     early = np.max(np.abs(traj.values[:5 * steps_per_cycle]))
     late = np.max(np.abs(traj.values[-5 * steps_per_cycle:]))
     assert late > 3.0 * early
+
+
+def test_batched_stepping_matches_per_sample_runs():
+    # The batched history evaluate_system and loss_and_grad read comes from
+    # the same stepper as run.  A one-column batch is bit-identical to run; a
+    # wider batch multiplies through a matrix-matrix product, whose BLAS
+    # kernel sums in another order than run's matrix-vector product, so its
+    # columns agree to rounding.
+    spec = LatticeSpec(rows=3, cols=3, grounded=(1, 7), input_cell=0,
+                       outputs=(2, 8))
+    rng = np.random.default_rng(12)
+    mech = MechanicalParams(
+        mass_outer=np.full(9, 1.307e-3), mass_inner=np.full(9, 3.530e-3),
+        k_internal=np.exp(rng.uniform(np.log(50.0), np.log(500.0), 9)),
+        k_coupling=np.exp(rng.uniform(np.log(300.0), np.log(900.0), spec.n_edges)))
+    sys_m = assemble(spec, mech)
+    dt = 1.0 / 2000.0
+    drive = rng.standard_normal((400, 5))
+    singles = [run(sys_m, Signal(2000.0, drive[:, b]), SimConfig(record="all")).values
+               for b in range(5)]
+    one = simulator.leapfrog(sys_m, dt, drive[:, :1])
+    np.testing.assert_array_equal(one[:, :, 0], singles[0])
+    batched = simulator.leapfrog(sys_m, dt, drive)
+    assert batched.shape == (400, sys_m.n_dof, 5)
+    for b, single in enumerate(singles):
+        scale = np.max(np.abs(single))
+        assert np.max(np.abs(batched[:, :, b] - single)) <= 1e-12 * scale
 
 
 def test_run_equals_rnn_form_on_random_systems():

@@ -16,6 +16,7 @@ from resonet.trainer import (AdamState, TrainConfig, TrainableParams,
                              loss_and_grad, mech_from_params, stack_batch,
                              train)
 
+from conftest import grounded_corner
 
 # --- readout loss ------------------------------------------------------------------
 
@@ -113,6 +114,34 @@ def test_parameters_behind_grounded_wall_get_zero_gradient():
             assert g_kc[i] == 0.0
         else:
             assert g_kc[i] != 0.0
+
+
+def test_project_grad_contracts_each_element_stencil():
+    spec, _, sys_m = grounded_corner()
+    g = np.random.default_rng(21).standard_normal((8, 8))
+
+    def pair(p, q):    # the stencil of an element joining live DOFs p and q
+        return g[p, p] + g[q, q] - g[p, q] - g[q, p]
+
+    expect = [pair(0, 1), pair(2, 3), pair(4, 5), pair(6, 7),
+              0.0, 0.0,                       # grounded cells 4 and 5
+              pair(0, 2), pair(0, 6), pair(2, 4),
+              g[2, 2], g[4, 4], g[6, 6],      # edges into a grounded cell
+              0.0]                            # edge (4,5): both ends grounded
+    np.testing.assert_array_equal(trainer._project_grad(sys_m, g), expect)
+
+
+def test_evaluate_system_energies_match_per_sample_runs():
+    spec, mech, _ = grounded_corner()
+    sys_m = simulator.assemble(spec, mech)
+    rate = 40.0 * math.sqrt(float(np.max(np.linalg.eigvalsh(sys_m.stiffness))))
+    samples = [Sample(gen_pulse(rate, 4.0, f, 1.0), b % 2, "test", b)
+               for b, f in enumerate((0.4, 0.9, 1.6))]
+    batched = trainer.evaluate_system(sys_m, samples)
+    for b, s in enumerate(samples):
+        traj = simulator.run(sys_m, s.signal)
+        single = simulator.integrate_energy(traj, traj.dofs)
+        np.testing.assert_allclose(batched.energies[:, b], single, rtol=1e-12)
 
 
 def fd_gradient_check(n_steps=500, seed=3):
@@ -342,6 +371,15 @@ def test_export_without_heldout_skips_scoring(tiny_task):
     result = train(spec, dataset, _tiny_cfg(epochs=1))
     exp = export_trained(spec, result.mech)
     assert exp.accuracy_exact is None and exp.accuracy_quantized is None
+
+
+def test_export_with_series_none_skips_quantization(tiny_task):
+    spec, dataset = tiny_task
+    result = train(spec, dataset, _tiny_cfg(epochs=1))
+    exp = export_trained(spec, result.mech, series="none",
+                         heldout=dataset.split("test"))
+    assert exp.quantized is None and exp.report is None
+    assert exp.accuracy_quantized is None and exp.accuracy_exact is not None
 
 
 def test_mech_from_params_uses_config_masses():
