@@ -4,14 +4,14 @@
 Generates the three-class Gaussian-pulse dataset (default 30/50/70 Hz pulse
 centers), trains the lattice couplings with backprop-through-time + Adam,
 scores the held-out split, converts the result to realizable circuit values,
-and writes the artifacts (metrics, exact + quantized systems, quantization
-report) to --out.
+and writes the artifacts to --out: metrics and the exact system, plus the
+quantized system and its report unless --series is none.  The system files
+go through the same writer as ``resonet train``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -22,7 +22,7 @@ except ImportError:  # running from a checkout without `pip install -e .`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from resonet import signals, trainer
-from resonet.lattice import LatticeSpec, save_system
+from resonet.lattice import LatticeSpec, save_system_files
 
 
 def main(argv=None) -> int:
@@ -34,8 +34,9 @@ def main(argv=None) -> int:
     ap.add_argument("--data-seed", type=int, default=1, help="dataset seed")
     ap.add_argument("--centers", default="30,50,70",
                     help="comma-separated pulse center frequencies in Hz")
-    ap.add_argument("--series", default="E96", choices=["E24", "E96"],
-                    help="resistor series for the quantized export")
+    ap.add_argument("--series", default="E96", choices=["E24", "E96", "none"],
+                    help="resistor series for the quantized export "
+                         "(none: exact values only)")
     args = ap.parse_args(argv)
 
     centers = tuple(float(c) for c in args.centers.split(","))
@@ -63,10 +64,13 @@ def main(argv=None) -> int:
 
     exp = trainer.export_trained(spec, result.mech, series=args.series,
                                  heldout=heldout)
-    print(f"held-out accuracy: exact {exp.accuracy_exact:.1%}, "
-          f"{args.series} {exp.accuracy_quantized:.1%}")
-    print(f"quantization: {len(exp.report.changed)}/{len(exp.report.entries)} "
-          f"values changed, max rel error {exp.report.max_rel_error:.2%}")
+    accuracy = f"held-out accuracy: exact {exp.accuracy_exact:.1%}"
+    if exp.report is not None:
+        accuracy += f", {args.series} {exp.accuracy_quantized:.1%}"
+    print(accuracy)
+    if exp.report is not None:
+        print(f"quantization: {len(exp.report.changed)}/{len(exp.report.entries)} "
+              f"values changed, max rel error {exp.report.max_rel_error:.2%}")
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -75,12 +79,8 @@ def main(argv=None) -> int:
         for h in result.history:
             fh.write(f"{h['epoch']},{h['loss']!r},{h['train_acc']!r},"
                      f"{h['val_acc']!r}\n")
-    save_system(out / "system.json", spec, exp.circuit, exp.scaling)
-    save_system(out / "system_quantized.json", spec, exp.quantized,
-                exp.scaling)
-    with open(out / "quantization.json", "w") as fh:
-        json.dump(exp.report.to_json_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    save_system_files(out, spec, exp.circuit, exp.scaling, exp.quantized,
+                      exp.report, force=True)
     print(f"artifacts written to {out}/")
     return 0
 

@@ -176,22 +176,6 @@ def _train_config_from_dict(d: dict, seed_override) -> trainer.TrainConfig:
         raise ConfigError(f"bad train section: {exc}") from exc
 
 
-def _write_system_files(out: Path, spec, scaling, circ, quantized, report,
-                        force: bool) -> list[str]:
-    """system.json, plus the quantized twin and its report when there is one."""
-    p = _write_json(out / "system.json",
-                    lattice.system_to_json_dict(spec, circ, scaling), force)
-    lines = [f"system: {p}"]
-    if quantized is not None:
-        p = _write_json(out / "system_quantized.json",
-                        lattice.system_to_json_dict(spec, quantized, scaling), force)
-        lines.append(f"quantized system: {p}")
-        p = _write_json(out / "quantization.json", report.to_json_dict(), force)
-        lines.append(f"quantization report: {p} "
-                     f"(max rel error {report.max_rel_error:.4%})")
-    return lines
-
-
 def cmd_train(args) -> int:
     cfg_dict = _read_json(args.config)
     if not isinstance(cfg_dict, dict):
@@ -254,8 +238,8 @@ def cmd_train(args) -> int:
                                  float(exp_cfg.get("r_target_ohm", 1e6)),
                                  str(exp_cfg.get("series", "E96")),
                                  heldout=ds.split("test"))
-    lines = _write_system_files(out, spec, exp.scaling, exp.circuit,
-                                exp.quantized, exp.report, args.force)
+    lines = lattice.save_system_files(out, spec, exp.circuit, exp.scaling,
+                                      exp.quantized, exp.report, args.force)
     if exp.accuracy_exact is not None:
         lines.append(f"held-out accuracy (exact circuit): {exp.accuracy_exact:.4f}")
     if exp.accuracy_quantized is not None:
@@ -276,12 +260,8 @@ def cmd_classify(args) -> int:
     n_correct = 0
     n_labeled = 0
     if args.manifest is not None:
-        manifest_path = Path(args.manifest)
-        ds = signals.load_dataset(manifest_path)
-        with open(manifest_path) as fh:
-            entry_paths = [e["path"] for e in json.load(fh)["samples"]]
-        items = [(str(manifest_path.parent / p), s.label, s.signal)
-                 for p, s in zip(entry_paths, ds.samples)]
+        items = [(str(s.source), s.label, s.signal)
+                 for s in signals.load_dataset(args.manifest).samples]
     else:
         items = [(str(p), None, signals.load_csv(p, rate=args.rate))
                  for p in args.input]
@@ -485,8 +465,8 @@ def cmd_export_netlist(args) -> int:
             quantized, report = lattice.quantize_eseries(circ, args.series.upper())
 
     out = Path(args.out)
-    lines = _write_system_files(out, spec, scaling, circ, quantized, report,
-                                args.force)
+    lines = lattice.save_system_files(out, spec, circ, scaling, quantized,
+                                      report, args.force)
     final = circ if quantized is None else quantized
     rows = lattice.netlist_rows(spec, final)
     p = _write_csv(out / "netlist.csv",

@@ -24,10 +24,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, InvalidParameterError, TopologyError
+from .errors import (ConfigError, DataFormatError, InvalidParameterError,
+                     TopologyError)
 
 # Standard resistor series mantissas (IEC 60063).
 E24 = (
@@ -402,10 +404,42 @@ def system_from_json_dict(d: dict) -> tuple[LatticeSpec, CircuitParams, ScalingF
         raise DataFormatError(f"malformed system description: {exc}") from exc
 
 
-def save_system(path, spec: LatticeSpec, circ: CircuitParams, s) -> None:
+def _dump_json(path, doc) -> None:
     with open(path, "w") as fh:
-        json.dump(system_to_json_dict(spec, circ, s), fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def save_system(path, spec: LatticeSpec, circ: CircuitParams, s) -> None:
+    _dump_json(path, system_to_json_dict(spec, circ, s))
+
+
+def save_system_files(out, spec: LatticeSpec, circ: CircuitParams, s,
+                      quantized: CircuitParams | None = None,
+                      report: QuantizationReport | None = None,
+                      force: bool = False) -> list[str]:
+    """Write system.json, plus system_quantized.json and quantization.json
+    when a quantized twin is given; returns one summary line per file.
+
+    Checks every target first and raises ConfigError, writing nothing, if
+    one exists and force is not set.
+    """
+    out = Path(out)
+    files = [(out / "system.json", system_to_json_dict(spec, circ, s), "system: {}")]
+    if quantized is not None:
+        files += [
+            (out / "system_quantized.json",
+             system_to_json_dict(spec, quantized, s), "quantized system: {}"),
+            (out / "quantization.json", report.to_json_dict(),
+             "quantization report: {} "
+             f"(max rel error {report.max_rel_error:.4%})")]
+    for path, _, _ in files:
+        if path.exists() and not force:
+            raise ConfigError(f"{path} already exists (use force to overwrite)")
+    out.mkdir(parents=True, exist_ok=True)
+    for path, doc, _ in files:
+        _dump_json(path, doc)
+    return [line.format(path) for path, _, line in files]
 
 
 def load_system(path) -> tuple[LatticeSpec, CircuitParams, ScalingFactor]:

@@ -53,6 +53,11 @@ class Signal:
         arr = np.asarray(self.values, dtype=float).copy()
         if arr.ndim != 1:
             raise InvalidParameterError("signal values must be 1-D")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise InvalidParameterError(
+                f"signal value {bad} is {arr[bad]}; samples must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -133,6 +138,7 @@ class Sample:
     label: int
     split: str        # "train" or "test"
     class_index: int  # per-class running index (train and test share the counter)
+    source: Path | None = None   # CSV file the sample was loaded from
 
 
 @dataclass(frozen=True)
@@ -219,10 +225,11 @@ def load_dataset(manifest_path) -> Dataset:
         if split not in ("train", "test"):
             raise DataFormatError(f"{path}: sample entry {i} ({name}) has split "
                                   f"{split!r}, expected 'train' or 'test'")
-        sig = load_csv(path.parent / name, rate=rate)
+        source = path.parent / name
+        sig = load_csv(source, rate=rate)
         idx = counters.get((label, split), 0)
         counters[(label, split)] = idx + 1
-        samples.append(Sample(sig, label, split, idx))
+        samples.append(Sample(sig, label, split, idx, source))
     if not samples:
         raise DataFormatError(f"{path}: manifest lists no samples")
     spec = DatasetSpec(centers_hz=centers, rate_hz=rate,

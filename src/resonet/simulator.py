@@ -18,6 +18,18 @@ Stacking h[t] = (u[t+1], u[t]) turns one step into a linear recurrence
 i.e. the lattice is a recurrent network whose weights are circuit element
 values; ``run`` and ``run_rnn`` implement both forms and agree to rounding.
 
+``leapfrog`` is the one stepper and the reference for everything else.  The
+recurrence is linear and time-invariant, so ``run`` evaluates a long drive
+(at least MIN_BLOCKS * BLOCK steps, with dt within the stability limit)
+block by block from operators that ``leapfrog`` itself generates over one
+BLOCK-step block: the impulse response, the free response to each unit
+initial state, and the block transition.  Inside a block the trajectory is
+the free response plus an FFT convolution of the drive with the impulse
+response; a scan over blocks carries the state.  The result agrees with
+stepping to rounding.  A per-block bound on |u| keeps the blow-up check:
+when it cannot rule out |u| > limit, ``run`` steps with ``leapfrog`` instead,
+which raises at the exact step or returns its own result.
+
 Degrees of freedom are the outer and inner node of every non-grounded cell,
 in cell order (outer before inner).  Input current is injected at the input
 cell's outer node; readout is the inner-node voltage of each output cell.
@@ -40,6 +52,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .signals import Signal
 
 BLOWUP_LIMIT = 1e12  # |u| beyond this aborts the run as numerically unstable
+BLOCK = 1024         # steps per block of run's blocked evaluation
+MIN_BLOCKS = 16      # drives shorter than this many blocks step through leapfrog
+_CHUNK_BLOCKS = 16   # blocks evaluated together, bounding the temporaries
 
 
 @dataclass(frozen=True)
@@ -334,20 +349,117 @@ def run(sys: SystemMatrices, signal: "Signal | None" = None,
     Drive samples are consumed one per step; the trajectory has exactly one
     row per drive sample (or duration/dt rows for zero-input runs).  Raises
     NumericError citing the step index if any |u| exceeds the blow-up limit.
+
+    Drives of at least MIN_BLOCKS * BLOCK steps with dt <= dt_max are
+    evaluated block by block (see the module doc) and agree with ``leapfrog``
+    to rounding; shorter drives, and dt beyond the stability limit under
+    enforce_stability=False, step through ``leapfrog`` and equal it exactly.
     """
     dt, n_steps = _resolve_dt(sys, signal, cfg)
-    if cfg.enforce_stability:
-        dt_max = max_stable_dt(sys)
-        if dt > dt_max:
-            raise InvalidParameterError(
-                f"dt={dt} exceeds the stability limit {dt_max:.3e}; "
-                "reduce dt or the stiffest element values")
+    dt_max = max_stable_dt(sys)
+    if cfg.enforce_stability and dt > dt_max:
+        raise InvalidParameterError(
+            f"dt={dt} exceeds the stability limit {dt_max:.3e}; "
+            "reduce dt or the stiffest element values")
     dofs = _recorded_dofs(sys, cfg)
     state = initial if initial is not None else initial_state(sys)
     drive = np.zeros(n_steps) if signal is None else np.asarray(signal.values, dtype=float)
-    values = leapfrog(sys, dt, drive, state.u_prev, state.u_curr,
-                      np.asarray(dofs, dtype=int), cfg.blowup_limit)
+    cols = np.asarray(dofs, dtype=int)
+    values = None
+    if n_steps >= MIN_BLOCKS * BLOCK and dt <= dt_max:
+        values = _run_blocked(sys, dt, drive, state.u_prev, state.u_curr,
+                              cols, cfg.blowup_limit)
+    if values is None:
+        values = leapfrog(sys, dt, drive, state.u_prev, state.u_curr, cols,
+                          cfg.blowup_limit)
     return Trajectory(dt=dt, dofs=dofs, values=values)
+
+
+def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
+    """One block's operators, generated by leapfrog: (h, o_rec, o_max, trans).
+
+    The state entering a block is (u_curr, u_curr - u_prev) as a 2n-vector:
+    carrying the step difference rather than u_prev keeps a large rigid
+    displacement (free lattice) from swamping the velocity in rounding.
+    h (L, n) is the response to a unit drive at the block's first step from
+    rest; o_rec (L, d, 2n) the response at `dofs` to each unit state; o_max
+    (n, 2n) the largest |free response| over the block; trans (2n, 2n) maps
+    the state entering a block to the state entering the next.
+    """
+    n, L = sys.n_dof, BLOCK
+    impulse = np.zeros(L)
+    impulse[0] = 1.0
+    h = leapfrog(sys, dt, impulse, limit=np.inf)
+    eye = np.eye(n)
+    u_prev, u_curr = np.hstack([eye, -eye]), np.hstack([eye, np.zeros((n, n))])
+    o_rec = np.empty((L, len(dofs), 2 * n))
+    o_max = np.zeros((n, 2 * n))
+    piece = 32    # keeps each (piece, n, 2n) free response under 1 MB
+    for t0 in range(0, L, piece):
+        o = leapfrog(sys, dt, np.zeros((piece, 2 * n)), u_prev, u_curr,
+                     limit=np.inf)
+        np.maximum(o_max, np.max(np.abs(o), axis=0), out=o_max)
+        o_rec[t0:t0 + piece] = o[:, dofs]
+        u_prev, u_curr = o[-2], o[-1]
+    return h, o_rec, o_max, np.vstack([u_curr, u_curr - u_prev])
+
+
+def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
+                 u_prev: np.ndarray, u_curr: np.ndarray, dofs: np.ndarray,
+                 limit: float) -> np.ndarray | None:
+    """leapfrog's result, evaluated BLOCK steps at a time (see module doc).
+
+    Returns None when the per-block bound on |u| exceeds `limit` or is not
+    finite; the caller then steps with leapfrog.
+    """
+    n, L, d = sys.n_dof, BLOCK, len(dofs)
+    h, o_rec, o_max, trans = _block_operators(sys, dt, dofs)
+    n_full = len(drive) // L
+    x = drive[:n_full * L].reshape(n_full, L)
+    rest = len(drive) - n_full * L
+    tail = np.zeros((1, L))
+    tail[0, :rest] = drive[n_full * L:]
+
+    # State entering each block: s[b+1] = trans @ s[b] + z[b], where z[b] is
+    # the state block b reaches from rest, a sum of the reversed impulse
+    # response (and of its step difference) weighted by the drive.
+    ends = np.empty((L, 2 * n))
+    ends[:, :n] = h[::-1]
+    ends[:, n:] = h[::-1]
+    ends[:-1, n:] -= h[-2::-1]
+    s = np.empty((n_full + 1, 2 * n))
+    s[0] = np.concatenate([u_curr, u_curr - u_prev])
+    for b0 in range(0, n_full, _CHUNK_BLOCKS):
+        # chunked: one drive-long GEMM would grow BLAS's buffers by MBs
+        z = x[b0:b0 + _CHUNK_BLOCKS] @ ends
+        for b, z_b in enumerate(z, start=b0):
+            s[b + 1] = trans @ s[b] + z_b
+
+    # |u| in block b is at most |s[b]| @ o_max.T + max|x_b| * sum_t |h[t]|.
+    x_max = np.append(np.maximum(x.max(axis=1), -x.min(axis=1)),
+                      np.max(np.abs(tail)))
+    bound = np.abs(s) @ o_max.T + x_max[:, None] * np.sum(np.abs(h), axis=0)
+    if not np.max(bound) <= limit:
+        return None
+
+    o_flat = o_rec.reshape(L * d, 2 * n).T
+    h_f = np.fft.rfft(h[:, dofs].T, n=2 * L)
+
+    def blocks(s_b, x_b, dest):   # dest: the (k, L, d) rows of these blocks
+        np.matmul(s_b, o_flat, out=dest.reshape(len(s_b), L * d))
+        forced = np.fft.irfft(np.fft.rfft(x_b, n=2 * L)[:, None, :] * h_f, n=2 * L)
+        dest += forced[:, :, :L].transpose(0, 2, 1)
+
+    out = np.empty((len(drive), d))
+    full = out[:n_full * L].reshape(n_full, L, d)
+    for b0 in range(0, n_full, _CHUNK_BLOCKS):
+        b1 = min(b0 + _CHUNK_BLOCKS, n_full)
+        blocks(s[b0:b1], x[b0:b1], full[b0:b1])
+    if rest:
+        last = np.empty((1, L, d))
+        blocks(s[n_full:], tail, last)
+        out[n_full * L:] = last[0, :rest]
+    return out
 
 
 # --- explicit recurrent-network form ---------------------------------------

@@ -63,6 +63,17 @@ def test_pulse_validation():
         gen_pulse(1000.0, 1.0, center_hz=50.0, sigma_s=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_signal_rejects_non_finite_samples(uniform_plant, bad):
+    # A bad sample is a data error naming its index, not a divergence that
+    # the simulator reports at that step.
+    _, _, sys_m = uniform_plant
+    v = np.zeros(2000)
+    v[10] = bad
+    with pytest.raises(InvalidParameterError, match="signal value 10 "):
+        simulator.run(sys_m, Signal(2000.0, v))
+
+
 # --- add_noise --------------------------------------------------------------------
 
 def test_noise_hits_requested_snr():

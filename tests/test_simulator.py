@@ -1,6 +1,7 @@
 """Time-domain engine: assembly, stability bookkeeping, leapfrog stepping, the
 equivalent one-step recurrence, energy accounting, and the readout chain."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,13 +16,14 @@ from resonet.signals import Signal
 from resonet.simulator import (SimConfig, SystemMatrices, Trajectory, assemble,
                                build_rnn_weights, classify, comparator,
                                default_dt, discrete_energy, initial_state,
-                               integrate_energy, max_stable_dt,
+                               integrate_energy, leapfrog, max_stable_dt,
                                natural_frequencies, run, run_rnn, step)
 from resonet.unitcell import UnitCellParams, resonance_freqs
 
 from conftest import grounded_corner, make_uniform_plant, random_small_system
 
 TWO_PI = 2.0 * math.pi
+LONG = simulator.MIN_BLOCKS * simulator.BLOCK   # shortest drive run evaluates blockwise
 
 
 def single_cell(mass_outer=1.307e-3, mass_inner=3.530e-3, k=100.0):
@@ -320,6 +322,73 @@ def test_blowup_raises_numeric_error_with_step():
                                  enforce_stability=False),
             initial=initial_state(sys_m, u_prev=u0, u_curr=u0))
     assert exc.value.step is not None and exc.value.step >= 0
+
+
+def _free_square():
+    spec = LatticeSpec(rows=2, cols=2, grounded=(), input_cell=0, outputs=(3,))
+    return assemble(spec, MechanicalParams.uniform(spec, 1e-3, 2e-3, 40.0, 90.0))
+
+
+def test_blocked_run_matches_leapfrog():
+    # Long drives are evaluated blockwise; leapfrog stepping is the reference.
+    # The cases cover grounded cells, a free lattice (rigid mode), damping,
+    # dt up to 0.95 dt_max, every record mode, a nonzero initial state and a
+    # length that is not a multiple of BLOCK.
+    rng = np.random.default_rng(5)
+    cases = [
+        (random_small_system(rng)[2], 0.0, 0.3, "outputs"),
+        (random_small_system(rng)[2], 0.5, 0.6, "all"),
+        (random_small_system(rng)[2], 5.0, 0.95, (1, 0, 3)),
+        (grounded_corner()[2], 0.0, 0.95, "all"),
+        (_free_square(), 0.0, 0.95, "outputs"),
+        (_free_square(), 0.5, 0.6, (1, 0, 3)),
+    ]
+    for base, damping, dt_frac, record in cases:
+        sys_m = dataclasses.replace(base, damping=damping)
+        dt = dt_frac * max_stable_dt(sys_m)
+        x = rng.standard_normal(LONG + 777)
+        u0, u1 = rng.standard_normal((2, sys_m.n_dof))
+        traj = run(sys_m, Signal(1.0 / dt, x), SimConfig(record=record),
+                   initial=initial_state(sys_m, u_prev=u0, u_curr=u1))
+        ref = leapfrog(sys_m, traj.dt, x, u0, u1, np.asarray(traj.dofs))
+        assert traj.values.shape == ref.shape
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(traj.values - ref)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("steps, dt_frac, enforce", [
+    (LONG - 1, 0.5, True),              # one step short of the blocked path
+    (LONG + 10, 1.0 + 1e-8, False),     # long, but dt beyond the stability limit
+])
+def test_runs_off_the_blocked_path_equal_leapfrog_exactly(steps, dt_frac, enforce):
+    sys_m = _free_square()
+    dt = dt_frac * max_stable_dt(sys_m)
+    u0 = np.random.default_rng(6).standard_normal(sys_m.n_dof)
+    traj = run(sys_m, cfg=SimConfig(dt=dt, duration=steps * dt, record="all",
+                                    enforce_stability=enforce),
+               initial=initial_state(sys_m, u_prev=u0, u_curr=u0))
+    assert len(traj.values) == steps
+    np.testing.assert_array_equal(traj.values, leapfrog(sys_m, dt, np.zeros(steps), u0, u0))
+
+
+@pytest.mark.parametrize("cause", ["small_limit", "nan_state"])
+def test_long_run_blowup_raises_at_the_leapfrog_step(uniform_plant, cause):
+    _, _, sys_m = uniform_plant
+    dt = 1.0 / 4000.0
+    x = np.random.default_rng(7).standard_normal(LONG + 10)
+    u0 = np.zeros(sys_m.n_dof)
+    limit = simulator.BLOWUP_LIMIT
+    if cause == "small_limit":   # crossed late, near the trajectory's peak
+        limit = 0.999 * np.max(np.abs(leapfrog(sys_m, dt, x)))
+    else:
+        u0[5] = np.nan
+    with pytest.raises(NumericError) as ref:
+        leapfrog(sys_m, dt, x, u0, u0, limit=limit)
+    with pytest.raises(NumericError) as exc:
+        run(sys_m, Signal(1.0 / dt, x), SimConfig(blowup_limit=limit),
+            initial=initial_state(sys_m, u_prev=u0, u_curr=u0))
+    assert exc.value.step == ref.value.step
+    assert str(exc.value) == str(ref.value)
 
 
 def test_cfg_dt_must_match_signal_rate():
