@@ -199,7 +199,9 @@ def cmd_train(args) -> int:
 
     resume = None
     if args.resume is not None:
-        resume = trainer.Checkpoint.from_json_dict(_read_json(args.resume))
+        resume = trainer.Checkpoint.from_json_dict(_read_json(args.resume),
+                                                   str(args.resume))
+        resume.check_fits(spec, str(args.resume))
 
     def on_epoch(ck: trainer.Checkpoint) -> None:
         path = ckpt_dir / f"epoch_{ck.epoch:03d}.json"
@@ -219,6 +221,8 @@ def cmd_train(args) -> int:
     model = lattice.mech_to_json_dict(spec, result.mech)
     model["history"] = [dict(h) for h in result.history]
     model["stop_reason"] = result.stop_reason
+    if result.divergence is not None:
+        model["divergence"] = result.divergence
     model["train_config"] = asdict(cfg)
     _write_json(model_path, model, args.force)
 
@@ -230,8 +234,9 @@ def cmd_train(args) -> int:
               f"loss {h['loss']:.4f}, train_acc {h['train_acc']:.3f}, "
               f"val_acc {h['val_acc']:.3f}")
     if result.aborted:
-        print("training diverged; artifacts hold the last stable epoch",
-              file=sys.stderr)
+        d = result.divergence
+        print(f"training diverged in epoch {d['epoch']}: {d['message']}; "
+              "artifacts hold the last stable epoch", file=sys.stderr)
         return NUMERIC_EXIT
     exp_cfg = cfg_dict.get("export", {})
     exp = trainer.export_trained(spec, result.mech,

@@ -18,17 +18,25 @@ Stacking h[t] = (u[t+1], u[t]) turns one step into a linear recurrence
 i.e. the lattice is a recurrent network whose weights are circuit element
 values; ``run`` and ``run_rnn`` implement both forms and agree to rounding.
 
-``leapfrog`` is the one stepper and the reference for everything else.  The
-recurrence is linear and time-invariant, so ``run`` evaluates a long drive
-(at least MIN_BLOCKS * BLOCK steps, with dt within the stability limit)
-block by block from operators that ``leapfrog`` itself generates over one
-BLOCK-step block: the impulse response, the free response to each unit
+``leapfrog`` is the one stepper and the reference for everything else.  It
+steps in place through a ring of CHUNK + 2 state rows and checks the blow-up
+bound max|u| <= limit once per CHUNK steps; only when a chunk fails the check
+is it rescanned row by row, so the error names the first step (and batch
+sample) past the limit exactly as a per-step check would.
+
+The recurrence is linear and time-invariant, so ``run`` evaluates a long
+drive (at least MIN_BLOCKS * BLOCK steps, with dt within the stability
+limit) block by block from operators that ``leapfrog`` itself generates over
+one BLOCK-step block: the impulse response, the free response to each unit
 initial state, and the block transition.  Inside a block the trajectory is
 the free response plus an FFT convolution of the drive with the impulse
 response; a scan over blocks carries the state.  The result agrees with
 stepping to rounding.  A per-block bound on |u| keeps the blow-up check:
 when it cannot rule out |u| > limit, ``run`` steps with ``leapfrog`` instead,
 which raises at the exact step or returns its own result.
+
+The natural frequencies behind the stability limit come from one eigensolve
+per system, cached on ``SystemMatrices``.
 
 Degrees of freedom are the outer and inner node of every non-grounded cell,
 in cell order (outer before inner).  Input current is injected at the input
@@ -52,6 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .signals import Signal
 
 BLOWUP_LIMIT = 1e12  # |u| beyond this aborts the run as numerically unstable
+CHUNK = 64           # leapfrog steps between two checks of the blow-up limit
 BLOCK = 1024         # steps per block of run's blocked evaluation
 MIN_BLOCKS = 16      # drives shorter than this many blocks step through leapfrog
 _CHUNK_BLOCKS = 16   # blocks evaluated together, bounding the temporaries
@@ -83,6 +92,19 @@ class SystemMatrices:
         order.  A grounded cell's nodes are clamped, so its ends read n_dof.
         """
         return _branch_ends(self.spec, self.outer_dof, self.inner_dof, self.n_dof)
+
+    @cached_property
+    def natural_frequencies(self) -> np.ndarray:
+        """Sorted natural angular frequencies (rad/s) of the undamped system.
+
+        One eigensolve of D^-1/2 Y D^-1/2 per system; every stability limit
+        and eigenfrequency reads this array.
+        """
+        scale = 1.0 / np.sqrt(self.inertia)
+        sym = self.stiffness * scale[:, None] * scale[None, :]
+        w = np.sqrt(np.clip(np.linalg.eigvalsh(sym), 0.0, None))
+        w.setflags(write=False)
+        return w
 
 
 def _branch_ends(spec: LatticeSpec, outer: np.ndarray, inner: np.ndarray,
@@ -177,19 +199,16 @@ def assemble(spec: LatticeSpec, params, damping: float = 0.0) -> SystemMatrices:
 
 def natural_frequencies(sys: SystemMatrices) -> np.ndarray:
     """Sorted natural angular frequencies (rad/s) of the undamped system."""
-    scale = 1.0 / np.sqrt(sys.inertia)
-    sym = sys.stiffness * scale[:, None] * scale[None, :]
-    lam = np.linalg.eigvalsh(sym)
-    return np.sqrt(np.clip(lam, 0.0, None))
+    return sys.natural_frequencies
 
 
 def eigenfrequencies_hz(sys: SystemMatrices) -> np.ndarray:
-    return natural_frequencies(sys) / (2.0 * np.pi)
+    return sys.natural_frequencies / (2.0 * np.pi)
 
 
 def max_stable_dt(sys: SystemMatrices) -> float:
     """Largest stable step of the central-difference scheme: 2 / w_max."""
-    w_max = float(natural_frequencies(sys)[-1])
+    w_max = float(sys.natural_frequencies[-1])
     if w_max == 0.0:
         return np.inf
     return 2.0 / w_max
@@ -251,32 +270,73 @@ def leapfrog(sys: SystemMatrices, dt: float, drive: np.ndarray,
     u[t+1] at the DOF indices `dofs`, or every DOF when dofs is None.  Raises
     NumericError citing the step (and batch column) once any |u| exceeds
     `limit`.
+
+    Each step runs in preallocated buffers with the same floating-point
+    operations, in the same order, as ``2 u[t] - c_minus u[t-1] - A u[t]``
+    (the c_minus product is skipped when it is exactly 1).  max|u| is checked
+    once per CHUNK steps with overflow warnings silenced inside the chunk; a
+    chunk past the limit (or holding NaN) is rescanned for its first bad row,
+    so the error and its step equal those of a check after every step.
     """
     a, b, c_plus, c_minus = _step_coeffs(sys, dt)
     in_dof = sys.input_dof
     b_in = b[in_dof]
     shape = (sys.n_dof,) + drive.shape[1:]
-    u_prev = np.zeros(shape) if u_prev is None else u_prev
-    u_curr = np.zeros(shape) if u_curr is None else u_curr
     width = sys.n_dof if dofs is None else len(dofs)
     out = np.empty((len(drive), width) + drive.shape[1:])
-    for t in range(len(drive)):
-        u_next = 2.0 * u_curr - c_minus * u_prev - a @ u_curr
-        u_next[in_dof] += b_in * drive[t]
-        if c_plus != 1.0:
-            u_next /= c_plus
-        peak = np.max(np.abs(u_next))
+    # Steps write into the result itself when it records every DOF, else into
+    # a ring of CHUNK rows whose selected DOFs are copied out after each chunk.
+    ring = None if dofs is None else np.empty((min(CHUNK, len(drive)),) + shape)
+    head = np.empty((2,) + shape)
+    head[0] = 0.0 if u_prev is None else u_prev
+    head[1] = 0.0 if u_curr is None else u_curr
+    last_two = list(head)   # u[t-1], u[t] entering the chunk
+    au = np.empty(shape)
+    cu = None if c_minus == 1.0 else np.empty(shape)
+    for t0 in range(0, len(drive), CHUNK):
+        k = min(CHUNK, len(drive) - t0)
+        block = out[t0:t0 + k] if ring is None else ring[:k]
+        # step j writes rows[j + 2] from rows[j + 1] and rows[j]; in the ring
+        # it overwrites last_two only after the first two steps have read them
+        rows = last_two + list(block)
+        kick = b_in * drive[t0:t0 + k]
+        # Past the limit the values may overflow before the check below sees
+        # them; the chunk is then rescanned and the run raises.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(k):
+                u_prev, u_curr, u_next = rows[j], rows[j + 1], rows[j + 2]
+                np.matmul(a, u_curr, out=au)
+                np.multiply(u_curr, 2.0, out=u_next)
+                if cu is None:
+                    u_next -= u_prev
+                else:
+                    np.multiply(u_prev, c_minus, out=cu)
+                    u_next -= cu
+                u_next -= au
+                u_next[in_dof] += kick[j]
+                if c_plus != 1.0:
+                    u_next /= c_plus
+        # max and min, not max|u|: no chunk-sized temporary; NaN fails both
+        if not (block.max() <= limit and -block.min() <= limit):
+            _raise_blowup(block, t0, limit)
+        if ring is not None:
+            out[t0:t0 + k] = block[:, dofs]
+        last_two = rows[k:k + 2]
+    return out
+
+
+def _raise_blowup(block: np.ndarray, t0: int, limit: float) -> None:
+    """Raise NumericError for the first row of `block` (step t0 onward) past limit."""
+    for j, u in enumerate(block):
+        peak = np.max(np.abs(u))
         if not peak <= limit:
-            sample, where = None, ""
-            if u_next.ndim == 2:
-                sample = int(np.argmax(np.max(np.abs(u_next), axis=0)))
+            t, sample, where = t0 + j, None, ""
+            if u.ndim == 2:
+                sample = int(np.argmax(np.max(np.abs(u), axis=0)))
                 where = f" in batch sample {sample}"
             raise NumericError(
                 f"|u| reached {peak:.3e} (> {limit:.1e}) at step {t}{where}: "
                 "unstable or diverging", step=t, sample=sample)
-        out[t] = u_next if dofs is None else u_next[dofs]
-        u_prev, u_curr = u_curr, u_next
-    return out
 
 
 def step(sys: SystemMatrices, state: SimState, drive: float, dt: float) -> SimState:

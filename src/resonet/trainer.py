@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import simulator
-from .errors import InvalidParameterError, NumericError
+from .errors import DataFormatError, InvalidParameterError, NumericError
 from .lattice import (CircuitParams, LatticeSpec, MechanicalParams,
                       QuantizationReport, ScalingFactor, choose_scaling,
                       mech_to_circuit, quantize_eseries)
@@ -210,9 +210,9 @@ def _assemble_checked(spec: LatticeSpec, cfg: TrainConfig, params: TrainablePara
     return sys
 
 
-def _energies(hist: np.ndarray, out_dofs, dt: float) -> np.ndarray:
-    u_out = hist[:, list(out_dofs), :]
-    return np.sum(u_out * u_out, axis=0) * dt   # (C, B)
+def _energies(u_out: np.ndarray, dt: float) -> np.ndarray:
+    """(C, B) output energies from the (T, C, B) output history."""
+    return np.sum(u_out * u_out, axis=0) * dt
 
 
 def _probs_and_loss(energies: np.ndarray, labels: np.ndarray,
@@ -240,18 +240,23 @@ def _grad_from_hist(sys: simulator.SystemMatrices, dt: float, hist: np.ndarray,
     a = dt * dt * (sys.stiffness / sys.inertia[:, None])
     a_t = a.T.copy()
     out = np.asarray(sys.output_dofs, dtype=int)
+    # dL/du[s] at the output DOFs, for every step at once
+    src = dl_de * ((2.0 * dt) * hist[:, out, :])
+    # lambda[s] = src[s] + 2 lambda[s+1] - A^T lambda[s+1] - lambda[s+2],
+    # with lambda[T] = lambda[T+1] = 0 as two extra rows kept outside lam: lam
+    # has hist's size, and a two-row-larger block raised the training run's
+    # peak RSS by up to ~47 MB through the allocator's block reuse
     lam = np.empty_like(hist)
-    lam_1 = np.zeros((n, batch))   # lambda[t+1]
-    lam_2 = np.zeros((n, batch))   # lambda[t+2]
-    g_buf = np.zeros((n, batch))
-    two_dt = 2.0 * dt
+    zero = np.zeros((n, batch))
+    rows = list(lam) + [zero, zero]
+    a_lam = np.empty((n, batch))
     for s in range(t_len - 1, -1, -1):
-        g_buf[:] = 0.0
-        g_buf[out] = dl_de * (two_dt * hist[s][out])
-        cur = g_buf + 2.0 * lam_1 - a_t @ lam_1 - lam_2
-        lam[s] = cur
-        lam_2 = lam_1
-        lam_1 = cur
+        cur, lam_1 = rows[s], rows[s + 1]
+        np.multiply(lam_1, 2.0, out=cur)
+        cur[out] += src[s]
+        np.matmul(a_t, lam_1, out=a_lam)
+        cur -= a_lam
+        cur -= rows[s + 2]
     # dL/dA = -sum_t lambda[t+1] u[t]^T ; chain A = dt^2 D^-1 Y row-wise
     lam_flat = lam[1:].transpose(1, 0, 2).reshape(n, -1)
     u_flat = hist[:-1].transpose(1, 0, 2).reshape(n, -1)
@@ -274,7 +279,7 @@ def loss_and_grad(spec: LatticeSpec, cfg: TrainConfig, params: TrainableParams,
     """(loss, probs, grad on packed theta, energies) for one labeled batch."""
     sys = _assemble_checked(spec, cfg, params, dt)
     hist = simulator.leapfrog(sys, dt, drive)
-    energies = _energies(hist, sys.output_dofs, dt)
+    energies = _energies(hist[:, list(sys.output_dofs), :], dt)
     probs, loss, dl_de = _probs_and_loss(energies, labels, cfg.prob_epsilon)
     g_y = _grad_from_hist(sys, dt, hist, dl_de)
     # d k / d theta = k for the log parameterization
@@ -301,8 +306,9 @@ def evaluate_system(sys: simulator.SystemMatrices, samples,
     if dt > dt_max:
         raise NumericError(f"dt={dt} exceeds the stability limit {dt_max:.3e}")
     drive, labels = stack_batch(samples, dt)
-    hist = simulator.leapfrog(sys, dt, drive)
-    energies = _energies(hist, sys.output_dofs, dt)
+    # only the outputs are kept: the full (T, n, B) history is not needed here
+    u_out = simulator.leapfrog(sys, dt, drive, dofs=np.asarray(sys.output_dofs))
+    energies = _energies(u_out, dt)
     probs, loss, _ = _probs_and_loss(energies, labels, prob_epsilon)
     preds = np.argmax(energies, axis=0)
     accuracy = float(np.mean(preds == labels))
@@ -342,15 +348,78 @@ class Checkpoint:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "Checkpoint":
-        params = TrainableParams(theta_kn=np.asarray(d["theta_kn"]),
-                                 theta_kc=np.asarray(d["theta_kc"]),
-                                 k_min=d["k_min"], k_max=d["k_max"])
-        a = d["adam"]
-        adam = AdamState(m=np.asarray(a["m"]), v=np.asarray(a["v"]), t=int(a["t"]),
-                         lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"])
-        return cls(epoch=int(d["epoch"]), params=params, adam=adam,
-                   rng_state=d["rng_state"], history=list(d["history"]))
+    def from_json_dict(cls, d: dict, source: str = "checkpoint") -> "Checkpoint":
+        """Parse `to_json_dict` output; a missing or ill-typed field is a
+        DataFormatError naming `source` and the key."""
+        def field(doc, key, kind, name=None):
+            name = name or key
+            if key not in doc:
+                raise DataFormatError(f"{source}: checkpoint has no {name!r}")
+            value = doc[key]
+            if not _CHECKPOINT_KINDS[kind](value):
+                raise DataFormatError(f"{source}: checkpoint field {name!r} must be "
+                                      f"{kind}, got {value!r:.60}")
+            return value
+
+        if not isinstance(d, dict):
+            raise DataFormatError(f"{source}: checkpoint must be a JSON object")
+        k_min, k_max = field(d, "k_min", "a number"), field(d, "k_max", "a number")
+        if not 0.0 < k_min < k_max:
+            raise DataFormatError(f"{source}: checkpoint needs 0 < k_min < k_max")
+        params = TrainableParams(theta_kn=np.asarray(field(d, "theta_kn", "a vector")),
+                                 theta_kc=np.asarray(field(d, "theta_kc", "a vector")),
+                                 k_min=k_min, k_max=k_max)
+        a = field(d, "adam", "an object")
+
+        def adam_field(key, kind):
+            return field(a, key, kind, "adam." + key)
+
+        adam = AdamState(m=np.asarray(adam_field("m", "a vector")),
+                         v=np.asarray(adam_field("v", "a vector")),
+                         t=adam_field("t", "an integer"), lr=adam_field("lr", "a number"),
+                         beta1=adam_field("beta1", "a number"),
+                         beta2=adam_field("beta2", "a number"),
+                         eps=adam_field("eps", "a number"))
+        rng_state = field(d, "rng_state", "an object")
+        try:
+            np.random.PCG64().state = rng_state
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{source}: checkpoint field 'rng_state' is not a "
+                                  f"generator state: {exc}") from exc
+        history = field(d, "history", "a list")
+        for i, h in enumerate(history):
+            if not isinstance(h, dict):
+                raise DataFormatError(f"{source}: checkpoint history[{i}] must be an object")
+            field(h, "epoch", "an integer", f"history[{i}].epoch")
+            for key in ("loss", "train_acc", "val_acc"):
+                field(h, key, "a number or NaN", f"history[{i}].{key}")
+        return cls(epoch=field(d, "epoch", "an integer"), params=params, adam=adam,
+                   rng_state=rng_state, history=list(history))
+
+    def check_fits(self, spec: LatticeSpec, source: str = "checkpoint") -> None:
+        """DataFormatError unless every vector has the lattice's length."""
+        n = spec.n_cells + spec.n_edges
+        for name, vec, want in (("theta_kn", self.params.theta_kn, spec.n_cells),
+                                ("theta_kc", self.params.theta_kc, spec.n_edges),
+                                ("adam.m", self.adam.m, n), ("adam.v", self.adam.v, n)):
+            if len(vec) != want:
+                raise DataFormatError(f"{source}: checkpoint field {name!r} has length "
+                                      f"{len(vec)}, the lattice needs {want}")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_CHECKPOINT_KINDS = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: _is_number(v) and math.isfinite(v),
+    "a number or NaN": _is_number,
+    "a vector": lambda v: isinstance(v, list) and all(
+        _is_number(x) and math.isfinite(x) for x in v),
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+}
 
 
 @dataclass(frozen=True)
@@ -361,6 +430,9 @@ class TrainResult:
     stop_reason: str       # "epochs", "loss_floor", "diverged"
     aborted: bool
     checkpoints: tuple[Checkpoint, ...]
+    # why a "diverged" run stopped: epoch, message, and the NumericError's
+    # step and batch sample (None where the error gives none)
+    divergence: dict | None = None
 
 
 def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
@@ -370,7 +442,8 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
 
     `dataset` is a signals.Dataset; the train split is optimized, the test
     split scored each epoch as val_acc.  A divergence aborts the run and the
-    last completed epoch's checkpoint is returned.  `on_epoch(checkpoint)` is
+    last completed epoch's checkpoint is returned, with the cause in
+    `divergence`.  A resumed checkpoint must fit `spec`.  `on_epoch(checkpoint)` is
     called after every epoch (the CLI uses it to persist checkpoints).
     """
     train_samples = dataset.split("train")
@@ -400,6 +473,7 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
         history: list[dict] = []
         start_epoch = 1
     else:
+        resume.check_fits(spec)
         params = resume.params
         adam = resume.adam
         rng = np.random.default_rng()
@@ -410,6 +484,7 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
     checkpoints: list[Checkpoint] = []
     stop_reason = "epochs"
     aborted = False
+    divergence = None
     n_train = len(train_samples)
 
     for epoch in range(start_epoch, cfg.epochs + 1):
@@ -423,7 +498,9 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
                 params = params.from_packed(vec).project()
             train_eval = evaluate(spec, cfg, params, train_samples)
             val_eval = evaluate(spec, cfg, params, val_samples) if val_samples else None
-        except NumericError:
+        except NumericError as exc:
+            divergence = {"epoch": epoch, "message": str(exc),
+                          "step": exc.step, "sample": exc.sample}
             stop_reason = "diverged"
             aborted = True
             if checkpoints:
@@ -433,6 +510,8 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
                 params, adam = resume.params, resume.adam
             break
         if not math.isfinite(train_eval.loss):
+            divergence = {"epoch": epoch, "message": f"training loss is {train_eval.loss}",
+                          "step": None, "sample": None}
             stop_reason = "diverged"
             aborted = True
             if checkpoints:
@@ -456,7 +535,8 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
 
     return TrainResult(params=params, mech=mech_from_params(spec, cfg, params),
                        history=tuple(history), stop_reason=stop_reason,
-                       aborted=aborted, checkpoints=tuple(checkpoints))
+                       aborted=aborted, checkpoints=tuple(checkpoints),
+                       divergence=divergence)
 
 
 # --- export -------------------------------------------------------------------

@@ -155,6 +155,31 @@ def test_resume_matches_the_uninterrupted_run(workspace, tmp_path):
         (workspace["run1"] / "model.json").read_bytes()
 
 
+def test_resume_checkpoint_missing_a_field_exits_2(workspace, tmp_path, capsys):
+    ckpt = tmp_path / "partial.json"
+    ckpt.write_text(json.dumps({"epoch": 1, "theta_kn": [1.0]}))
+    rc = run_cli(["train", "--config", workspace["config"], "--out", tmp_path / "o",
+                  "--resume", ckpt])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "'k_min'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["theta_kn", "theta_kc", "adam.m", "adam.v"])
+def test_resume_checkpoint_for_another_lattice_exits_2(workspace, tmp_path, capsys,
+                                                       field):
+    doc = json.loads((workspace["run1"] / "checkpoints" / "epoch_001.json").read_text())
+    parent, key = (doc["adam"], field[5:]) if field.startswith("adam.") else (doc, field)
+    parent[key] = parent[key][:3]
+    ckpt = tmp_path / "other.json"
+    ckpt.write_text(json.dumps(doc))
+    rc = run_cli(["train", "--config", workspace["config"], "--out", tmp_path / "o",
+                  "--resume", ckpt])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and f"'{field}' has length 3" in err
+
+
 def test_train_without_any_seed_is_a_config_error(workspace, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     doc = json.loads(workspace["config"].read_text())
@@ -174,7 +199,8 @@ def test_train_missing_config_file_exits_2(tmp_path):
                     "--out", tmp_path / "o"]) == 2
 
 
-def test_train_divergence_exits_3(tmp_path, capsys):
+def _diverging_config(tmp_path):
+    """Cells resonating at 60-80 Hz sampled at 100 Hz: dt exceeds dt_max."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "lattice": {"rows": 2, "cols": 2, "grounded": [],
@@ -186,8 +212,25 @@ def test_train_divergence_exits_3(tmp_path, capsys):
         "train": {"epochs": 2, "batch_size": 4, "seed": 0,
                   "f0_band_hz": [60.0, 80.0], "init_output_centers": False},
     }))
+    return cfg
+
+
+def test_train_divergence_exits_3(tmp_path, capsys):
+    cfg = _diverging_config(tmp_path)
     assert run_cli(["train", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert "diverged" in capsys.readouterr().err
+
+
+def test_train_divergence_cause_lands_in_model_json(workspace, tmp_path, capsys):
+    cfg = _diverging_config(tmp_path)
+    assert run_cli(["train", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    model = json.loads((tmp_path / "o" / "model.json").read_text())
+    cause = model["divergence"]
+    assert cause["epoch"] == 1 and "exceeds the stability limit" in cause["message"]
+    assert cause["step"] is None and cause["sample"] is None  # no step was taken
+    assert cause["message"] in capsys.readouterr().err
+    healthy = json.loads((workspace["run1"] / "model.json").read_text())
+    assert "divergence" not in healthy
 
 
 def _train_on_edited_copy(workspace, tmp_path, edit):

@@ -3,14 +3,17 @@ determinism, and export of trained mechanics to circuit values."""
 
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from resonet import simulator, trainer
-from resonet.errors import InvalidParameterError, NumericError
+from resonet.errors import DataFormatError, InvalidParameterError, NumericError
 from resonet.lattice import LatticeSpec
-from resonet.signals import DatasetSpec, Sample, Signal, gen_dataset, gen_pulse
+from resonet.signals import (Dataset, DatasetSpec, Sample, Signal, gen_dataset,
+                             gen_pulse)
 from resonet.trainer import (AdamState, TrainConfig, TrainableParams,
                              adam_step, evaluate, export_trained, init_params,
                              loss_and_grad, mech_from_params, stack_batch,
@@ -313,6 +316,82 @@ def test_checkpoint_survives_json_and_still_resumes(tiny_task):
     resumed = train(spec, dataset, cfg, resume=rehydrated)
     assert resumed.history == full.history
     np.testing.assert_array_equal(resumed.params.theta_kn, full.params.theta_kn)
+
+
+def test_divergence_reports_the_step_and_sample_leapfrog_raises(tiny_task,
+                                                                monkeypatch):
+    # One training signal scaled by 1e20 drives |u| past the blow-up limit in
+    # the first batch that holds it; the run keeps leapfrog's error.
+    spec, dataset = tiny_task
+    loud = next(i for i, s in enumerate(dataset.samples) if s.split == "train")
+    samples = list(dataset.samples)
+    big = samples[loud]
+    samples[loud] = Sample(Signal(big.signal.rate_hz, 1e20 * big.signal.values),
+                           big.label, big.split, big.class_index)
+    dataset = Dataset(spec=dataset.spec, samples=tuple(samples))
+    real_leapfrog = simulator.leapfrog
+    raised = []
+
+    def spy(sys_m, dt, drive, *args, **kwargs):
+        try:
+            return real_leapfrog(sys_m, dt, drive, *args, **kwargs)
+        except NumericError as exc:
+            raised.append((exc, drive))
+            raise
+
+    monkeypatch.setattr(simulator, "leapfrog", spy)
+    result = train(spec, dataset, _tiny_cfg())
+    assert result.aborted and result.stop_reason == "diverged"
+    assert result.history == () and len(raised) == 1
+    exc, drive = raised[0]
+    assert result.divergence == {"epoch": 1, "message": str(exc),
+                                 "step": exc.step, "sample": exc.sample}
+    assert isinstance(exc.step, int) and isinstance(exc.sample, int)
+    assert np.max(np.abs(drive[:, exc.sample])) > 1e15   # the loud signal's column
+
+
+def test_healthy_run_reports_no_divergence(tiny_task):
+    spec, dataset = tiny_task
+    assert train(spec, dataset, _tiny_cfg(epochs=1)).divergence is None
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda d: d.pop("theta_kc"), "theta_kc"),
+    (lambda d: d["adam"].pop("v"), "adam.v"),
+    (lambda d: d["adam"].update(t="3"), "adam.t"),
+    (lambda d: d.update(epoch=True), "epoch"),
+    (lambda d: d.update(theta_kn=[1.0, "x"]), "theta_kn"),
+    (lambda d: d.update(k_min=float("nan")), "k_min"),
+    (lambda d: d.update(rng_state={"bit_generator": "PCG64"}), "rng_state"),
+    (lambda d: d.update(history=[{"epoch": 1}]), "history[0].loss"),
+])
+def test_checkpoint_with_a_bad_field_is_a_data_error(tiny_task, edit, key):
+    spec, dataset = tiny_task
+    doc = json.loads(json.dumps(
+        train(spec, dataset, _tiny_cfg(epochs=1)).checkpoints[0].to_json_dict()))
+    edit(doc)
+    with pytest.raises(DataFormatError, match=rf"^ckpt\.json: .*'{re.escape(key)}'"):
+        trainer.Checkpoint.from_json_dict(doc, "ckpt.json")
+
+
+def test_checkpoint_must_be_an_object_with_positive_k_bounds():
+    with pytest.raises(DataFormatError, match="JSON object"):
+        trainer.Checkpoint.from_json_dict([1, 2], "ckpt.json")
+    with pytest.raises(DataFormatError, match="0 < k_min < k_max"):
+        trainer.Checkpoint.from_json_dict({"k_min": -1.0, "k_max": 1.0})
+
+
+@pytest.mark.parametrize("field", ["theta_kn", "theta_kc", "adam.m", "adam.v"])
+def test_resume_checkpoint_must_fit_the_lattice(tiny_task, field):
+    spec, dataset = tiny_task
+    ckpt = train(spec, dataset, _tiny_cfg(epochs=1)).checkpoints[0]
+    if field.startswith("adam."):
+        name = field[5:]
+        ckpt.adam = replace(ckpt.adam, **{name: getattr(ckpt.adam, name)[:-1]})
+    else:
+        ckpt.params = replace(ckpt.params, **{field: getattr(ckpt.params, field)[:-1]})
+    with pytest.raises(DataFormatError, match=rf"'{field}' has length"):
+        train(spec, dataset, _tiny_cfg(epochs=2), resume=ckpt)
 
 
 def test_loss_decreases_on_a_separable_task(tiny_task):
