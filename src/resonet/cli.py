@@ -201,7 +201,7 @@ def cmd_train(args) -> int:
     if args.resume is not None:
         resume = trainer.Checkpoint.from_json_dict(_read_json(args.resume),
                                                    str(args.resume))
-        resume.check_fits(spec, str(args.resume))
+        resume.check_fits(spec, cfg, str(args.resume))
 
     def on_epoch(ck: trainer.Checkpoint) -> None:
         path = ckpt_dir / f"epoch_{ck.epoch:03d}.json"
@@ -235,7 +235,12 @@ def cmd_train(args) -> int:
               f"val_acc {h['val_acc']:.3f}")
     if result.aborted:
         d = result.divergence
-        print(f"training diverged in epoch {d['epoch']}: {d['message']}; "
+        where = ""
+        if d["sample"] is not None:
+            source = ds.split(d["split"])[d["sample"]].source
+            where = f" ({d['split']} sample {d['sample']}" + (
+                "" if source is None else f", {source}") + ")"
+        print(f"training diverged in epoch {d['epoch']}: {d['message']}{where}; "
               "artifacts hold the last stable epoch", file=sys.stderr)
         return NUMERIC_EXIT
     exp_cfg = cfg_dict.get("export", {})

@@ -20,6 +20,7 @@ on a lossless model.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -244,8 +245,47 @@ def load_csv(path, rate: float | None = None) -> Signal:
     """Read a waveform CSV: either (t, v) rows or bare values plus a rate.
 
     Two-column files must be uniformly sampled (1e-6 relative); non-numeric
-    and non-finite rows are rejected with their line number.
+    and non-finite rows are rejected with their line number.  The file is
+    parsed in one ``np.loadtxt`` call; when that fails, or its result is
+    empty, has the wrong width or holds a non-finite value, the row parser
+    reads the file instead: it reports the offending line, and accepts what
+    loadtxt is stricter about (whitespace-only lines, quoted fields, ...).
     """
+    arr = None
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        # loadtxt strips the separators \x1c-\x1f around a number, which
+        # float(), and so the row parser, rejects
+        if not any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")   # an empty file warns
+                arr = np.loadtxt(io.StringIO(text), delimiter=",", comments=None,
+                                 ndmin=2, dtype=float)
+    except ValueError:   # not numbers, or not text: the row parser says which
+        pass
+    if arr is None or not len(arr) or arr.shape[1] > 2 or not np.isfinite(arr).all():
+        arr = _parse_rows(path)
+    if arr.shape[1] == 1:
+        if rate is None:
+            raise DataFormatError(f"{path}: single-column file needs an explicit rate")
+        return Signal(rate, arr[:, 0])
+    t, v = arr[:, 0], arr[:, 1]
+    if len(t) < 2:
+        raise DataFormatError(f"{path}: need at least two samples to infer the rate")
+    dt = np.diff(t)
+    dt0 = float(np.median(dt))
+    if dt0 <= 0.0 or np.any(np.abs(dt - dt0) > 1e-6 * dt0):
+        raise DataFormatError(f"{path}: time column is not uniformly spaced")
+    inferred = 1.0 / dt0
+    if rate is not None and abs(rate - inferred) > 1e-6 * inferred:
+        raise DataFormatError(f"{path}: rate {rate} contradicts time column ({inferred:.6g})")
+    return Signal(inferred, v)
+
+
+def _parse_rows(path) -> np.ndarray:
+    """load_csv's row-by-row parser: a finite (rows, 1 or 2) array, or the
+    DataFormatError naming the first offending line."""
     rows = []
     linenos = []
     with open(path, newline="") as fh:
@@ -268,21 +308,7 @@ def load_csv(path, rate: float | None = None) -> Signal:
     if not finite.all():
         bad = int(np.argmin(finite))
         raise DataFormatError(f"{path}:{linenos[bad]}: non-finite value in row {rows[bad]!r}")
-    if arr.shape[1] == 1:
-        if rate is None:
-            raise DataFormatError(f"{path}: single-column file needs an explicit rate")
-        return Signal(rate, arr[:, 0])
-    t, v = arr[:, 0], arr[:, 1]
-    if len(t) < 2:
-        raise DataFormatError(f"{path}: need at least two samples to infer the rate")
-    dt = np.diff(t)
-    dt0 = float(np.median(dt))
-    if dt0 <= 0.0 or np.any(np.abs(dt - dt0) > 1e-6 * dt0):
-        raise DataFormatError(f"{path}: time column is not uniformly spaced")
-    inferred = 1.0 / dt0
-    if rate is not None and abs(rate - inferred) > 1e-6 * inferred:
-        raise DataFormatError(f"{path}: rate {rate} contradicts time column ({inferred:.6g})")
-    return Signal(inferred, v)
+    return arr
 
 
 # --- sweeps and spectrograms --------------------------------------------------

@@ -24,16 +24,30 @@ bound max|u| <= limit once per CHUNK steps; only when a chunk fails the check
 is it rescanned row by row, so the error names the first step (and batch
 sample) past the limit exactly as a per-step check would.
 
-The recurrence is linear and time-invariant, so ``run`` evaluates a long
-drive (at least MIN_BLOCKS * BLOCK steps, with dt within the stability
-limit) block by block from operators that ``leapfrog`` itself generates over
-one BLOCK-step block: the impulse response, the free response to each unit
-initial state, and the block transition.  Inside a block the trajectory is
-the free response plus an FFT convolution of the drive with the impulse
-response; a scan over blocks carries the state.  The result agrees with
-stepping to rounding.  A per-block bound on |u| keeps the blow-up check:
-when it cannot rule out |u| > limit, ``run`` steps with ``leapfrog`` instead,
-which raises at the exact step or returns its own result.
+The recurrence is linear and time-invariant, so ``run`` takes one of three
+paths, each built from what ``leapfrog`` itself generates:
+
+* A drive from rest (no initial state, or an all-zero one) shorter than
+  MIN_BLOCKS * BLOCK steps, with dt within the stability limit, is one FFT
+  convolution with the impulse response.  The kernel (the spectrum of the
+  impulse response at the recorded DOFs and its gain max_i sum_t |h_i[t]|)
+  is cached on ``SystemMatrices`` per (dt, steps, recorded DOFs), at most
+  KERNELS of them.  The result agrees with stepping to rounding.
+* A drive of at least MIN_BLOCKS * BLOCK steps, with dt within the stability
+  limit, is evaluated block by block from operators generated over one
+  BLOCK-step block: the impulse response, the free response to each unit
+  initial state, and the block transition.  Inside a block the trajectory is
+  the free response plus an FFT convolution of the drive with the impulse
+  response; a scan over blocks carries the state.  The result agrees with
+  stepping to rounding.
+* Everything else (an initial state on a short drive, dt beyond the limit
+  under enforce_stability=False) steps with ``leapfrog`` and equals it bit
+  for bit.
+
+The first two keep the blow-up check through a bound on |u| over all DOFs
+(max|x| times the gain, plus the free response's bound for blocks): when it
+cannot rule out |u| > limit, ``run`` steps with ``leapfrog`` instead, which
+raises at the exact step or returns its own result.
 
 The natural frequencies behind the stability limit come from one eigensolve
 per system, cached on ``SystemMatrices``.
@@ -54,7 +68,6 @@ import numpy as np
 from .errors import (InvalidParameterError, NumericError, TopologyError,
                      UndecidableError)
 from .lattice import CircuitParams, LatticeSpec, MechanicalParams
-from .unitcell import UnitCellParams, resonance_freqs
 
 if TYPE_CHECKING:  # pragma: no cover
     from .signals import Signal
@@ -64,6 +77,7 @@ CHUNK = 64           # leapfrog steps between two checks of the blow-up limit
 BLOCK = 1024         # steps per block of run's blocked evaluation
 MIN_BLOCKS = 16      # drives shorter than this many blocks step through leapfrog
 _CHUNK_BLOCKS = 16   # blocks evaluated together, bounding the temporaries
+KERNELS = 4          # impulse-response kernels cached per system
 
 
 @dataclass(frozen=True)
@@ -105,6 +119,11 @@ class SystemMatrices:
         w = np.sqrt(np.clip(np.linalg.eigvalsh(sym), 0.0, None))
         w.setflags(write=False)
         return w
+
+    @cached_property
+    def _kernels(self) -> dict:
+        """(dt, steps, recorded DOFs) -> (spectrum, gain); see _kernel."""
+        return {}
 
 
 def _branch_ends(spec: LatticeSpec, outer: np.ndarray, inner: np.ndarray,
@@ -212,19 +231,6 @@ def max_stable_dt(sys: SystemMatrices) -> float:
     if w_max == 0.0:
         return np.inf
     return 2.0 / w_max
-
-
-def default_dt(sys: SystemMatrices, params) -> float:
-    """1 / (20 * max cell zero-crossing frequency), capped at half the stability limit.
-
-    Resolves the fastest single-cell dynamics while keeping a 2x stability margin.
-    """
-    io, ii, gi, _ = _cell_quantities(params)
-    f1_max = 0.0
-    for c in sys.spec.active_cells:
-        cell = UnitCellParams(d_outer=io[c], d_inner=ii[c], r_internal=1.0 / gi[c])
-        f1_max = max(f1_max, resonance_freqs(cell)[1] / (2.0 * np.pi))
-    return min(1.0 / (20.0 * f1_max), 0.5 * max_stable_dt(sys))
 
 
 # --- stepping ---------------------------------------------------------------
@@ -410,10 +416,14 @@ def run(sys: SystemMatrices, signal: "Signal | None" = None,
     row per drive sample (or duration/dt rows for zero-input runs).  Raises
     NumericError citing the step index if any |u| exceeds the blow-up limit.
 
-    Drives of at least MIN_BLOCKS * BLOCK steps with dt <= dt_max are
-    evaluated block by block (see the module doc) and agree with ``leapfrog``
-    to rounding; shorter drives, and dt beyond the stability limit under
-    enforce_stability=False, step through ``leapfrog`` and equal it exactly.
+    With dt <= dt_max, a drive of at least MIN_BLOCKS * BLOCK steps is
+    evaluated block by block, and a shorter one from rest (no initial state,
+    or an all-zero one) is one FFT convolution with a cached impulse
+    response (see the module doc); both agree with ``leapfrog`` to rounding
+    (the tests hold the convolution to 1e-9 of the trajectory's peak, the
+    blocks to 1e-8).  A short drive from a nonzero state, and dt beyond the
+    stability limit under enforce_stability=False, step through ``leapfrog``
+    and equal it exactly.
     """
     dt, n_steps = _resolve_dt(sys, signal, cfg)
     dt_max = max_stable_dt(sys)
@@ -426,13 +436,76 @@ def run(sys: SystemMatrices, signal: "Signal | None" = None,
     drive = np.zeros(n_steps) if signal is None else np.asarray(signal.values, dtype=float)
     cols = np.asarray(dofs, dtype=int)
     values = None
-    if n_steps >= MIN_BLOCKS * BLOCK and dt <= dt_max:
-        values = _run_blocked(sys, dt, drive, state.u_prev, state.u_curr,
-                              cols, cfg.blowup_limit)
+    if dt <= dt_max:
+        if n_steps >= MIN_BLOCKS * BLOCK:
+            values = _run_blocked(sys, dt, drive, state.u_prev, state.u_curr,
+                                  cols, cfg.blowup_limit)
+        elif n_steps and not (np.any(state.u_prev) or np.any(state.u_curr)):
+            values = _run_kernel(sys, dt, drive, dofs, cfg.blowup_limit)
     if values is None:
         values = leapfrog(sys, dt, drive, state.u_prev, state.u_curr, cols,
                           cfg.blowup_limit)
     return Trajectory(dt=dt, dofs=dofs, values=values)
+
+
+def _impulse_response(sys: SystemMatrices, dt: float, steps: int):
+    """leapfrog's response to a unit drive at step 0, BLOCK rows at a time.
+
+    Yields (k, n) pieces of u[t+1] at every DOF, `steps` rows in all; each
+    piece starts from the last two rows of the one before, so the pieces
+    equal one leapfrog call bit for bit without the whole history in memory.
+    """
+    drive = np.zeros(min(BLOCK, steps))
+    drive[0] = 1.0
+    h = leapfrog(sys, dt, drive, limit=np.inf)
+    yield h
+    drive[0] = 0.0
+    for t0 in range(BLOCK, steps, BLOCK):
+        h = leapfrog(sys, dt, drive[:steps - t0], h[-2], h[-1], limit=np.inf)
+        yield h
+
+
+def _kernel(sys: SystemMatrices, dt: float, steps: int, dofs: tuple[int, ...]):
+    """(spectrum, gain) for drives of `steps` steps from rest.
+
+    spectrum is the rfft, over the power of two n_fft >= 2 * steps, of the
+    impulse response at `dofs`; gain = max_i sum_t |h_i[t]| over every DOF, so
+    max|u| <= gain * max|x|.  Cached on the system; past KERNELS entries the
+    least recently used one is dropped.
+    """
+    cache = sys._kernels
+    key = (dt, steps, dofs)
+    entry = cache.pop(key, None)
+    if entry is None:
+        cols = np.asarray(dofs, dtype=int)
+        h_rec = np.empty((steps, len(cols)))
+        gain = np.zeros(sys.n_dof)
+        t0 = 0
+        for h in _impulse_response(sys, dt, steps):
+            h_rec[t0:t0 + len(h)] = h[:, cols]
+            gain += np.sum(np.abs(h), axis=0)
+            t0 += len(h)
+        n_fft = 1 << (2 * steps - 1).bit_length()
+        entry = (np.fft.rfft(h_rec, n=n_fft, axis=0), float(np.max(gain)))
+        if len(cache) >= KERNELS:
+            del cache[next(iter(cache))]
+    cache[key] = entry
+    return entry
+
+
+def _run_kernel(sys: SystemMatrices, dt: float, drive: np.ndarray,
+                dofs: tuple[int, ...], limit: float) -> np.ndarray | None:
+    """leapfrog's result from rest, as one FFT convolution (see module doc).
+
+    Returns None when max|x| * gain exceeds `limit` or is not finite; the
+    caller then steps with leapfrog.
+    """
+    spectrum, gain = _kernel(sys, dt, len(drive), dofs)
+    if not np.max(np.abs(drive)) * gain <= limit:
+        return None
+    n_fft = 2 * (len(spectrum) - 1)
+    x_f = np.fft.rfft(drive, n=n_fft)
+    return np.fft.irfft(x_f[:, None] * spectrum, n=n_fft, axis=0)[:len(drive)]
 
 
 def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
@@ -447,9 +520,7 @@ def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
     the state entering a block to the state entering the next.
     """
     n, L = sys.n_dof, BLOCK
-    impulse = np.zeros(L)
-    impulse[0] = 1.0
-    h = leapfrog(sys, dt, impulse, limit=np.inf)
+    h = np.concatenate(list(_impulse_response(sys, dt, L)))
     eye = np.eye(n)
     u_prev, u_curr = np.hstack([eye, -eye]), np.hstack([eye, np.zeros((n, n))])
     o_rec = np.empty((L, len(dofs), 2 * n))

@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import simulator
-from .errors import DataFormatError, InvalidParameterError, NumericError
+from .errors import (ConfigError, DataFormatError, InvalidParameterError,
+                     NumericError)
 from .lattice import (CircuitParams, LatticeSpec, MechanicalParams,
                       QuantizationReport, ScalingFactor, choose_scaling,
                       mech_to_circuit, quantize_eseries)
@@ -396,8 +397,10 @@ class Checkpoint:
         return cls(epoch=field(d, "epoch", "an integer"), params=params, adam=adam,
                    rng_state=rng_state, history=list(history))
 
-    def check_fits(self, spec: LatticeSpec, source: str = "checkpoint") -> None:
-        """DataFormatError unless every vector has the lattice's length."""
+    def check_fits(self, spec: LatticeSpec, cfg: TrainConfig,
+                   source: str = "checkpoint") -> None:
+        """DataFormatError unless every vector has the lattice's length;
+        ConfigError unless the optimizer settings and the k bounds are cfg's."""
         n = spec.n_cells + spec.n_edges
         for name, vec, want in (("theta_kn", self.params.theta_kn, spec.n_cells),
                                 ("theta_kc", self.params.theta_kc, spec.n_edges),
@@ -405,6 +408,16 @@ class Checkpoint:
             if len(vec) != want:
                 raise DataFormatError(f"{source}: checkpoint field {name!r} has length "
                                       f"{len(vec)}, the lattice needs {want}")
+        for key, saved, want in (("lr", self.adam.lr, cfg.lr),
+                                 ("beta1", self.adam.beta1, cfg.beta1),
+                                 ("beta2", self.adam.beta2, cfg.beta2),
+                                 ("adam_eps", self.adam.eps, cfg.adam_eps),
+                                 ("k_min", self.params.k_min, cfg.k_min),
+                                 ("k_max", self.params.k_max, cfg.k_max)):
+            if saved != want:
+                raise ConfigError(f"{source}: checkpoint has {key}={saved!r} but the "
+                                  f"config asks for {key}={want!r}; resume with the "
+                                  "checkpoint's value")
 
 
 def _is_number(v) -> bool:
@@ -430,9 +443,21 @@ class TrainResult:
     stop_reason: str       # "epochs", "loss_floor", "diverged"
     aborted: bool
     checkpoints: tuple[Checkpoint, ...]
-    # why a "diverged" run stopped: epoch, message, and the NumericError's
-    # step and batch sample (None where the error gives none)
+    # why a "diverged" run stopped: epoch, message, the NumericError's step,
+    # and the sample as its index into the dataset split named by "split"
+    # (step, sample and split are None where the error gives none)
     divergence: dict | None = None
+
+
+def _divergence(epoch: int, exc: NumericError, split: str,
+                columns: np.ndarray | None) -> dict:
+    """TrainResult.divergence for `exc`, raised on a batch of `split` whose
+    column j is split sample columns[j] (the whole split in order if None)."""
+    sample = exc.sample
+    if sample is not None and columns is not None:
+        sample = int(columns[sample])
+    return {"epoch": epoch, "message": str(exc), "step": exc.step,
+            "sample": sample, "split": None if sample is None else split}
 
 
 def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
@@ -443,7 +468,8 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
     `dataset` is a signals.Dataset; the train split is optimized, the test
     split scored each epoch as val_acc.  A divergence aborts the run and the
     last completed epoch's checkpoint is returned, with the cause in
-    `divergence`.  A resumed checkpoint must fit `spec`.  `on_epoch(checkpoint)` is
+    `divergence`.  A resumed checkpoint must fit `spec` and carry cfg's
+    optimizer settings and k bounds.  `on_epoch(checkpoint)` is
     called after every epoch (the CLI uses it to persist checkpoints).
     """
     train_samples = dataset.split("train")
@@ -473,7 +499,7 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
         history: list[dict] = []
         start_epoch = 1
     else:
-        resume.check_fits(spec)
+        resume.check_fits(spec, cfg)
         params = resume.params
         adam = resume.adam
         rng = np.random.default_rng()
@@ -489,6 +515,9 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
 
     for epoch in range(start_epoch, cfg.epochs + 1):
         order = rng.permutation(n_train)
+        # the split being run and, in a minibatch, the split index of each
+        # batch column: what a NumericError's sample refers to
+        split, idx = "train", None
         try:
             for lo in range(0, n_train, cfg.batch_size):
                 idx = order[lo:lo + cfg.batch_size]
@@ -496,11 +525,12 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
                                               drive[:, idx], labels[idx], dt)
                 vec, adam = adam_step(params.packed(), grad, adam)
                 params = params.from_packed(vec).project()
+            idx = None
             train_eval = evaluate(spec, cfg, params, train_samples)
+            split = "test"
             val_eval = evaluate(spec, cfg, params, val_samples) if val_samples else None
         except NumericError as exc:
-            divergence = {"epoch": epoch, "message": str(exc),
-                          "step": exc.step, "sample": exc.sample}
+            divergence = _divergence(epoch, exc, split, idx)
             stop_reason = "diverged"
             aborted = True
             if checkpoints:
@@ -511,7 +541,7 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
             break
         if not math.isfinite(train_eval.loss):
             divergence = {"epoch": epoch, "message": f"training loss is {train_eval.loss}",
-                          "step": None, "sample": None}
+                          "step": None, "sample": None, "split": None}
             stop_reason = "diverged"
             aborted = True
             if checkpoints:

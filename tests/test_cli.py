@@ -180,6 +180,19 @@ def test_resume_checkpoint_for_another_lattice_exits_2(workspace, tmp_path, caps
     assert str(ckpt) in err and f"'{field}' has length 3" in err
 
 
+def test_resume_with_another_lr_exits_2(workspace, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    doc = json.loads(workspace["config"].read_text())
+    doc["dataset"]["manifest"] = str(workspace["ds"] / "manifest.json")
+    doc["train"]["lr"] = 0.5
+    cfg.write_text(json.dumps(doc))
+    ckpt = workspace["run1"] / "checkpoints" / "epoch_001.json"
+    rc = run_cli(["train", "--config", cfg, "--out", tmp_path / "o", "--resume", ckpt])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "lr=0.02" in err and "lr=0.5" in err
+
+
 def test_train_without_any_seed_is_a_config_error(workspace, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     doc = json.loads(workspace["config"].read_text())
@@ -279,6 +292,20 @@ def test_train_nan_in_a_test_csv_is_a_data_error_not_divergence(workspace,
     assert _train_on_edited_copy(workspace, tmp_path, edit) == 2
     err = capsys.readouterr().err
     assert f"{names[0]}:5:" in err and "diverged" not in err
+
+
+def test_train_divergence_names_the_sample_file(workspace, tmp_path, capsys):
+    names = []
+
+    def edit(ds, manifest):
+        entry = [e for e in manifest["samples"] if e["split"] == "train"][2]
+        path = ds / entry["path"]
+        loud = [repr(1e20 * float(v)) for v in path.read_text().split()]
+        path.write_text("\n".join(loud) + "\n")
+        names.append(path)
+    assert _train_on_edited_copy(workspace, tmp_path, edit) == 3
+    err = capsys.readouterr().err
+    assert f"(train sample 2, {names[0]}); artifacts hold" in err
 
 
 # --- classify ----------------------------------------------------------------------

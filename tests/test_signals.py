@@ -1,12 +1,17 @@
 """Signal toolbox: pulse/chirp generators, noise, dataset plumbing, CSV IO,
 the STFT, and the swept-sine transfer measurement."""
 
+import csv
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from resonet import acsolver, signals, simulator
 from resonet.errors import (ConfigError, DataFormatError,
@@ -218,6 +223,150 @@ def test_load_rejects_contradictory_rate(tmp_path):
     p.write_text("".join(f"{float(ti)!r},1.0\n" for ti in t))
     with pytest.raises((ConfigError, DataFormatError, InvalidParameterError)):
         load_csv(p, rate=500.0)
+
+
+def _load_csv_by_rows(path, rate=None):
+    """The oracle: load_csv as it parsed every file, row by row with csv.reader."""
+    rows = []
+    linenos = []
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            linenos.append(lineno)
+            try:
+                rows.append([float(x) for x in row])
+            except ValueError:
+                raise DataFormatError(f"{path}:{lineno}: non-numeric row {row!r}") from None
+            if len(rows[-1]) not in (1, 2):
+                raise DataFormatError(f"{path}:{lineno}: expected 1 or 2 columns, got {len(row)}")
+            if len(rows[-1]) != len(rows[0]):
+                raise DataFormatError(f"{path}:{lineno}: inconsistent column count")
+    if not rows:
+        raise DataFormatError(f"{path}: no samples")
+    arr = np.asarray(rows, dtype=float)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise DataFormatError(f"{path}:{linenos[bad]}: non-finite value in row {rows[bad]!r}")
+    if arr.shape[1] == 1:
+        if rate is None:
+            raise DataFormatError(f"{path}: single-column file needs an explicit rate")
+        return Signal(rate, arr[:, 0])
+    t, v = arr[:, 0], arr[:, 1]
+    if len(t) < 2:
+        raise DataFormatError(f"{path}: need at least two samples to infer the rate")
+    dt = np.diff(t)
+    dt0 = float(np.median(dt))
+    if dt0 <= 0.0 or np.any(np.abs(dt - dt0) > 1e-6 * dt0):
+        raise DataFormatError(f"{path}: time column is not uniformly spaced")
+    inferred = 1.0 / dt0
+    if rate is not None and abs(rate - inferred) > 1e-6 * inferred:
+        raise DataFormatError(f"{path}: rate {rate} contradicts time column ({inferred:.6g})")
+    return Signal(inferred, v)
+
+
+# Ways to write a number: both parsers should read the first kind alike, and
+# np.loadtxt rejects the second (the row parser then reads the file).
+_SPELLINGS = [
+    repr, str, "{:.17e}".format, "{:.3f}".format, "{!r:>24}".format,
+    lambda v: f" {v!r} ", lambda v: f"\t{v!r}", lambda v: f"\xa0{v!r}\x0c",
+    lambda v: repr(v).upper(), lambda v: f"+{v!r}",
+]
+_ODD_SPELLINGS = [
+    lambda v: f'"{v!r}"', lambda v: repr(v).replace("0", "0_0", 1),
+    lambda v: repr(v).replace(".", ",", 1), lambda v: repr(v).replace("1", "\u0661"),
+    lambda v: f"{v!r}\x1f", lambda v: f"\x1c{v!r}",
+]
+_ODD_TOKENS = ["nan", "-inf", "Infinity", "NaN", "1e400", "1e-400", "-0", ".5",
+               "5.", "0x10", "1 0", "", "abc", "'1'", '""']
+_EXTRA_LINES = ["", "   ", "\t", "t,v", "time", "# comment", ",", "1,", "1,2,3",
+                "nan", "inf,1.0", '"1.0"', '"1,2"']
+
+
+@st.composite
+def _csv_texts(draw):
+    """(file text, rate): 1- to 3-column files, half of them perturbed by odd
+    spellings and tokens, ragged rows, non-finite values and extra lines."""
+    n_cols = draw(st.sampled_from([1, 1, 2, 2, 3]))
+    dt = draw(st.sampled_from([0.5, 1e-3, 1.0 / 3.0, 2.0]))
+    perturbed = draw(st.booleans())
+
+    def rare():   # true for about one token or row in ten of a perturbed file
+        return perturbed and draw(st.integers(0, 9)) == 0
+
+    lines = []
+    for i in range(draw(st.integers(0, 8))):
+        width = draw(st.integers(1, 3)) if rare() else n_cols
+        row = [i * dt] if width > 1 else []
+        row += [draw(st.floats(allow_nan=True, allow_infinity=True) if rare()
+                     else st.floats(-1e6, 1e6)) for _ in range(width - len(row))]
+        tokens = []
+        for v in row:
+            if rare():
+                tokens.append(draw(st.sampled_from(_ODD_TOKENS) | st.text(max_size=4)))
+            else:
+                spell = draw(st.sampled_from(_ODD_SPELLINGS) if rare()
+                             else st.sampled_from(_SPELLINGS))
+                tokens.append(spell(v))
+        lines.append(",".join(tokens))
+    for _ in range(draw(st.integers(0, 3)) if perturbed else 0):
+        extra = draw(st.sampled_from(_EXTRA_LINES) | st.text(max_size=6))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    return text, draw(st.sampled_from([None, 1.0 / dt, 1.0 / dt, 1000.0]))
+
+
+# Short strings of the characters numbers, separators and line ends are made of.
+_NOISE_TEXTS = st.tuples(
+    st.lists(st.sampled_from(list("0123456789.,eE+-_ \t\n\r\"'nafINx") + [
+        "\xa0", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u0661", "\u3000",
+        "\ufeff", "\x00"]), max_size=40).map("".join),
+    st.sampled_from([None, 2.0]))
+
+
+def _outcome(load, path, rate):
+    try:
+        sig = load(path, rate=rate)
+    except Exception as exc:   # compared by type and message below
+        return type(exc), str(exc)
+    return sig.rate_hz, sig.values.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_csv_texts() | _NOISE_TEXTS)
+@example(("1.0\n   \n2.0\n", 2.0))          # whitespace-only line
+@example(("\"1.0\"\n\"2.0\"\n", 2.0))        # quoted fields
+@example(("1_0\n2\n", 2.0))                 # underscore in a number
+@example(("1.0\x1c\n2.0\n", 2.0))           # a separator float() rejects
+@example(("0,1.0\r0.5,2.0\r1.0,3.0\r", None))   # bare CR line ends
+@example(("1.0\n\nnan\n", 2.0))             # non-finite, after a blank line
+@example(("0,1\n1,2,3\n", None))             # ragged
+@example(("", 2.0))
+def test_load_csv_agrees_with_the_row_parser(case):
+    text, rate = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "wave.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert _outcome(load_csv, path, rate) == _outcome(_load_csv_by_rows, path, rate)
+
+
+def test_load_csv_parses_a_clean_file_without_the_row_parser(tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError("row parser used")
+    monkeypatch.setattr(signals, "_parse_rows", refuse)
+    ds = gen_dataset(DatasetSpec(seed=2, train_per_class=1, test_per_class=0))
+    save_dataset(ds, tmp_path)
+    bare = sorted(tmp_path.glob("*.csv"))[0]
+    np.testing.assert_array_equal(load_csv(bare, rate=2000.0).values,
+                                  ds.samples[0].signal.values)
+    two = tmp_path / "tv.csv"
+    two.write_text("0.0,1.5\r\n0.25,-2.0\r\n0.5,3e-3\r\n")
+    sig = load_csv(two)
+    assert sig.rate_hz == 4.0
+    np.testing.assert_array_equal(sig.values, [1.5, -2.0, 3e-3])
 
 
 # --- gen_sweep --------------------------------------------------------------------

@@ -3,11 +3,12 @@ equivalent one-step recurrence, energy accounting, and the readout chain."""
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from resonet import simulator
+from resonet import lattice, signals, simulator
 from resonet.errors import (InvalidParameterError, NumericError,
                             UndecidableError)
 from resonet.lattice import (CircuitParams, LatticeSpec, MechanicalParams,
@@ -15,14 +16,15 @@ from resonet.lattice import (CircuitParams, LatticeSpec, MechanicalParams,
 from resonet.signals import Signal
 from resonet.simulator import (SimConfig, SystemMatrices, Trajectory, assemble,
                                build_rnn_weights, classify, comparator,
-                               default_dt, discrete_energy, initial_state,
-                               integrate_energy, leapfrog, max_stable_dt,
-                               natural_frequencies, run, run_rnn, step)
-from resonet.unitcell import UnitCellParams, resonance_freqs
+                               discrete_energy, initial_state, integrate_energy,
+                               leapfrog, max_stable_dt, natural_frequencies,
+                               run, run_rnn, step)
+from resonet.unitcell import resonance_freqs
 
 from conftest import grounded_corner, make_uniform_plant, random_small_system
 
 TWO_PI = 2.0 * math.pi
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 LONG = simulator.MIN_BLOCKS * simulator.BLOCK   # shortest drive run evaluates blockwise
 
 
@@ -154,15 +156,6 @@ def test_dt_max_invariant_under_analogy_scale():
                                                      rel=1e-9)
 
 
-def test_default_dt_resolves_fastest_cell():
-    spec, mech, sys_m = single_cell()
-    cell = UnitCellParams(mech.mass_outer[0], mech.mass_inner[0],
-                          1.0 / mech.k_internal[0])
-    f1 = resonance_freqs(cell)[1] / TWO_PI
-    expect = min(1.0 / (20.0 * f1), 0.5 * max_stable_dt(sys_m))
-    assert default_dt(sys_m, mech) == pytest.approx(expect, rel=1e-12)
-
-
 # --- stepping ------------------------------------------------------------------------
 
 def test_zero_state_zero_input_stays_zero():
@@ -226,10 +219,12 @@ def test_driven_cell_matches_analytic_modal_solution(drive_at):
 
 def test_batched_stepping_matches_per_sample_runs():
     # The batched history evaluate_system and loss_and_grad read comes from
-    # the same stepper as run.  A one-column batch is bit-identical to run; a
-    # wider batch multiplies through a matrix-matrix product, whose BLAS
-    # kernel sums in another order than run's matrix-vector product, so its
-    # columns agree to rounding.
+    # the same stepper as a 1-D leapfrog run.  A one-column batch is
+    # bit-identical to it; a wider batch multiplies through a matrix-matrix
+    # product, whose BLAS kernel sums in another order than the matrix-vector
+    # product, so its columns agree to rounding.  run takes these short
+    # drives from rest through the impulse-response kernel, which agrees
+    # with stepping to rounding too.
     spec = LatticeSpec(rows=3, cols=3, grounded=(1, 7), input_cell=0,
                        outputs=(2, 8))
     rng = np.random.default_rng(12)
@@ -240,8 +235,7 @@ def test_batched_stepping_matches_per_sample_runs():
     sys_m = assemble(spec, mech)
     dt = 1.0 / 2000.0
     drive = rng.standard_normal((400, 5))
-    singles = [run(sys_m, Signal(2000.0, drive[:, b]), SimConfig(record="all")).values
-               for b in range(5)]
+    singles = [leapfrog(sys_m, dt, drive[:, b]) for b in range(5)]
     one = simulator.leapfrog(sys_m, dt, drive[:, :1])
     np.testing.assert_array_equal(one[:, :, 0], singles[0])
     batched = simulator.leapfrog(sys_m, dt, drive)
@@ -249,6 +243,8 @@ def test_batched_stepping_matches_per_sample_runs():
     for b, single in enumerate(singles):
         scale = np.max(np.abs(single))
         assert np.max(np.abs(batched[:, :, b] - single)) <= 1e-12 * scale
+        ran = run(sys_m, Signal(2000.0, drive[:, b]), SimConfig(record="all"))
+        assert np.max(np.abs(ran.values - single)) <= 1e-12 * scale
 
 
 def test_run_equals_rnn_form_on_random_systems():
@@ -389,6 +385,118 @@ def test_long_run_blowup_raises_at_the_leapfrog_step(uniform_plant, cause):
             initial=initial_state(sys_m, u_prev=u0, u_curr=u0))
     assert exc.value.step == ref.value.step
     assert str(exc.value) == str(ref.value)
+
+
+# --- short runs from rest: one convolution with the impulse response --------
+
+@pytest.mark.parametrize("system", ["random", "grounded_corner", "free"])
+def test_kernel_run_matches_leapfrog(system):
+    # leapfrog stepping is the reference.  dt reaches dt_max itself, where
+    # the fastest mode's impulse response grows linearly; the free lattice
+    # adds a rigid mode that drifts without bound.
+    rng = np.random.default_rng(21)
+    base = {"random": lambda: random_small_system(rng)[2],
+            "grounded_corner": lambda: grounded_corner()[2],
+            "free": _free_square}[system]()
+    records = ["outputs", "all", (1, 0, 3)]
+    case = 0
+    for damping in (0.0, 0.5, 5.0):
+        sys_m = dataclasses.replace(base, damping=damping)
+        for dt_frac in (0.3, 0.95, 1.0):
+            dt = dt_frac * max_stable_dt(sys_m)
+            for steps in (1, 2, 65, 2000, LONG - 1):
+                x = rng.standard_normal(steps)
+                record = records[case % len(records)]
+                case += 1
+                traj = run(sys_m, Signal(1.0 / dt, x), SimConfig(record=record))
+                ref = leapfrog(sys_m, traj.dt, x)[:, list(traj.dofs)]
+                assert traj.values.shape == ref.shape
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(traj.values - ref)) <= 1e-9 * scale, \
+                    (damping, dt_frac, steps, record)
+
+
+def test_kernel_run_of_stock_systems_matches_leapfrog(uniform_plant):
+    # The stock 5x5 plant and the trained reference system, driven by stock
+    # 2000-step pulses.
+    spec, circ, _ = lattice.load_system(REFERENCE / "system.json")
+    dspec = signals.DatasetSpec(seed=4, train_per_class=1, test_per_class=0)
+    pulses = [s.signal for s in signals.gen_dataset(dspec).samples]
+    for sys_m in (uniform_plant[2], assemble(spec, circ)):
+        for sig in pulses:
+            traj = run(sys_m, sig)
+            assert len(traj.values) == 2000
+            ref = leapfrog(sys_m, traj.dt, sig.values, dofs=np.asarray(traj.dofs))
+            assert np.max(np.abs(traj.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_kernel_run_of_a_zero_drive_is_exactly_zero(uniform_plant):
+    traj = run(uniform_plant[2], Signal(2000.0, np.zeros(500)), SimConfig(record="all"))
+    np.testing.assert_array_equal(traj.values, 0.0)
+    empty = run(uniform_plant[2], cfg=SimConfig(dt=1e-3, duration=0.0))
+    assert empty.values.shape == (0, 3)
+
+
+def test_kernel_run_past_the_gain_bound_steps_with_leapfrog(uniform_plant):
+    _, _, sys_m = uniform_plant
+    dt = 1.0 / 2000.0
+    x = np.random.default_rng(8).standard_normal(2000)
+    stepped = leapfrog(sys_m, dt, x)
+    peak = np.max(np.abs(stepped))
+    # under the peak: run raises leapfrog's own error
+    with pytest.raises(NumericError) as ref:
+        leapfrog(sys_m, dt, x, limit=0.5 * peak)
+    with pytest.raises(NumericError) as exc:
+        run(sys_m, Signal(1.0 / dt, x), SimConfig(blowup_limit=0.5 * peak))
+    assert exc.value.step == ref.value.step
+    assert str(exc.value) == str(ref.value)
+    # between the peak and the bound: run steps and returns leapfrog's result
+    _, gain = simulator._kernel(sys_m, dt, len(x), sys_m.output_dofs)
+    limit = 1.01 * peak
+    assert gain * np.max(np.abs(x)) > limit
+    traj = run(sys_m, Signal(1.0 / dt, x), SimConfig(record="all", blowup_limit=limit))
+    np.testing.assert_array_equal(traj.values, stepped)
+
+
+def test_kernel_is_generated_once_and_reused(monkeypatch):
+    sys_m = _free_square()
+    dt = 0.5 * max_stable_dt(sys_m)
+    x = np.random.default_rng(10).standard_normal(1500)
+    steps = []
+    real_leapfrog = simulator.leapfrog
+
+    def spy(sys_, dt_, drive, *args, **kwargs):
+        steps.append(len(drive))
+        return real_leapfrog(sys_, dt_, drive, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "leapfrog", spy)
+    first = run(sys_m, Signal(1.0 / dt, x)).values
+    assert steps == [simulator.BLOCK, 1500 - simulator.BLOCK]   # the impulse response
+    again = run(sys_m, Signal(1.0 / dt, x)).values
+    run(sys_m, Signal(1.0 / dt, -x))
+    assert steps == [simulator.BLOCK, 1500 - simulator.BLOCK]
+    np.testing.assert_array_equal(again, first)
+    # other recorded DOFs need a kernel of their own
+    every = run(sys_m, Signal(1.0 / dt, x), SimConfig(record="all")).values
+    assert len(steps) == 4
+    scale = np.max(np.abs(first))
+    assert np.max(np.abs(every[:, list(sys_m.output_dofs)] - first)) <= 1e-12 * scale
+
+
+def test_kernel_cache_stays_at_its_cap():
+    sys_m = _free_square()
+    dt = 0.5 * max_stable_dt(sys_m)
+    x = np.random.default_rng(11).standard_normal(100)
+    lengths = list(range(10, 13 + simulator.KERNELS))
+    for steps in lengths:
+        run(sys_m, Signal(1.0 / dt, x[:steps]))
+        assert len(sys_m._kernels) <= simulator.KERNELS
+    kept = lengths[-simulator.KERNELS:]
+    assert [key[1] for key in sys_m._kernels] == kept
+    # a kernel used again outlives one left unused
+    run(sys_m, Signal(1.0 / dt, x[:kept[0]]))
+    run(sys_m, Signal(1.0 / dt, x[:99]))
+    assert [key[1] for key in sys_m._kernels] == kept[2:] + [kept[0], 99]
 
 
 def test_cfg_dt_must_match_signal_rate():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from resonet import simulator, trainer
-from resonet.errors import DataFormatError, InvalidParameterError, NumericError
+from resonet.errors import (ConfigError, DataFormatError, InvalidParameterError,
+                            NumericError)
 from resonet.lattice import LatticeSpec
 from resonet.signals import (Dataset, DatasetSpec, Sample, Signal, gen_dataset,
                              gen_pulse)
@@ -318,17 +319,23 @@ def test_checkpoint_survives_json_and_still_resumes(tiny_task):
     np.testing.assert_array_equal(resumed.params.theta_kn, full.params.theta_kn)
 
 
-def test_divergence_reports_the_step_and_sample_leapfrog_raises(tiny_task,
-                                                                monkeypatch):
-    # One training signal scaled by 1e20 drives |u| past the blow-up limit in
-    # the first batch that holds it; the run keeps leapfrog's error.
-    spec, dataset = tiny_task
-    loud = next(i for i, s in enumerate(dataset.samples) if s.split == "train")
+def _with_loud_sample(dataset, split):
+    """(dataset with the first `split` sample scaled by 1e20, its split index 0)."""
+    loud = next(i for i, s in enumerate(dataset.samples) if s.split == split)
     samples = list(dataset.samples)
     big = samples[loud]
     samples[loud] = Sample(Signal(big.signal.rate_hz, 1e20 * big.signal.values),
                            big.label, big.split, big.class_index)
-    dataset = Dataset(spec=dataset.spec, samples=tuple(samples))
+    return Dataset(spec=dataset.spec, samples=tuple(samples))
+
+
+def test_divergence_reports_the_step_and_sample_leapfrog_raises(tiny_task,
+                                                                monkeypatch):
+    # One training signal scaled by 1e20 drives |u| past the blow-up limit in
+    # the first batch that holds it; the run keeps leapfrog's error and maps
+    # its batch column back to the sample's index in the train split.
+    spec, dataset = tiny_task
+    dataset = _with_loud_sample(dataset, "train")
     real_leapfrog = simulator.leapfrog
     raised = []
 
@@ -345,9 +352,39 @@ def test_divergence_reports_the_step_and_sample_leapfrog_raises(tiny_task,
     assert result.history == () and len(raised) == 1
     exc, drive = raised[0]
     assert result.divergence == {"epoch": 1, "message": str(exc),
-                                 "step": exc.step, "sample": exc.sample}
+                                 "step": exc.step, "sample": 0, "split": "train"}
     assert isinstance(exc.step, int) and isinstance(exc.sample, int)
     assert np.max(np.abs(drive[:, exc.sample])) > 1e15   # the loud signal's column
+    assert exc.sample != 0   # the shuffle moved it: the column is not the index
+
+
+def test_divergence_in_the_held_out_split_names_its_index(tiny_task):
+    # A loud held-out signal passes the minibatches and blows up when the
+    # test split is scored, in its own column of that split.
+    spec, dataset = tiny_task
+    result = train(spec, _with_loud_sample(dataset, "test"), _tiny_cfg())
+    assert result.aborted and result.history == ()
+    d = result.divergence
+    assert (d["epoch"], d["sample"], d["split"]) == (1, 0, "test")
+    assert d["message"].endswith("in batch sample 0: unstable or diverging")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lr", 0.5), ("beta1", 0.8), ("beta2", 0.99), ("adam_eps", 1e-6),
+    ("k_min", 1e-3), ("k_max", 1e5),
+])
+def test_resume_refuses_another_optimizer_setting(tiny_task, key, value):
+    spec, dataset = tiny_task
+    cfg = _tiny_cfg(epochs=4)
+    full = train(spec, dataset, cfg)
+    ckpt = full.checkpoints[1]
+    old = getattr(cfg, key)
+    message = f"{key}={old!r} but the config asks for {key}={value!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        train(spec, dataset, replace(cfg, **{key: value}), resume=ckpt)
+    resumed = train(spec, dataset, cfg, resume=ckpt)   # the matching config
+    assert resumed.history == full.history
+    np.testing.assert_array_equal(resumed.params.theta_kc, full.params.theta_kc)
 
 
 def test_healthy_run_reports_no_divergence(tiny_task):
