@@ -30,7 +30,7 @@ import numpy as np
 from . import acsolver, lattice, signals, simulator, trainer, unitcell
 from .errors import (ConfigError, DataFormatError, InvalidParameterError,
                      NearResonanceError, NumericError, PoleError,
-                     TopologyError, UndecidableError)
+                     TopologyError, UndecidableError, read_text)
 
 USAGE_EXIT = 1
 CONFIG_EXIT = 2
@@ -90,8 +90,7 @@ def _write_json(path, obj, force: bool) -> Path:
 
 def _read_json(path):
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file reader that
+maps an undecodable file onto them."""
 
 
 class ResonetError(Exception):
@@ -51,3 +52,16 @@ class NumericError(ResonetError, RuntimeError):
 
 class UndecidableError(ResonetError, RuntimeError):
     """Classification cannot pick a class (e.g. all channel energies zero)."""
+
+
+def read_text(path) -> str:
+    """The contents of the text file at `path`.  A file that is not valid text
+    in the locale's encoding is a DataFormatError naming the file and the
+    offset of the first bad byte; the whole file is decoded at once, so the
+    offset counts from its start."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not valid {exc.encoding} text: byte "
+                              f"{exc.start} ({exc.reason})") from exc

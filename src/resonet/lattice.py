@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, DataFormatError, InvalidParameterError,
-                     TopologyError)
+                     TopologyError, read_text)
 
 # Standard resistor series mantissas (IEC 60063).
 E24 = (
@@ -443,11 +443,10 @@ def save_system_files(out, spec: LatticeSpec, circ: CircuitParams, s,
 
 
 def load_system(path) -> tuple[LatticeSpec, CircuitParams, ScalingFactor]:
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        d = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
     return system_from_json_dict(d)
 
 

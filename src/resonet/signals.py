@@ -9,9 +9,11 @@ per-sample from seeds derived as (seed, class, index), so generation order
 (and any parallelism) cannot change the data.
 
 For frequency characterization a linear chirp is injected through a fixed
-transconductance and the response analyzed with a Hann STFT: the amplitude
+transconductance and the response analyzed frame by frame: the amplitude
 ridge along the sweep's frequency-time trajectory, ratioed against the input
-ridge, is the magnitude transfer of the network.  Residual ringing of the
+ridge, is the magnitude transfer of the network.  Only the ridge bin of each
+frame is computed (one windowed DFT bin); ``stft`` gives the full
+spectrogram the ridge runs through.  Residual ringing of the
 undamped resonances the sweep has already crossed sits in stationary STFT
 bins away from the moving ridge, which is what makes this measurement usable
 on a lossless model.
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, InvalidParameterError
+from .errors import ConfigError, DataFormatError, InvalidParameterError, read_text
 
 DEFAULT_G_M = 1e-6  # transconductance (S) used for swept-sine injection
 
@@ -197,13 +199,16 @@ def save_dataset(ds: Dataset, out_dir, force: bool = False) -> Path:
 
 
 def load_dataset(manifest_path) -> Dataset:
-    """Rehydrate a dataset written by save_dataset."""
+    """Rehydrate a dataset written by save_dataset.
+
+    Every signal must have the first one's length.  The spec's per-class
+    counts are those of the largest class in each split (train at least 1).
+    """
     path = Path(manifest_path)
-    with open(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        manifest = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
     try:
         rate = float(manifest["rate"])
         centers = tuple(float(c) for c in manifest["classes"])
@@ -228,16 +233,24 @@ def load_dataset(manifest_path) -> Dataset:
                                   f"{split!r}, expected 'train' or 'test'")
         source = path.parent / name
         sig = load_csv(source, rate=rate)
+        if samples and len(sig.values) != len(samples[0].signal.values):
+            raise DataFormatError(f"{path}: sample entry {i} ({name}) holds "
+                                  f"{len(sig.values)} samples, entry 0 holds "
+                                  f"{len(samples[0].signal.values)}")
         idx = counters.get((label, split), 0)
         counters[(label, split)] = idx + 1
         samples.append(Sample(sig, label, split, idx, source))
     if not samples:
         raise DataFormatError(f"{path}: manifest lists no samples")
+
+    def largest_class(split):
+        return max(counters.get((c, split), 0) for c in range(len(centers)))
+
     spec = DatasetSpec(centers_hz=centers, rate_hz=rate,
                        duration_s=samples[0].signal.duration_s,
                        jitter_s=0.0, snr_db=None,
-                       train_per_class=max(1, counters.get((0, "train"), 1)),
-                       test_per_class=counters.get((0, "test"), 0))
+                       train_per_class=max(1, largest_class("train")),
+                       test_per_class=largest_class("test"))
     return Dataset(spec, tuple(samples))
 
 
@@ -252,18 +265,17 @@ def load_csv(path, rate: float | None = None) -> Signal:
     loadtxt is stricter about (whitespace-only lines, quoted fields, ...).
     """
     arr = None
-    try:
-        with open(path) as fh:
-            text = fh.read()
-        # loadtxt strips the separators \x1c-\x1f around a number, which
-        # float(), and so the row parser, rejects
-        if not any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+    text = read_text(path)
+    # loadtxt strips the separators \x1c-\x1f around a number, which
+    # float(), and so the row parser, rejects
+    if not any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")   # an empty file warns
                 arr = np.loadtxt(io.StringIO(text), delimiter=",", comments=None,
                                  ndmin=2, dtype=float)
-    except ValueError:   # not numbers, or not text: the row parser says which
-        pass
+        except ValueError:   # not numbers: the row parser says which row
+            pass
     if arr is None or not len(arr) or arr.shape[1] > 2 or not np.isfinite(arr).all():
         arr = _parse_rows(path)
     if arr.shape[1] == 1:
@@ -335,9 +347,17 @@ def gen_sweep(f_start_hz: float, f_end_hz: float, duration_s: float,
         warnings.warn(
             f"sweep moves {sweep_rate * 10.0 / f_slow:.2f} Hz per 10 periods at "
             f"{f_slow} Hz; consider a longer sweep", stacklevel=2)
-    t = np.arange(int(round(duration_s * rate_hz))) / rate_hz
-    phase = 2.0 * np.pi * (f_start_hz * t + 0.5 * sweep_rate * t * t)
-    return Signal(rate_hz, amplitude * np.sin(phase))
+    # 2 pi (((0.5 rate) t) t + f0 t), evaluated in place in that order
+    t = np.arange(int(round(duration_s * rate_hz)), dtype=float)
+    t /= rate_hz
+    phase = (0.5 * sweep_rate) * t
+    phase *= t
+    t *= f_start_hz
+    phase += t
+    phase *= 2.0 * np.pi
+    np.sin(phase, out=phase)
+    phase *= amplitude
+    return Signal(rate_hz, phase)
 
 
 @dataclass(frozen=True)
@@ -371,9 +391,9 @@ def _window_values(kind: str, n: int) -> np.ndarray:
     return a0 - a1 * np.cos(k) + a2 * np.cos(2.0 * k) - a3 * np.cos(3.0 * k)
 
 
-def stft(sig: Signal, window_s: float, hop_s: float | None = None,
-         window: str = "hann") -> Spectrogram:
-    """Magnitude spectrogram; periodic Hann window and 50% hop by default."""
+def _frame_grid(sig: Signal, window_s: float, hop_s: float | None):
+    """stft's frame layout: (n_win, n_hop, starts, times_s, freqs_hz), with
+    starts the first sample of every full frame and times_s their centres."""
     n_win = int(round(window_s * sig.rate_hz))
     if n_win < 4 or n_win > len(sig.values):
         raise InvalidParameterError(
@@ -382,14 +402,51 @@ def stft(sig: Signal, window_s: float, hop_s: float | None = None,
     n_hop = int(round(hop_s * sig.rate_hz))
     if n_hop < 1:
         raise InvalidParameterError("hop must cover at least one sample")
-    window = _window_values(window, n_win)
     starts = np.arange(0, len(sig.values) - n_win + 1, n_hop)
+    times = (starts + n_win / 2.0) / sig.rate_hz
+    freqs = np.fft.rfftfreq(n_win, d=1.0 / sig.rate_hz)
+    return n_win, n_hop, starts, times, freqs
+
+
+def stft(sig: Signal, window_s: float, hop_s: float | None = None,
+         window: str = "hann") -> Spectrogram:
+    """Magnitude spectrogram; periodic Hann window and 50% hop by default."""
+    n_win, n_hop, starts, times, freqs = _frame_grid(sig, window_s, hop_s)
+    window = _window_values(window, n_win)
     frames = np.lib.stride_tricks.sliding_window_view(sig.values, n_win)[starts]
     mags = np.abs(np.fft.rfft(frames * window, axis=1))
-    freqs = np.fft.rfftfreq(n_win, d=1.0 / sig.rate_hz)
-    times = (starts + n_win / 2.0) / sig.rate_hz
     return Spectrogram(mags=mags, freqs_hz=freqs, times_s=times,
                        window_s=n_win / sig.rate_hz, hop_s=n_hop / sig.rate_hz)
+
+
+def _ridge_mags(window: np.ndarray, starts: np.ndarray, bins: np.ndarray,
+                *columns: np.ndarray) -> list[np.ndarray]:
+    """|DFT| of windowed frames at one bin per frame: one array per column
+    array c (time along axis 0), whose row j is |rfft(window * c[s:s+N])[k]|
+    for the j-th (s, k) of zip(starts, bins), as stft's mags would read it.
+
+    The twiddle e^(-2 pi i k m / N) is looked up in a cos/sin table at the
+    exact integer (k m) mod N, and each frame is one real product of the
+    (2, N) twiddle rows with a view of the column, so no frame matrix or
+    spectrum is built.
+    """
+    n = len(window)
+    m = np.arange(n)
+    angle = (2.0 * np.pi / n) * m
+    cos, sin = np.cos(angle), np.sin(angle)
+    idx = np.empty(n, dtype=m.dtype)
+    twiddle = np.empty((2, n))
+    out = [np.empty((len(starts),) + c.shape[1:]) for c in columns]
+    for j, (s, k) in enumerate(zip(starts, bins)):
+        np.multiply(m, k, out=idx)
+        np.remainder(idx, n, out=idx)
+        np.take(cos, idx, out=twiddle[0])
+        np.take(sin, idx, out=twiddle[1])
+        twiddle *= window
+        for c, mags in zip(columns, out):
+            re, im = twiddle @ c[s:s + n]
+            mags[j] = np.hypot(re, im)
+    return out
 
 
 @dataclass(frozen=True)
@@ -413,8 +470,11 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
     """Virtual swept-sine measurement of the lattice transmission.
 
     A linear chirp voltage is injected as current through transconductance
-    g_m; input and output spectrograms are sampled along the chirp's
-    frequency-time ridge and their ratio, divided by g_m, is |H| in V/A.
+    g_m; input and output spectra are read along the chirp's frequency-time
+    ridge and their ratio, divided by g_m, is |H| in V/A.  Each analysis
+    frame is read at one DFT bin only, the ridge bin: the frames, bins and
+    ``freqs_hz`` are those of ``stft``'s spectrograms, and |H| agrees with
+    reading those spectrograms to about 1e-12 relative.
     The drive level cancels out of that ratio, so ``amplitude`` only matters
     for numerical headroom.
     The chirp is padded by one window length on both sides so every reported
@@ -456,24 +516,20 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
         sweep = gen_sweep(f_lo, f_hi, duration, rate_hz, amplitude=amplitude)
     drive = Signal(rate_hz, g_m * sweep.values, unit="A")
 
-    traj = simulator.run(sys, drive, simulator.SimConfig(record="outputs"))
-
-    spec_in = stft(sweep, window_s, window=window)
-    ridge_f = f_lo + sweep_rate_hz_per_s * spec_in.times_s
+    n_win, _, starts, times, freqs = _frame_grid(sweep, window_s, None)
+    win = _window_values(window, n_win)
+    ridge_f = f_lo + sweep_rate_hz_per_s * times
     keep = (ridge_f >= f_start_hz) & (ridge_f <= f_end_hz)
-    bin_idx = np.argmin(np.abs(spec_in.freqs_hz[None, :] - ridge_f[keep, None]), axis=1)
-    frame_idx = np.nonzero(keep)[0]
-    amp_in = spec_in.mags[frame_idx, bin_idx]
+    bin_idx = np.argmin(np.abs(freqs[None, :] - ridge_f[keep, None]), axis=1)
+    starts = starts[keep]
 
-    n_out = traj.values.shape[1]
-    h = np.empty((n_out, len(frame_idx)))
-    for ch in range(n_out):
-        spec_out = stft(Signal(rate_hz, traj.values[:, ch]), window_s, window=window)
-        h[ch] = spec_out.mags[frame_idx, bin_idx] / amp_in / g_m
+    traj = simulator.run(sys, drive, simulator.SimConfig(record="outputs"))
+    amp_in, amp_out = _ridge_mags(win, starts, bin_idx, sweep.values, traj.values)
+    h = np.ascontiguousarray(amp_out.T) / amp_in / g_m
     # The out/in ratio at a bin is dominated by the instant the chirp crosses
     # that bin's frequency (stationary phase), so the estimate belongs to the
     # bin centre, not to the frame-centre instantaneous frequency.  Report the
     # bin frequencies so cross-checks evaluate |H| where it was measured.
-    return MeasuredTransfer(freqs_hz=spec_in.freqs_hz[bin_idx], h=h, g_m=g_m,
+    return MeasuredTransfer(freqs_hz=freqs[bin_idx], h=h, g_m=g_m,
                             sweep_rate_hz_per_s=sweep_rate_hz_per_s,
                             window_s=window_s)

@@ -244,22 +244,31 @@ def _grad_from_hist(sys: simulator.SystemMatrices, dt: float, hist: np.ndarray,
     # dL/du[s] at the output DOFs, for every step at once
     src = dl_de * ((2.0 * dt) * hist[:, out, :])
     # lambda[s] = src[s] + 2 lambda[s+1] - A^T lambda[s+1] - lambda[s+2],
-    # with lambda[T] = lambda[T+1] = 0 as two extra rows kept outside lam: lam
-    # has hist's size, and a two-row-larger block raised the training run's
-    # peak RSS by up to ~47 MB through the allocator's block reuse
-    lam = np.empty_like(hist)
-    zero = np.zeros((n, batch))
-    rows = list(lam) + [zero, zero]
+    # with lambda[T] = lambda[T+1] = 0.  The sweep steps in a ring of CHUNK + 2
+    # rows and copies each finished chunk of lambda[1:] into a DOF-major array,
+    # so the GEMM below takes its (n, (T-1) B) flattening as a view: no
+    # (T, n, B) lambda and no transposed copy of it
+    chunk = simulator.CHUNK
+    lam = np.empty((n, t_len - 1, batch))
+    ring = np.empty((chunk + 2, n, batch))
+    ring[chunk:] = 0.0
     a_lam = np.empty((n, batch))
-    for s in range(t_len - 1, -1, -1):
-        cur, lam_1 = rows[s], rows[s + 1]
-        np.multiply(lam_1, 2.0, out=cur)
-        cur[out] += src[s]
-        np.matmul(a_t, lam_1, out=a_lam)
-        cur -= a_lam
-        cur -= rows[s + 2]
+    for hi in range(t_len, 0, -chunk):
+        lo = max(hi - chunk, 0)
+        block = ring[chunk - (hi - lo):]   # row j holds lambda[lo + j], j <= hi - lo + 1
+        rows = list(block)
+        for j in range(hi - lo - 1, -1, -1):
+            cur, lam_1 = rows[j], rows[j + 1]
+            np.multiply(lam_1, 2.0, out=cur)
+            cur[out] += src[lo + j]
+            np.matmul(a_t, lam_1, out=a_lam)
+            cur -= a_lam
+            cur -= rows[j + 2]
+        first = max(lo, 1)
+        lam[:, first - 1:hi - 1] = block[first - lo:hi - lo].transpose(1, 0, 2)
+        ring[chunk:] = block[:2]   # lambda[lo], lambda[lo + 1] enter the next chunk
     # dL/dA = -sum_t lambda[t+1] u[t]^T ; chain A = dt^2 D^-1 Y row-wise
-    lam_flat = lam[1:].transpose(1, 0, 2).reshape(n, -1)
+    lam_flat = lam.reshape(n, -1)
     u_flat = hist[:-1].transpose(1, 0, 2).reshape(n, -1)
     g_a = -(lam_flat @ u_flat.T)
     return (dt * dt / sys.inertia)[:, None] * g_a

@@ -381,6 +381,36 @@ def test_missing_system_file_exits_2(workspace, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("kind", ["input", "manifest", "system", "config",
+                                  "checkpoint", "model"])
+def test_undecodable_file_is_a_data_error(workspace, tmp_path, capsys, kind):
+    # each file gets one byte that is not UTF-8 in the middle; the error
+    # names the file and that byte's offset from the start of the file
+    sources = {"input": workspace["ds"] / "class0_train_0000.csv",
+               "manifest": workspace["ds"] / "manifest.json",
+               "system": workspace["system"], "config": workspace["config"],
+               "checkpoint": workspace["run1"] / "checkpoints" / "epoch_001.json",
+               "model": workspace["run1"] / "model.json"}
+    raw = sources[kind].read_bytes()
+    at = len(raw) // 2
+    bad = tmp_path / sources[kind].name
+    bad.write_bytes(raw[:at] + b"\xff" + raw[at:])
+    ok = {"system": workspace["system"], "manifest": workspace["ds"] / "manifest.json",
+          "config": workspace["config"], "out": tmp_path / "out"}
+    ok[kind] = bad
+    argv = {"input": ["classify", "--system", ok["system"], "--input", bad,
+                      "--rate", "2000"],
+            "manifest": ["classify", "--system", ok["system"], "--manifest", bad],
+            "system": ["classify", "--system", bad, "--manifest", ok["manifest"]],
+            "config": ["train", "--config", bad, "--out", ok["out"]],
+            "checkpoint": ["train", "--config", ok["config"], "--out", ok["out"],
+                           "--resume", bad],
+            "model": ["export-netlist", "--model", bad, "--out", ok["out"]]}[kind]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: not valid utf-8 text: byte {at} (invalid start byte)" in err
+
+
 # --- simulate ----------------------------------------------------------------------
 
 def test_simulate_artifacts(workspace, tmp_path, capsys):

@@ -180,6 +180,29 @@ def test_dataset_round_trip_through_disk(tmp_path):
     save_dataset(ds, tmp_path, force=True)  # explicit consent
 
 
+def test_load_dataset_counts_every_class(tmp_path):
+    ds = gen_dataset(DatasetSpec(train_per_class=2, test_per_class=2, seed=5))
+    manifest = save_dataset(ds, tmp_path)
+    doc = json.loads(manifest.read_text())
+    # class 0 keeps one train sample and no test sample; classes 1 and 2 keep all
+    doc["samples"] = [e for e in doc["samples"] if e["label"] != 0 or
+                      e["path"] == "class0_train_0000.csv"]
+    manifest.write_text(json.dumps(doc))
+    spec = load_dataset(manifest).spec
+    assert (spec.train_per_class, spec.test_per_class) == (2, 2)
+
+
+def test_load_dataset_rejects_signals_of_another_length(tmp_path):
+    ds = gen_dataset(DatasetSpec(train_per_class=2, test_per_class=1, seed=5))
+    manifest = save_dataset(ds, tmp_path)
+    entry = json.loads(manifest.read_text())["samples"][4]
+    path = tmp_path / entry["path"]
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(DataFormatError, match=rf"entry 4 \({entry['path']}\) holds 1999 "
+                                              r"samples, entry 0 holds 2000"):
+        load_dataset(manifest)
+
+
 # --- CSV loading ------------------------------------------------------------------
 
 def test_load_two_column_csv(tmp_path):
@@ -399,6 +422,23 @@ def test_sweep_presets_accepted():
         assert len(sig.values) > 0
 
 
+@pytest.mark.parametrize("f0, f1, duration, rate, amplitude", [
+    (0.0, 101.0, 404.0, 4000.0, 1.7),     # the padded 1-100 Hz measurement sweep
+    (20.0, 21.0, 1.25, 4000.0, 0.6),
+    (3.0, 250.0, 10.0, 1000, 1.0),        # an integer rate
+])
+def test_sweep_equals_the_one_expression_chirp(f0, f1, duration, rate, amplitude):
+    # gen_sweep evaluates its phase in place; it must equal the expression
+    # it replaced bit for bit
+    t = np.arange(int(round(duration * rate))) / rate
+    phase = 2.0 * np.pi * (f0 * t + 0.5 * ((f1 - f0) / duration) * t * t)
+    want = amplitude * np.sin(phase)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = gen_sweep(f0, f1, duration, rate, amplitude=amplitude).values
+    assert got.tobytes() == want.tobytes()
+
+
 def test_sweep_validation_and_speed_warning():
     with pytest.raises(InvalidParameterError):
         gen_sweep(10.0, 5.0, 1.0, 1000.0)
@@ -438,6 +478,27 @@ def test_parseval_for_hann_half_hop():
     assert est == pytest.approx(direct, rel=0.01)
 
 
+@pytest.mark.parametrize("window", ["hann", "nuttall"])
+@pytest.mark.parametrize("n_win", [64, 65, 1000, 1001])
+def test_ridge_reader_matches_the_spectrogram(window, n_win):
+    rate = 1000.0
+    rng = np.random.default_rng(n_win)
+    x = rng.standard_normal(12 * n_win + 7)
+    y = rng.standard_normal((len(x), 3))
+    n, _, starts, _, freqs = signals._frame_grid(Signal(rate, x), n_win / rate, None)
+    assert n == n_win
+    frame_idx = np.arange(1, len(starts), 2)
+    bin_idx = rng.integers(0, len(freqs), len(frame_idx))
+    bin_idx[0], bin_idx[-1] = 0, len(freqs) - 1   # bin 0, and N/2 for even N
+    got_x, got_y = signals._ridge_mags(signals._window_values(window, n),
+                                       starts[frame_idx], bin_idx, x, y)
+    want = stft(Signal(rate, x), n_win / rate, window=window).mags
+    np.testing.assert_allclose(got_x, want[frame_idx, bin_idx], rtol=1e-9)
+    for ch in range(y.shape[1]):
+        want = stft(Signal(rate, y[:, ch]), n_win / rate, window=window).mags
+        np.testing.assert_allclose(got_y[:, ch], want[frame_idx, bin_idx], rtol=1e-9)
+
+
 def test_stft_window_validation():
     sig = Signal(1000.0, np.zeros(100))
     with pytest.raises(InvalidParameterError):
@@ -454,6 +515,47 @@ def small_plant():
     spec = LatticeSpec(rows=1, cols=2, grounded=(1,), input_cell=0, outputs=(0,))
     circ = CircuitParams.uniform(spec, 1.307e-11, 3.530e-11, 1e6, 5e5)
     return simulator.assemble(spec, circ)
+
+
+def measure_transfer_by_stft(sys_m, f_start_hz, f_end_hz, rate_hz=4000.0,
+                             sweep_rate_hz_per_s=0.25, g_m=DEFAULT_G_M,
+                             window_s=4.0, window="nuttall", amplitude=1.0):
+    """measure_transfer as it read the ridge from four full stft
+    spectrograms, kept as the oracle: (freqs_hz, h)."""
+    pad_hz = sweep_rate_hz_per_s * window_s
+    f_lo = max(f_start_hz - pad_hz, 0.0)
+    f_hi = f_end_hz + pad_hz
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sweep = gen_sweep(f_lo, f_hi, (f_hi - f_lo) / sweep_rate_hz_per_s, rate_hz,
+                          amplitude=amplitude)
+    drive = Signal(rate_hz, g_m * sweep.values, unit="A")
+    traj = simulator.run(sys_m, drive, simulator.SimConfig(record="outputs"))
+    spec_in = stft(sweep, window_s, window=window)
+    ridge_f = f_lo + sweep_rate_hz_per_s * spec_in.times_s
+    keep = (ridge_f >= f_start_hz) & (ridge_f <= f_end_hz)
+    bin_idx = np.argmin(np.abs(spec_in.freqs_hz[None, :] - ridge_f[keep, None]), axis=1)
+    frame_idx = np.nonzero(keep)[0]
+    amp_in = spec_in.mags[frame_idx, bin_idx]
+    h = np.empty((traj.values.shape[1], len(frame_idx)))
+    for ch in range(traj.values.shape[1]):
+        spec_out = stft(Signal(rate_hz, traj.values[:, ch]), window_s, window=window)
+        h[ch] = spec_out.mags[frame_idx, bin_idx] / amp_in / g_m
+    return spec_in.freqs_hz[bin_idx], h
+
+
+@pytest.mark.parametrize("plant", ["uniform", "small"])
+def test_measurement_matches_the_stft_oracle(plant, uniform_plant, uniform_measurement):
+    if plant == "uniform":
+        meas, args, kw = uniform_measurement, (uniform_plant[2], 1.0, 100.0), {}
+    else:
+        kw = dict(rate_hz=4000.0, sweep_rate_hz_per_s=1.0, window_s=2.0,
+                  window="hann", amplitude=0.7)
+        args = (small_plant(), 15.0, 45.0)
+        meas = measure_transfer(*args, **kw)
+    freqs, h = measure_transfer_by_stft(*args, **kw)
+    assert meas.freqs_hz.tobytes() == freqs.tobytes()
+    np.testing.assert_allclose(meas.h, h, rtol=1e-9)
 
 
 def test_gm_default_value():

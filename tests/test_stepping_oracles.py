@@ -182,7 +182,7 @@ def test_runaway_growth_overflows_silently_and_raises_the_oracles_error(batch):
     assert want.step < beyond.step < CHUNK
 
 
-@pytest.mark.parametrize("steps", [1, 2, CHUNK + 1, 300])
+@pytest.mark.parametrize("steps", [1, 2, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 300])
 def test_adjoint_sweep_equals_the_oracle(steps):
     _, sys_m, dt = SYSTEMS[1]
     rng = np.random.default_rng(steps)
