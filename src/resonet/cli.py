@@ -19,10 +19,10 @@ produces byte-identical files.  Nothing is overwritten without --force.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,8 @@ import numpy as np
 from . import acsolver, lattice, signals, simulator, trainer, unitcell
 from .errors import (ConfigError, DataFormatError, InvalidParameterError,
                      NearResonanceError, NumericError, PoleError,
-                     TopologyError, UndecidableError, read_text)
+                     TopologyError, UndecidableError, is_json_int,
+                     is_json_number, read_text)
 
 USAGE_EXIT = 1
 CONFIG_EXIT = 2
@@ -142,50 +143,95 @@ def cmd_gen_dataset(args) -> int:
 
 # --- train -----------------------------------------------------------------------
 
-def _dataset_from_config(section, base: Path) -> signals.Dataset:
-    if section is None:
+def _is_pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(map(is_json_number, v))
+
+
+# the JSON value each dataclass field annotation takes in a config section
+_FIELD_KINDS = {
+    "int": ("an integer", is_json_int),
+    "float": ("a finite number", is_json_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "float | None": ("a finite number or null",
+                     lambda v: v is None or is_json_number(v)),
+    "tuple[float, float]": ("a pair of finite numbers", _is_pair),
+    "tuple[float, float] | None": ("a pair of finite numbers or null",
+                                   lambda v: v is None or _is_pair(v)),
+    "tuple[float, ...]": ("a list of finite numbers",
+                          lambda v: isinstance(v, list) and all(map(is_json_number, v))),
+}
+
+
+def _section(doc: dict, name: str, kinds: dict) -> dict:
+    """Config section `name` of doc ({} if absent), checked against
+    {key: (description, predicate)}; an unknown key or a value of the wrong
+    JSON type is a ConfigError naming it."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object")
+    for key, value in section.items():
+        if key not in kinds:
+            raise ConfigError(f"config section {name!r} has no key {key!r}; "
+                              f"expected one of {sorted(kinds)}")
+        what, ok = kinds[key]
+        if not ok(value):
+            raise ConfigError(f"config key {name}.{key} must be {what}, "
+                              f"got {value!r:.60}")
+    return section
+
+
+def _dataclass_section(doc: dict, name: str, cls) -> dict:
+    """Section `name` as keyword arguments of the dataclass cls."""
+    kinds = {f.name: _FIELD_KINDS[f.type] for f in dataclasses.fields(cls)}
+    return {k: tuple(v) if isinstance(v, list) else v
+            for k, v in _section(doc, name, kinds).items()}
+
+
+_MANIFEST_SECTION = {"manifest": ("a path", lambda v: isinstance(v, str))}
+_EXPORT_SECTION = {"r_target_ohm": ("a finite number > 0",
+                                    lambda v: is_json_number(v) and v > 0.0),
+                   "series": ("an E-series name or \"none\"",
+                              lambda v: isinstance(v, str) and (
+                                  v.upper() in lattice.SERIES_TABLES
+                                  or v.lower() == "none"))}
+
+
+def _dataset_from_config(doc: dict, base: Path) -> signals.Dataset:
+    if "dataset" not in doc:
         raise ConfigError("config is missing the 'dataset' section")
-    if "manifest" in section:
-        path = Path(section["manifest"])
+    if isinstance(doc["dataset"], dict) and "manifest" in doc["dataset"]:
+        path = Path(_section(doc, "dataset", _MANIFEST_SECTION)["manifest"])
         if not path.is_absolute():
             path = base / path
         return signals.load_dataset(path)
-    d = dict(section)
-    if "centers_hz" in d:
-        d["centers_hz"] = tuple(d["centers_hz"])
-    try:
-        dspec = signals.DatasetSpec(**d)
-    except TypeError as exc:
-        raise ConfigError(f"bad dataset section: {exc}") from exc
-    return signals.gen_dataset(dspec)
+    return signals.gen_dataset(signals.DatasetSpec(
+        **_dataclass_section(doc, "dataset", signals.DatasetSpec)))
 
 
-def _train_config_from_dict(d: dict, seed_override) -> trainer.TrainConfig:
-    d = dict(d)
-    for key in ("f0_band_hz", "kc_init"):
-        if d.get(key) is not None:
-            d[key] = tuple(d[key])
+def _train_config_from_dict(doc: dict, seed_override) -> trainer.TrainConfig:
+    d = _dataclass_section(doc, "train", trainer.TrainConfig)
     if seed_override is not None:
         d["seed"] = int(seed_override)
     if "seed" not in d:
         raise ConfigError("training requires a seed (config train.seed or --seed)")
-    try:
-        return trainer.TrainConfig(**d)
-    except TypeError as exc:
-        raise ConfigError(f"bad train section: {exc}") from exc
+    return trainer.TrainConfig(**d)
 
 
 def cmd_train(args) -> int:
     cfg_dict = _read_json(args.config)
     if not isinstance(cfg_dict, dict):
         raise DataFormatError("train config must be a JSON object")
+    unknown = set(cfg_dict) - {"lattice", "dataset", "train", "export"}
+    if unknown:
+        raise ConfigError(f"config has unknown sections {sorted(unknown)}")
     base = Path(args.config).resolve().parent
     if "lattice" in cfg_dict:
         spec = lattice.spec_from_json_dict(cfg_dict["lattice"])
     else:
         spec = lattice.LatticeSpec.default_grid()
-    ds = _dataset_from_config(cfg_dict.get("dataset"), base)
-    cfg = _train_config_from_dict(cfg_dict.get("train", {}), args.seed)
+    exp_cfg = _section(cfg_dict, "export", _EXPORT_SECTION)
+    cfg = _train_config_from_dict(cfg_dict, args.seed)
+    ds = _dataset_from_config(cfg_dict, base)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -222,7 +268,7 @@ def cmd_train(args) -> int:
     model["stop_reason"] = result.stop_reason
     if result.divergence is not None:
         model["divergence"] = result.divergence
-    model["train_config"] = asdict(cfg)
+    model["train_config"] = dataclasses.asdict(cfg)
     _write_json(model_path, model, args.force)
 
     print(f"metrics: {metrics_path}")
@@ -242,10 +288,9 @@ def cmd_train(args) -> int:
         print(f"training diverged in epoch {d['epoch']}: {d['message']}{where}; "
               "artifacts hold the last stable epoch", file=sys.stderr)
         return NUMERIC_EXIT
-    exp_cfg = cfg_dict.get("export", {})
     exp = trainer.export_trained(spec, result.mech,
                                  float(exp_cfg.get("r_target_ohm", 1e6)),
-                                 str(exp_cfg.get("series", "E96")),
+                                 exp_cfg.get("series", "E96"),
                                  heldout=ds.split("test"))
     lines = lattice.save_system_files(out, spec, exp.circuit, exp.scaling,
                                       exp.quantized, exp.report, args.force)

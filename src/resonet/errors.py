@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the text-file reader that
-maps an undecodable file onto them."""
+"""Exception types shared across the package, the text-file reader that
+maps an undecodable file onto them, and the JSON type checks of input files."""
+
+import math
 
 
 class ResonetError(Exception):
@@ -65,3 +67,14 @@ def read_text(path) -> str:
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not valid {exc.encoding} text: byte "
                               f"{exc.start} ({exc.reason})") from exc
+
+
+def is_json_int(v) -> bool:
+    """Whether a parsed JSON value is an integer (true and false are not)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_json_number(v) -> bool:
+    """Whether a parsed JSON value is a finite number (true, false, NaN and
+    Infinity are not)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, DataFormatError, InvalidParameterError,
-                     TopologyError, read_text)
+                     TopologyError, is_json_int, read_text)
 
 # Standard resistor series mantissas (IEC 60063).
 E24 = (
@@ -327,12 +327,31 @@ def spec_to_json_dict(spec: LatticeSpec) -> dict:
     }
 
 
+_SPEC_KEYS = {"rows", "cols", "grounded", "input", "outputs"}
+
+
 def spec_from_json_dict(d: dict) -> LatticeSpec:
+    """Parse spec_to_json_dict output ("grounded" may be left out); a missing,
+    unknown or ill-typed key is a DataFormatError."""
+    def ints(values):
+        if not isinstance(values, list):
+            raise TypeError(f"expected a list of integers, got {values!r:.40}")
+        return [integer(v) for v in values]
+
+    def integer(v):
+        if not is_json_int(v):
+            raise TypeError(f"expected an integer, got {v!r:.40}")
+        return v
+
     try:
-        return LatticeSpec(rows=int(d["rows"]), cols=int(d["cols"]),
-                           grounded=frozenset(d.get("grounded", ())),
-                           input_cell=int(d["input"]),
-                           outputs=tuple(d["outputs"]))
+        if not isinstance(d, dict):
+            raise TypeError("expected a JSON object")
+        if set(d) - _SPEC_KEYS:
+            raise KeyError(f"unknown keys {sorted(set(d) - _SPEC_KEYS)}")
+        return LatticeSpec(rows=integer(d["rows"]), cols=integer(d["cols"]),
+                           grounded=frozenset(ints(d.get("grounded", []))),
+                           input_cell=integer(d["input"]),
+                           outputs=tuple(ints(d["outputs"])))
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"malformed lattice description: {exc}") from exc
 

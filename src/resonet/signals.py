@@ -31,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, InvalidParameterError, read_text
+from .errors import (ConfigError, DataFormatError, InvalidParameterError,
+                     is_json_int, is_json_number, read_text)
 
 DEFAULT_G_M = 1e-6  # transconductance (S) used for swept-sine injection
 
@@ -127,6 +128,8 @@ class DatasetSpec:
                 raise InvalidParameterError(f"class center {c} Hz outside (0, rate/2)")
         if self.train_per_class < 1 or self.test_per_class < 0:
             raise InvalidParameterError("sample counts must be positive")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be >= 0")
         if self.jitter_s < 0.0 or self.jitter_s >= self.duration_s / 2.0:
             raise InvalidParameterError("jitter must be >= 0 and below half the duration")
 
@@ -209,20 +212,29 @@ def load_dataset(manifest_path) -> Dataset:
         manifest = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        rate = float(manifest["rate"])
-        centers = tuple(float(c) for c in manifest["classes"])
-        entries = manifest["samples"]
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"{path}: malformed manifest: {exc}") from exc
-    if not isinstance(entries, list):
-        raise DataFormatError(f"{path}: 'samples' must be a list of entries")
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{path}: malformed manifest: expected a JSON object")
+    for key, ok, what in (
+            ("rate", lambda v: is_json_number(v) and v > 0.0, "a number > 0"),
+            ("classes", lambda v: isinstance(v, list) and all(map(is_json_number, v)),
+             "a list of numbers"),
+            ("samples", lambda v: isinstance(v, list), "a list of entries")):
+        if key not in manifest:
+            raise DataFormatError(f"{path}: malformed manifest: no {key!r}")
+        if not ok(manifest[key]):
+            raise DataFormatError(f"{path}: {key!r} must be {what}")
+    rate = float(manifest["rate"])
+    centers = tuple(float(c) for c in manifest["classes"])
+    entries = manifest["samples"]
     counters: dict[tuple[int, str], int] = {}
     samples = []
     for i, e in enumerate(entries):
         try:
-            name, label, split = str(e["path"]), int(e["label"]), str(e["split"])
-        except (KeyError, TypeError, ValueError) as exc:
+            name, label, split = e["path"], e["label"], e["split"]
+            if not (isinstance(name, str) and isinstance(split, str)
+                    and is_json_int(label)):
+                raise TypeError("path and split must be strings, label an integer")
+        except (KeyError, TypeError) as exc:
             raise DataFormatError(f"{path}: sample entry {i} is malformed "
                                   f"({type(exc).__name__}: {exc})") from exc
         if not 0 <= label < len(centers):

@@ -235,24 +235,6 @@ def max_stable_dt(sys: SystemMatrices) -> float:
 
 # --- stepping ---------------------------------------------------------------
 
-@dataclass
-class SimState:
-    """Rolling pair of displacement vectors; u_curr is u[t], u_prev is u[t-1]."""
-
-    u_prev: np.ndarray
-    u_curr: np.ndarray
-    step_index: int = 0
-
-
-def initial_state(sys: SystemMatrices, u_prev=None, u_curr=None) -> SimState:
-    n = sys.n_dof
-    up = np.zeros(n) if u_prev is None else np.array(u_prev, dtype=float)
-    uc = np.zeros(n) if u_curr is None else np.array(u_curr, dtype=float)
-    if up.shape != (n,) or uc.shape != (n,):
-        raise InvalidParameterError(f"state vectors must have shape ({n},)")
-    return SimState(u_prev=up, u_curr=uc)
-
-
 def _step_coeffs(sys: SystemMatrices, dt: float):
     if not np.isfinite(dt) or dt <= 0.0:
         raise InvalidParameterError(f"dt must be finite and > 0, got {dt}")
@@ -345,14 +327,6 @@ def _raise_blowup(block: np.ndarray, t0: int, limit: float) -> None:
                 "unstable or diverging", step=t, sample=sample)
 
 
-def step(sys: SystemMatrices, state: SimState, drive: float, dt: float) -> SimState:
-    """Advance one central-difference step under injected current/force `drive`."""
-    u_next = leapfrog(sys, dt, np.array([drive], dtype=float),
-                      state.u_prev, state.u_curr)[0]
-    return SimState(u_prev=state.u_curr, u_curr=u_next,
-                    step_index=state.step_index + 1)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Run controls.  dt=None derives the step from the drive signal's rate."""
@@ -409,12 +383,15 @@ def _recorded_dofs(sys: SystemMatrices, cfg: SimConfig) -> tuple[int, ...]:
 
 
 def run(sys: SystemMatrices, signal: "Signal | None" = None,
-        cfg: SimConfig = SimConfig(), initial: SimState | None = None) -> Trajectory:
+        cfg: SimConfig = SimConfig(),
+        initial: tuple[np.ndarray, np.ndarray] | None = None) -> Trajectory:
     """Integrate the lattice and record selected DOFs.
 
     Drive samples are consumed one per step; the trajectory has exactly one
-    row per drive sample (or duration/dt rows for zero-input runs).  Raises
-    NumericError citing the step index if any |u| exceeds the blow-up limit.
+    row per drive sample (or duration/dt rows for zero-input runs).  The
+    state starts at rest unless `initial` gives the pair (u_prev, u_curr) =
+    (u[-1], u[0]) of (n,) vectors.  Raises NumericError citing the step index
+    if any |u| exceeds the blow-up limit.
 
     With dt <= dt_max, a drive of at least MIN_BLOCKS * BLOCK steps is
     evaluated block by block, and a shorter one from rest (no initial state,
@@ -432,20 +409,31 @@ def run(sys: SystemMatrices, signal: "Signal | None" = None,
             f"dt={dt} exceeds the stability limit {dt_max:.3e}; "
             "reduce dt or the stiffest element values")
     dofs = _recorded_dofs(sys, cfg)
-    state = initial if initial is not None else initial_state(sys)
+    u_prev, u_curr = _initial_pair(sys, initial)
     drive = np.zeros(n_steps) if signal is None else np.asarray(signal.values, dtype=float)
     cols = np.asarray(dofs, dtype=int)
     values = None
     if dt <= dt_max:
         if n_steps >= MIN_BLOCKS * BLOCK:
-            values = _run_blocked(sys, dt, drive, state.u_prev, state.u_curr,
-                                  cols, cfg.blowup_limit)
-        elif n_steps and not (np.any(state.u_prev) or np.any(state.u_curr)):
+            values = _run_blocked(sys, dt, drive, u_prev, u_curr, cols,
+                                  cfg.blowup_limit)
+        elif n_steps and not (np.any(u_prev) or np.any(u_curr)):
             values = _run_kernel(sys, dt, drive, dofs, cfg.blowup_limit)
     if values is None:
-        values = leapfrog(sys, dt, drive, state.u_prev, state.u_curr, cols,
-                          cfg.blowup_limit)
+        values = leapfrog(sys, dt, drive, u_prev, u_curr, cols, cfg.blowup_limit)
     return Trajectory(dt=dt, dofs=dofs, values=values)
+
+
+def _initial_pair(sys: SystemMatrices, initial) -> tuple[np.ndarray, np.ndarray]:
+    """run's (u_prev, u_curr) as float (n,) vectors; zeros when initial is None."""
+    n = sys.n_dof
+    if initial is None:
+        return np.zeros(n), np.zeros(n)
+    pair = tuple(np.asarray(u, dtype=float) for u in initial)
+    if len(pair) != 2 or any(u.shape != (n,) for u in pair):
+        raise InvalidParameterError(
+            f"initial must be a (u_prev, u_curr) pair of shape ({n},) vectors")
+    return pair
 
 
 def _impulse_response(sys: SystemMatrices, dt: float, steps: int):

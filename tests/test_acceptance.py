@@ -300,9 +300,8 @@ def test_criterion_10_energy_conservation():
         n = sys_m.n_dof
         u_prev = 1e-3 * rng.standard_normal(n)
         u_curr = u_prev + dt * (1e-3 * rng.standard_normal(n))
-        state = simulator.initial_state(sys_m, u_prev=u_prev, u_curr=u_curr)
         cfg = simulator.SimConfig(dt=dt, duration=steps * dt, record="all")
-        rows = simulator.run(sys_m, None, cfg, initial=state).values
+        rows = simulator.run(sys_m, None, cfg, initial=(u_prev, u_curr)).values
         e0 = simulator.discrete_energy(sys_m, u_prev, u_curr, dt)
         pairs = [(u_curr, rows[0])]
         pairs += [(rows[i], rows[i + 1]) for i in range(4999, steps - 1, 5000)]

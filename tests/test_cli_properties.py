@@ -1,0 +1,242 @@
+"""Property tests at the CLI boundary.
+
+A malformed or mis-encoded train config, dataset manifest or checkpoint must
+end ``resonet`` with exit 2 and a one-line error, never a traceback.  Each
+property starts from a valid document and breaks it one way: bytes that are
+not text, a truncated text, a field of the wrong JSON type, a missing or an
+unknown key.  The broken values are never numbers, so no example can turn into
+a valid (and possibly long) run.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from resonet import cli
+
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+SCALARS = (st.none() | st.booleans() | st.integers(-1000, 1000)
+           | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6))
+# values of the wrong JSON type for every field these documents hold
+WRONG = (st.none() | st.booleans() | st.text(max_size=6)
+         | st.dictionaries(st.text(max_size=4), SCALARS, max_size=2))
+
+TRAIN = {"epochs": 1, "batch_size": 4, "lr": 0.02, "seed": 3, "loss_floor": 0.0,
+         "prob_epsilon": 1e-12, "mass_outer_kg": 1.307e-3, "mass_inner_kg": 3.53e-3,
+         "f0_band_hz": [60.0, 80.0], "init_output_centers": True,
+         "kc_init": [300.0, 900.0], "k_min": 1e-2, "k_max": 1e4, "beta1": 0.9,
+         "beta2": 0.999, "adam_eps": 1e-8}
+DATASET = {"centers_hz": [30.0, 50.0], "rate_hz": 2000.0, "duration_s": 0.2,
+           "sigma_s": 0.03, "amplitude": 1.0, "jitter_s": 0.02, "snr_db": 20.0,
+           "train_per_class": 2, "test_per_class": 1, "seed": 4}
+LATTICE = {"rows": 2, "cols": 2, "grounded": [], "input": 0, "outputs": [2, 3]}
+EXPORT = {"r_target_ohm": 1e6, "series": "E96"}
+
+
+def run_cli(argv, capsys) -> tuple[int, str]:
+    capsys.readouterr()
+    try:
+        code = cli.main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def assert_data_error(code, err):
+    assert code == 2, err
+    assert err.startswith("resonet: error: ") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def ws(tmp_path_factory):
+    """A tiny dataset, a valid config for it, one checkpoint and one system."""
+    base = tmp_path_factory.mktemp("props")
+    assert cli.main(["gen-dataset", "--out", str(base / "ds"), "--seed", "2",
+                     "--centers", "30,50", "--duration", "0.2", "--sigma", "0.03",
+                     "--jitter", "0.02", "--train-per-class", "2",
+                     "--test-per-class", "1"]) == 0
+    config = {"lattice": LATTICE, "dataset": {"manifest": "ds/manifest.json"},
+              "train": TRAIN, "export": EXPORT}
+    (base / "config.json").write_text(json.dumps(config))
+    assert cli.main(["train", "--config", str(base / "config.json"),
+                     "--out", str(base / "run")]) == 0
+    checkpoint = json.loads((base / "run" / "checkpoints" / "epoch_001.json").read_text())
+    manifest = json.loads((base / "ds" / "manifest.json").read_text())
+    return {"base": base, "config": config, "checkpoint": checkpoint,
+            "manifest": manifest, "system": base / "run" / "system.json"}
+
+
+def _paths(doc, prefix=()):
+    """Every (path, value) inside a JSON document, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,), value
+        if isinstance(value, (dict, list)) and value:
+            yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def _deleted(doc, path):
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    return doc
+
+
+def _mangled(text: str, data) -> bytes:
+    """Text broken at the byte level: a proper prefix, a lone byte >= 0x80
+    (never valid UTF-8 between ASCII bytes), or arbitrary bytes."""
+    raw = text.encode()
+    how = data.draw(st.sampled_from(["truncate", "high_byte", "binary", "utf16"]))
+    if how == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw.rstrip()) - 2))]
+    if how == "high_byte":
+        at = data.draw(st.integers(0, len(raw) - 1))
+        return raw[:at] + bytes([data.draw(st.integers(0x80, 0xFF))]) + raw[at + 1:]
+    if how == "utf16":
+        return text.encode("utf-16")
+    return data.draw(st.binary(max_size=64))
+
+
+# --- train configs --------------------------------------------------------------
+
+def _train(ws, config_bytes, capsys):
+    path = ws["base"] / "fuzz_config.json"
+    path.write_bytes(config_bytes)
+    return run_cli(["train", "--config", path, "--out", ws["base"] / "fuzz_run",
+                    "--force"], capsys)
+
+
+def _config_paths(config):
+    inline = dict(config, dataset=DATASET)
+    for doc in (config, inline):
+        for path, _ in _paths(doc):
+            yield doc, path
+
+
+@SETTINGS
+@given(data=st.data())
+def test_config_with_an_ill_typed_field_exits_2(ws, capsys, data):
+    doc, path = data.draw(st.sampled_from(list(_config_paths(ws["config"]))))
+    original = json.loads(json.dumps(doc))
+    for key in path:
+        original = original[key]
+    # null is a valid f0_band_hz and snr_db, a boolean init_output_centers
+    wrong = WRONG.filter(lambda v: type(v) is not type(original)
+                         and not (v is None and path[-1] in ("f0_band_hz", "snr_db")))
+    broken = _replaced(doc, path, data.draw(wrong))
+    assert_data_error(*_train(ws, json.dumps(broken).encode(), capsys))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_config_with_a_missing_or_unknown_key_exits_2(ws, capsys, data):
+    config = ws["config"]
+    section = data.draw(st.sampled_from(["lattice", "train", "export", "dataset"]))
+    if data.draw(st.booleans()):
+        known = set(config[section]) | set(DATASET)
+        key = data.draw(st.text(max_size=8).filter(lambda k: k not in known))
+        broken = _replaced(config, (section, key), data.draw(SCALARS))
+    else:
+        # the lattice keys but "grounded" are required, and so are train.seed and the
+        # dataset's manifest (without it the section is a dataset recipe)
+        required = {"lattice": ["cols", "input", "outputs", "rows"], "train": ["seed"],
+                    "dataset": ["manifest"]}.get(section)
+        if required is None:
+            not_an_object = WRONG.filter(lambda v: not isinstance(v, dict))
+            broken = _replaced(config, (section,), data.draw(not_an_object))
+        else:
+            broken = _deleted(config, (section, data.draw(st.sampled_from(required))))
+            if section == "dataset":
+                broken["dataset"]["rate_hz"] = "fast"
+    assert_data_error(*_train(ws, json.dumps(broken).encode(), capsys))
+
+
+@SETTINGS
+@given(doc=st.recursive(SCALARS, lambda c: st.lists(c, max_size=3), max_leaves=6))
+def test_config_that_is_not_an_object_exits_2(ws, capsys, doc):
+    assert_data_error(*_train(ws, json.dumps(doc).encode(), capsys))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_config_that_is_not_text_or_not_json_exits_2(ws, capsys, data):
+    assert_data_error(*_train(ws, _mangled(json.dumps(ws["config"]), data), capsys))
+
+
+# --- dataset manifests -------------------------------------------------------------
+
+def _classify(ws, manifest_bytes, capsys):
+    path = ws["base"] / "ds" / "fuzz_manifest.json"
+    path.write_bytes(manifest_bytes)
+    return run_cli(["classify", "--system", ws["system"], "--manifest", path],
+                   capsys)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_manifest_with_an_ill_typed_or_missing_field_exits_2(ws, capsys, data):
+    manifest = ws["manifest"]
+    path, original = data.draw(st.sampled_from(list(_paths(manifest))))
+    if isinstance(path[-1], str) and data.draw(st.booleans()):
+        broken = _deleted(manifest, path)
+    else:
+        broken = _replaced(manifest, path,
+                           data.draw(WRONG.filter(lambda v: type(v) is not type(original))))
+    assert_data_error(*_classify(ws, json.dumps(broken).encode(), capsys))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_manifest_that_is_not_text_or_not_json_exits_2(ws, capsys, data):
+    assert_data_error(*_classify(ws, _mangled(json.dumps(ws["manifest"]), data),
+                                 capsys))
+
+
+# --- checkpoints -----------------------------------------------------------------------
+
+def _resume(ws, checkpoint_bytes, capsys):
+    path = ws["base"] / "fuzz_checkpoint.json"
+    path.write_bytes(checkpoint_bytes)
+    return run_cli(["train", "--config", ws["base"] / "config.json",
+                    "--out", ws["base"] / "fuzz_resume", "--force",
+                    "--resume", path], capsys)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_checkpoint_with_an_ill_typed_or_missing_field_exits_2(ws, capsys, data):
+    ckpt = ws["checkpoint"]
+    # dropping a history entry leaves a valid (shorter) history
+    path, original = data.draw(st.sampled_from(
+        [(p, v) for p, v in _paths(ckpt) if p[:1] != ("history",) or len(p) > 2]))
+    if isinstance(path[-1], str) and data.draw(st.booleans()):
+        broken = _deleted(ckpt, path)
+    else:
+        broken = _replaced(ckpt, path,
+                           data.draw(WRONG.filter(lambda v: type(v) is not type(original))))
+    assert_data_error(*_resume(ws, json.dumps(broken).encode(), capsys))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_checkpoint_that_is_not_text_or_not_json_exits_2(ws, capsys, data):
+    assert_data_error(*_resume(ws, _mangled(json.dumps(ws["checkpoint"]), data),
+                               capsys))

@@ -1,0 +1,143 @@
+"""Scoring through the impulse-response kernel against stepping.
+
+``trainer._score`` (behind ``evaluate_system`` and every epoch of ``train``)
+takes the output energies from one FFT convolution with the kernel that
+``simulator._kernel`` caches, and steps with ``leapfrog`` only when the gain
+bound cannot rule out a blow-up.  The stepped scoring it replaced is kept here
+as the oracle: energies must agree to 1e-12 of each sample's largest channel
+(1e-11 on a lattice with a rigid mode, see below), blow-ups must raise
+leapfrog's own NumericError, and training must export the same parameters
+bit for bit.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from conftest import grounded_corner, make_uniform_plant, random_small_system
+from resonet import simulator, trainer
+from resonet.errors import NumericError
+from resonet.trainer import EvalResult, TrainConfig, train
+
+
+def stepped_score(sys, dt, drive, labels, spectra, prob_epsilon):
+    """The scoring train and evaluate_system did before: batched leapfrog."""
+    dt_max = simulator.max_stable_dt(sys)
+    if dt > dt_max:
+        raise NumericError(f"dt={dt} exceeds the stability limit {dt_max:.3e}")
+    u_out = simulator.leapfrog(sys, dt, drive, dofs=np.asarray(sys.output_dofs))
+    energies = trainer._energies(u_out, dt)
+    probs, loss, _ = trainer._probs_and_loss(energies, labels, prob_epsilon)
+    preds = np.argmax(energies, axis=0)
+    return EvalResult(accuracy=float(np.mean(preds == labels)), loss=loss,
+                      predictions=preds, probs=probs, energies=energies)
+
+
+def _systems():
+    """(name, system, dt): random small lattices, the grounded corner and the
+    uniform plant, each at damping 0 and 0.5."""
+    rng = np.random.default_rng(31)
+    spec, mech = make_uniform_plant()
+    bases = [(f"random{i}", random_small_system(rng)[2], frac)
+             for i, frac in enumerate((0.5, 0.9, 0.3, 0.7))]
+    bases += [("corner", grounded_corner()[2], 0.7),
+              ("plant", simulator.assemble(spec, mech), None)]
+    out = []
+    for name, base, frac in bases:
+        for damping in (0.0, 0.5):
+            sys_m = dataclasses.replace(base, damping=damping)
+            dt = 1.0 / 2000.0 if frac is None else frac * simulator.max_stable_dt(sys_m)
+            out.append((f"{name}-d{damping}", sys_m, dt))
+    return out
+
+
+SYSTEMS = _systems()
+
+
+def _has_rigid_mode(sys_m) -> bool:
+    w = sys_m.natural_frequencies
+    return bool(w[0] <= 1e-6 * w[-1])
+
+
+def test_the_systems_cover_free_and_bounded_lattices():
+    rigid = [_has_rigid_mode(s) for _, s, _ in SYSTEMS]
+    assert any(rigid) and not all(rigid)
+
+
+@pytest.mark.parametrize("name, sys_m, dt", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+@pytest.mark.parametrize("steps", [1, 2, 65, 2000])
+def test_kernel_energies_match_stepping(name, sys_m, dt, steps):
+    # A lattice with no grounded path has a rigid mode: its impulse response
+    # grows without bound, and stepping itself is then off from a long-double
+    # recurrence by up to ~1e-12 of the energy at 2000 steps (the convolution
+    # by about as much), so such lattices are held to 1e-11, the rest to 1e-12.
+    tol = 1e-11 if _has_rigid_mode(sys_m) else 1e-12
+    # 20 columns: one full _SCORE_COLUMNS chunk and a ragged one
+    rng = np.random.default_rng(steps)
+    drive = rng.standard_normal((steps, trainer._SCORE_COLUMNS + 4))
+    labels = rng.integers(0, len(sys_m.output_dofs), drive.shape[1])
+    want = stepped_score(sys_m, dt, drive, labels, None, 1e-12).energies
+    scale = np.max(want, axis=0)   # each sample's largest channel
+    if steps >= 65:
+        assert np.all(scale > 0.0)
+    for spectra in (None, trainer._drive_spectra(drive)):
+        got = trainer._score(sys_m, dt, drive, labels, spectra, 1e-12).energies
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= tol * scale)
+
+
+@pytest.mark.parametrize("steps", [0, 300])
+def test_zero_or_empty_drive_scores_exactly_zero_energies(steps):
+    _, sys_m, dt = SYSTEMS[-2]
+    drive = np.zeros((steps, 3))
+    result = trainer._score(sys_m, dt, drive, np.array([0, 1, 2]),
+                            trainer._drive_spectra(drive), 1e-12)
+    np.testing.assert_array_equal(result.energies, np.zeros((3, 3)))
+    np.testing.assert_allclose(result.probs, 1.0 / 3.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("loud", [1e20, np.inf])
+def test_a_drive_past_the_gain_bound_raises_leapfrogs_error(monkeypatch, loud):
+    # max|x| * gain passes the blow-up limit (or is not finite): the batch is
+    # stepped, so the error names the step and the column as leapfrog does
+    _, sys_m, dt = SYSTEMS[-2]
+    drive = np.random.default_rng(3).standard_normal((200, 5))
+    drive[40, 3] = loud
+    with pytest.raises(NumericError) as want:
+        simulator.leapfrog(sys_m, dt, drive, dofs=np.asarray(sys_m.output_dofs))
+    stepped = []
+    real = simulator.leapfrog
+
+    def spy(*args, **kwargs):
+        stepped.append(args[2].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "leapfrog", spy)
+    with pytest.raises(NumericError) as got:
+        trainer._score(sys_m, dt, drive, np.zeros(5, dtype=int), None, 1e-12)
+    assert (str(got.value), got.value.step, got.value.sample) == (
+        str(want.value), want.value.step, want.value.sample)
+    assert got.value.sample == 3 and stepped[-1] == drive.shape
+
+
+def test_training_exports_what_stepped_scoring_exports(tiny_task, monkeypatch):
+    spec, dataset = tiny_task
+    cfg = TrainConfig(epochs=3, batch_size=4, lr=0.02, seed=5)
+    kernel = train(spec, dataset, cfg)
+    monkeypatch.setattr(trainer, "_score", stepped_score)
+    stepped = train(spec, dataset, cfg)
+    assert kernel.stop_reason == stepped.stop_reason == "epochs"
+    assert kernel.params.packed().tobytes() == stepped.params.packed().tobytes()
+    assert len(kernel.checkpoints) == len(stepped.checkpoints) == 3
+    for a, b in zip(kernel.checkpoints, stepped.checkpoints):
+        assert a.params.packed().tobytes() == b.params.packed().tobytes()
+        assert a.adam.m.tobytes() == b.adam.m.tobytes()
+        assert a.adam.v.tobytes() == b.adam.v.tobytes()
+        assert a.rng_state == b.rng_state
+    for a, b in zip(kernel.history, stepped.history):
+        assert a.keys() == b.keys() and a["epoch"] == b["epoch"]
+        assert (a["train_acc"], a["val_acc"]) == (b["train_acc"], b["val_acc"])
+        assert a["loss"] == pytest.approx(b["loss"], rel=1e-12, abs=0.0)

@@ -411,6 +411,20 @@ def test_checkpoint_with_a_bad_field_is_a_data_error(tiny_task, edit, key):
         trainer.Checkpoint.from_json_dict(doc, "ckpt.json")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda s: s.update(has_uint32=False),       # a boolean where numpy wants an int
+    lambda s: s["state"].update(state=-1),      # out of range for uint64
+    lambda s: s["state"].update(inc=2 ** 200),
+])
+def test_checkpoint_rng_state_must_be_a_pcg64_state(tiny_task, edit):
+    spec, dataset = tiny_task
+    doc = json.loads(json.dumps(
+        train(spec, dataset, _tiny_cfg(epochs=1)).checkpoints[0].to_json_dict()))
+    edit(doc["rng_state"])
+    with pytest.raises(DataFormatError, match=r"^ckpt\.json: .*'rng_state'"):
+        trainer.Checkpoint.from_json_dict(doc, "ckpt.json")
+
+
 def test_checkpoint_must_be_an_object_with_positive_k_bounds():
     with pytest.raises(DataFormatError, match="JSON object"):
         trainer.Checkpoint.from_json_dict([1, 2], "ckpt.json")
