@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -30,8 +29,9 @@ import numpy as np
 from . import acsolver, lattice, signals, simulator, trainer, unitcell
 from .errors import (ConfigError, DataFormatError, InvalidParameterError,
                      NearResonanceError, NumericError, PoleError,
-                     TopologyError, UndecidableError, is_json_int,
-                     is_json_number, read_text)
+                     TopologyError, UndecidableError, check_fields,
+                     is_json_number, json_text, read_json, refuse_overwrite,
+                     write_json)
 
 USAGE_EXIT = 1
 CONFIG_EXIT = 2
@@ -63,37 +63,15 @@ def _fmt_cell(v) -> str:
     return repr(float(v))
 
 
-def _guard(path: Path, force: bool) -> None:
-    if path.exists() and not force:
-        raise ConfigError(f"{path} already exists; pass --force to overwrite")
-
-
 def _write_csv(path, header, rows, force: bool) -> Path:
     path = Path(path)
-    _guard(path, force)
+    refuse_overwrite([path], force)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
     return path
-
-
-def _write_json(path, obj, force: bool) -> Path:
-    path = Path(path)
-    _guard(path, force)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _read_json(path):
-    try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _load_system(path):
@@ -143,51 +121,25 @@ def cmd_gen_dataset(args) -> int:
 
 # --- train -----------------------------------------------------------------------
 
-def _is_pair(v) -> bool:
-    return isinstance(v, list) and len(v) == 2 and all(map(is_json_number, v))
+_CONFIG_SECTIONS = {"lattice": "dict", "dataset": "dict", "train": "dict",
+                    "export": "dict"}
 
 
-# the JSON value each dataclass field annotation takes in a config section
-_FIELD_KINDS = {
-    "int": ("an integer", is_json_int),
-    "float": ("a finite number", is_json_number),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "float | None": ("a finite number or null",
-                     lambda v: v is None or is_json_number(v)),
-    "tuple[float, float]": ("a pair of finite numbers", _is_pair),
-    "tuple[float, float] | None": ("a pair of finite numbers or null",
-                                   lambda v: v is None or _is_pair(v)),
-    "tuple[float, ...]": ("a list of finite numbers",
-                          lambda v: isinstance(v, list) and all(map(is_json_number, v))),
-}
+def _section(doc: dict, name: str, kinds: dict, source) -> dict:
+    """Config section `name` of doc ({} if absent), each key optional and of
+    its kind in kinds; a ConfigError names the file and the key."""
+    return check_fields(doc.get(name, {}), kinds, source, name + ".",
+                        optional=kinds, error=ConfigError)
 
 
-def _section(doc: dict, name: str, kinds: dict) -> dict:
-    """Config section `name` of doc ({} if absent), checked against
-    {key: (description, predicate)}; an unknown key or a value of the wrong
-    JSON type is a ConfigError naming it."""
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be a JSON object")
-    for key, value in section.items():
-        if key not in kinds:
-            raise ConfigError(f"config section {name!r} has no key {key!r}; "
-                              f"expected one of {sorted(kinds)}")
-        what, ok = kinds[key]
-        if not ok(value):
-            raise ConfigError(f"config key {name}.{key} must be {what}, "
-                              f"got {value!r:.60}")
-    return section
-
-
-def _dataclass_section(doc: dict, name: str, cls) -> dict:
+def _dataclass_section(doc: dict, name: str, cls, source) -> dict:
     """Section `name` as keyword arguments of the dataclass cls."""
-    kinds = {f.name: _FIELD_KINDS[f.type] for f in dataclasses.fields(cls)}
+    # a field's annotation names its kind in errors.JSON_KINDS
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
     return {k: tuple(v) if isinstance(v, list) else v
-            for k, v in _section(doc, name, kinds).items()}
+            for k, v in _section(doc, name, kinds, source).items()}
 
 
-_MANIFEST_SECTION = {"manifest": ("a path", lambda v: isinstance(v, str))}
 _EXPORT_SECTION = {"r_target_ohm": ("a finite number > 0",
                                     lambda v: is_json_number(v) and v > 0.0),
                    "series": ("an E-series name or \"none\"",
@@ -196,20 +148,19 @@ _EXPORT_SECTION = {"r_target_ohm": ("a finite number > 0",
                                   or v.lower() == "none"))}
 
 
-def _dataset_from_config(doc: dict, base: Path) -> signals.Dataset:
-    if "dataset" not in doc:
-        raise ConfigError("config is missing the 'dataset' section")
-    if isinstance(doc["dataset"], dict) and "manifest" in doc["dataset"]:
-        path = Path(_section(doc, "dataset", _MANIFEST_SECTION)["manifest"])
+def _dataset_from_config(doc: dict, source) -> signals.Dataset:
+    if "manifest" in doc["dataset"]:
+        path = Path(check_fields(doc["dataset"], {"manifest": "str"}, source,
+                                 "dataset.", error=ConfigError)["manifest"])
         if not path.is_absolute():
-            path = base / path
+            path = Path(source).resolve().parent / path
         return signals.load_dataset(path)
     return signals.gen_dataset(signals.DatasetSpec(
-        **_dataclass_section(doc, "dataset", signals.DatasetSpec)))
+        **_dataclass_section(doc, "dataset", signals.DatasetSpec, source)))
 
 
-def _train_config_from_dict(doc: dict, seed_override) -> trainer.TrainConfig:
-    d = _dataclass_section(doc, "train", trainer.TrainConfig)
+def _train_config_from_dict(doc: dict, seed_override, source) -> trainer.TrainConfig:
+    d = _dataclass_section(doc, "train", trainer.TrainConfig, source)
     if seed_override is not None:
         d["seed"] = int(seed_override)
     if "seed" not in d:
@@ -218,41 +169,36 @@ def _train_config_from_dict(doc: dict, seed_override) -> trainer.TrainConfig:
 
 
 def cmd_train(args) -> int:
-    cfg_dict = _read_json(args.config)
-    if not isinstance(cfg_dict, dict):
-        raise DataFormatError("train config must be a JSON object")
-    unknown = set(cfg_dict) - {"lattice", "dataset", "train", "export"}
-    if unknown:
-        raise ConfigError(f"config has unknown sections {sorted(unknown)}")
-    base = Path(args.config).resolve().parent
+    source = args.config
+    cfg_dict = check_fields(read_json(source), _CONFIG_SECTIONS, source,
+                            optional=("lattice", "train", "export"),
+                            error=ConfigError)
     if "lattice" in cfg_dict:
-        spec = lattice.spec_from_json_dict(cfg_dict["lattice"])
+        spec = lattice.spec_from_json_dict(cfg_dict["lattice"], source, "lattice.")
     else:
         spec = lattice.LatticeSpec.default_grid()
-    exp_cfg = _section(cfg_dict, "export", _EXPORT_SECTION)
-    cfg = _train_config_from_dict(cfg_dict, args.seed)
-    ds = _dataset_from_config(cfg_dict, base)
+    exp_cfg = _section(cfg_dict, "export", _EXPORT_SECTION, source)
+    cfg = _train_config_from_dict(cfg_dict, args.seed, source)
+    ds = _dataset_from_config(cfg_dict, source)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.csv"
     model_path = out / "model.json"
-    _guard(metrics_path, args.force)
-    _guard(model_path, args.force)
+    refuse_overwrite([metrics_path, model_path], args.force)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
 
     resume = None
     if args.resume is not None:
-        resume = trainer.Checkpoint.from_json_dict(_read_json(args.resume),
+        resume = trainer.Checkpoint.from_json_dict(read_json(args.resume),
                                                    str(args.resume))
         resume.check_fits(spec, cfg, str(args.resume))
 
     def on_epoch(ck: trainer.Checkpoint) -> None:
-        path = ckpt_dir / f"epoch_{ck.epoch:03d}.json"
-        with open(path, "w") as fh:
-            json.dump(ck.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        # a resumed run rewrites the epochs after its checkpoint
+        write_json(ckpt_dir / f"epoch_{ck.epoch:03d}.json", ck.to_json_dict(),
+                   force=True)
         if args.verbose:
             h = ck.history[-1]
             print(f"epoch {h['epoch']:3d}  loss {h['loss']:.4f}  "
@@ -269,7 +215,7 @@ def cmd_train(args) -> int:
     if result.divergence is not None:
         model["divergence"] = result.divergence
     model["train_config"] = dataclasses.asdict(cfg)
-    _write_json(model_path, model, args.force)
+    write_json(model_path, model, args.force)
 
     print(f"metrics: {metrics_path}")
     print(f"model: {model_path}")
@@ -351,10 +297,10 @@ def cmd_classify(args) -> int:
         doc["accuracy"] = n_correct / n_labeled
         doc["confusion"] = confusion.tolist()
     if args.out is not None:
-        path = _write_json(args.out, doc, args.force)
+        path = write_json(args.out, doc, args.force)
         print(f"predictions: {path}")
     else:
-        print(json.dumps(doc, indent=1, sort_keys=True))
+        print(json_text(doc), end="")
     if n_labeled:
         print(f"accuracy: {n_correct / n_labeled:.4f} ({n_correct}/{n_labeled})")
         if args.verbose:
@@ -393,7 +339,7 @@ def cmd_simulate(args) -> int:
     except UndecidableError:
         readout["predicted_class"] = None
         readout["probabilities"] = None
-    energy_path = _write_json(out / "energies.json", readout, args.force)
+    energy_path = write_json(out / "energies.json", readout, args.force)
     print(f"energies: {energy_path}")
     if readout["predicted_class"] is not None:
         print(f"predicted class: {readout['predicted_class']} "
@@ -508,7 +454,7 @@ def cmd_export_netlist(args) -> int:
     if (args.model is None) == (args.system is None):
         raise ConfigError("give exactly one of --model or --system")
     if args.model is not None:
-        spec, mech = lattice.mech_from_json_dict(_read_json(args.model))
+        spec, mech = lattice.mech_from_json_dict(read_json(args.model), args.model)
         exp = trainer.export_trained(spec, mech, args.r_target, args.series)
         scaling, circ = exp.scaling, exp.circuit
         quantized, report = exp.quantized, exp.report

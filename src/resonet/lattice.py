@@ -20,7 +20,6 @@ is provided for hardware export.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, DataFormatError, InvalidParameterError,
-                     TopologyError, is_json_int, read_text)
+from .errors import (DataFormatError, InvalidParameterError, TopologyError,
+                     check_fields, read_json, refuse_overwrite, write_json)
 
 # Standard resistor series mantissas (IEC 60063).
 E24 = (
@@ -327,33 +326,19 @@ def spec_to_json_dict(spec: LatticeSpec) -> dict:
     }
 
 
-_SPEC_KEYS = {"rows", "cols", "grounded", "input", "outputs"}
+_SPEC_FIELDS = {"rows": "int", "cols": "int", "grounded": "list[int]",
+                "input": "int", "outputs": "list[int]"}
 
 
-def spec_from_json_dict(d: dict) -> LatticeSpec:
+def spec_from_json_dict(d: dict, source="lattice description",
+                        prefix: str = "") -> LatticeSpec:
     """Parse spec_to_json_dict output ("grounded" may be left out); a missing,
-    unknown or ill-typed key is a DataFormatError."""
-    def ints(values):
-        if not isinstance(values, list):
-            raise TypeError(f"expected a list of integers, got {values!r:.40}")
-        return [integer(v) for v in values]
-
-    def integer(v):
-        if not is_json_int(v):
-            raise TypeError(f"expected an integer, got {v!r:.40}")
-        return v
-
-    try:
-        if not isinstance(d, dict):
-            raise TypeError("expected a JSON object")
-        if set(d) - _SPEC_KEYS:
-            raise KeyError(f"unknown keys {sorted(set(d) - _SPEC_KEYS)}")
-        return LatticeSpec(rows=integer(d["rows"]), cols=integer(d["cols"]),
-                           grounded=frozenset(ints(d.get("grounded", []))),
-                           input_cell=integer(d["input"]),
-                           outputs=tuple(ints(d["outputs"])))
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"malformed lattice description: {exc}") from exc
+    unknown or ill-typed key is a DataFormatError naming `source` and the
+    key, written `prefix + key`."""
+    check_fields(d, _SPEC_FIELDS, source, prefix, optional=("grounded",))
+    return LatticeSpec(rows=d["rows"], cols=d["cols"],
+                       grounded=frozenset(d.get("grounded", ())),
+                       input_cell=d["input"], outputs=tuple(d["outputs"]))
 
 
 def mech_to_json_dict(spec: LatticeSpec, mech: MechanicalParams) -> dict:
@@ -368,17 +353,26 @@ def mech_to_json_dict(spec: LatticeSpec, mech: MechanicalParams) -> dict:
     }
 
 
-def mech_from_json_dict(d: dict) -> tuple[LatticeSpec, MechanicalParams]:
-    try:
-        spec = spec_from_json_dict(d["spec"])
-        mech = MechanicalParams(mass_outer=d["mass_outer_kg"],
-                                mass_inner=d["mass_inner_kg"],
-                                k_internal=d["k_internal"],
-                                k_coupling=d["k_coupling"])
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"malformed mechanical description: {exc}") from exc
+# model.json is a mechanical description plus the record of the training run
+# that wrote it (see resonet train); the record is not read back
+_MECH_FIELDS = {"spec": "dict", "mass_outer_kg": "tuple[float, ...]",
+                "mass_inner_kg": "tuple[float, ...]", "k_internal": "tuple[float, ...]",
+                "k_coupling": "tuple[float, ...]", "history": "list",
+                "stop_reason": "str", "divergence": "dict", "train_config": "dict"}
+
+
+def mech_from_json_dict(d: dict, source="mechanical description"
+                        ) -> tuple[LatticeSpec, MechanicalParams]:
+    """Parse mech_to_json_dict output or a model.json; a missing, unknown or
+    ill-typed key is a DataFormatError naming `source` and the key."""
+    check_fields(d, _MECH_FIELDS, source,
+                 optional=("history", "stop_reason", "divergence", "train_config"))
+    spec = spec_from_json_dict(d["spec"], source, "spec.")
+    mech = MechanicalParams(mass_outer=d["mass_outer_kg"], mass_inner=d["mass_inner_kg"],
+                            k_internal=d["k_internal"], k_coupling=d["k_coupling"])
     if len(mech.mass_outer) != spec.n_cells or len(mech.k_coupling) != spec.n_edges:
-        raise DataFormatError("mechanical parameter lengths do not match the lattice spec")
+        raise DataFormatError(f"{source}: mechanical parameter lengths do not match "
+                              "the lattice spec")
     return spec, mech
 
 
@@ -400,37 +394,39 @@ def system_to_json_dict(spec: LatticeSpec, circ: CircuitParams, s) -> dict:
     }
 
 
-def system_from_json_dict(d: dict) -> tuple[LatticeSpec, CircuitParams, ScalingFactor]:
-    try:
-        spec = spec_from_json_dict(d["spec"])
-        cells = d["cells"]
-        if len(cells) != spec.n_cells:
-            raise DataFormatError(f"expected {spec.n_cells} cell entries, got {len(cells)}")
-        edges = d["edges"]
-        if len(edges) != spec.n_edges:
-            raise DataFormatError(f"expected {spec.n_edges} edge entries, got {len(edges)}")
-        for k, (e, (a, b)) in enumerate(zip(edges, spec.edges)):
-            if (int(e["a"]), int(e["b"])) != (a, b):
-                raise DataFormatError(f"edge {k} is ({e['a']},{e['b']}), expected ({a},{b})")
-        circ = CircuitParams(
-            d_outer=[c["D_M"] for c in cells],
-            d_inner=[c["D_m"] for c in cells],
-            r_internal=[c["R_n"] for c in cells],
-            r_coupling=[e["R_c"] for e in edges],
-        )
-        return spec, circ, ScalingFactor(float(d["scaling"]))
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"malformed system description: {exc}") from exc
+_SYSTEM_FIELDS = {"spec": "dict", "cells": "list", "edges": "list",
+                  "scaling": "float"}
+_CELL_FIELDS = {"D_M": "float", "D_m": "float", "R_n": "float"}
+_EDGE_FIELDS = {"a": "int", "b": "int", "R_c": "float"}
 
 
-def _dump_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def system_from_json_dict(d: dict, source="system description"
+                          ) -> tuple[LatticeSpec, CircuitParams, ScalingFactor]:
+    """Parse system_to_json_dict output; a missing, unknown or ill-typed key,
+    or a cell or edge list that does not fit the spec, is a DataFormatError
+    naming `source` and the key or entry."""
+    check_fields(d, _SYSTEM_FIELDS, source)
+    spec = spec_from_json_dict(d["spec"], source, "spec.")
+    cells, edges = d["cells"], d["edges"]
+    for what, entries, n in (("cell", cells, spec.n_cells), ("edge", edges, spec.n_edges)):
+        if len(entries) != n:
+            raise DataFormatError(f"{source}: expected {n} {what} entries, got {len(entries)}")
+    for i, c in enumerate(cells):
+        check_fields(c, _CELL_FIELDS, source, f"cells[{i}].")
+    for k, (e, (a, b)) in enumerate(zip(edges, spec.edges)):
+        check_fields(e, _EDGE_FIELDS, source, f"edges[{k}].")
+        if (e["a"], e["b"]) != (a, b):
+            raise DataFormatError(f"{source}: edge {k} is ({e['a']},{e['b']}), "
+                                  f"expected ({a},{b})")
+    circ = CircuitParams(d_outer=[c["D_M"] for c in cells],
+                         d_inner=[c["D_m"] for c in cells],
+                         r_internal=[c["R_n"] for c in cells],
+                         r_coupling=[e["R_c"] for e in edges])
+    return spec, circ, ScalingFactor(d["scaling"])
 
 
 def save_system(path, spec: LatticeSpec, circ: CircuitParams, s) -> None:
-    _dump_json(path, system_to_json_dict(spec, circ, s))
+    write_json(path, system_to_json_dict(spec, circ, s), force=True)
 
 
 def save_system_files(out, spec: LatticeSpec, circ: CircuitParams, s,
@@ -452,21 +448,12 @@ def save_system_files(out, spec: LatticeSpec, circ: CircuitParams, s,
             (out / "quantization.json", report.to_json_dict(),
              "quantization report: {} "
              f"(max rel error {report.max_rel_error:.4%})")]
-    for path, _, _ in files:
-        if path.exists() and not force:
-            raise ConfigError(f"{path} already exists (use force to overwrite)")
-    out.mkdir(parents=True, exist_ok=True)
-    for path, doc, _ in files:
-        _dump_json(path, doc)
-    return [line.format(path) for path, _, line in files]
+    refuse_overwrite([path for path, _, _ in files], force)
+    return [line.format(write_json(path, doc, force)) for path, doc, line in files]
 
 
 def load_system(path) -> tuple[LatticeSpec, CircuitParams, ScalingFactor]:
-    try:
-        d = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return system_from_json_dict(d)
+    return system_from_json_dict(read_json(path), path)
 
 
 # --- netlist export --------------------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,8 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, DataFormatError, InvalidParameterError,
-                     is_json_int, is_json_number, read_text)
+from .errors import (DataFormatError, InvalidParameterError, check_fields,
+                     is_json_number, read_json, read_text, refuse_overwrite,
+                     write_json)
 
 DEFAULT_G_M = 1e-6  # transconductance (S) used for swept-sine injection
 
@@ -181,8 +181,7 @@ def save_dataset(ds: Dataset, out_dir, force: bool = False) -> Path:
     """Write one bare-values CSV per sample plus manifest.json; returns manifest path."""
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
-    if manifest_path.exists() and not force:
-        raise ConfigError(f"{manifest_path} already exists (use force to overwrite)")
+    refuse_overwrite([manifest_path], force)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for s in ds.samples:
@@ -195,10 +194,12 @@ def save_dataset(ds: Dataset, out_dir, force: bool = False) -> Path:
         "classes": list(ds.spec.centers_hz),
         "samples": entries,
     }
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return manifest_path
+    return write_json(manifest_path, manifest, force)
+
+
+_MANIFEST_FIELDS = {"rate": ("a finite number > 0", lambda v: is_json_number(v) and v > 0.0),
+                    "classes": "tuple[float, ...]", "samples": "list"}
+_ENTRY_FIELDS = {"path": "str", "label": "int", "split": "str"}
 
 
 def load_dataset(manifest_path) -> Dataset:
@@ -208,35 +209,14 @@ def load_dataset(manifest_path) -> Dataset:
     counts are those of the largest class in each split (train at least 1).
     """
     path = Path(manifest_path)
-    try:
-        manifest = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DataFormatError(f"{path}: malformed manifest: expected a JSON object")
-    for key, ok, what in (
-            ("rate", lambda v: is_json_number(v) and v > 0.0, "a number > 0"),
-            ("classes", lambda v: isinstance(v, list) and all(map(is_json_number, v)),
-             "a list of numbers"),
-            ("samples", lambda v: isinstance(v, list), "a list of entries")):
-        if key not in manifest:
-            raise DataFormatError(f"{path}: malformed manifest: no {key!r}")
-        if not ok(manifest[key]):
-            raise DataFormatError(f"{path}: {key!r} must be {what}")
+    manifest = check_fields(read_json(path), _MANIFEST_FIELDS, path)
     rate = float(manifest["rate"])
     centers = tuple(float(c) for c in manifest["classes"])
-    entries = manifest["samples"]
     counters: dict[tuple[int, str], int] = {}
     samples = []
-    for i, e in enumerate(entries):
-        try:
-            name, label, split = e["path"], e["label"], e["split"]
-            if not (isinstance(name, str) and isinstance(split, str)
-                    and is_json_int(label)):
-                raise TypeError("path and split must be strings, label an integer")
-        except (KeyError, TypeError) as exc:
-            raise DataFormatError(f"{path}: sample entry {i} is malformed "
-                                  f"({type(exc).__name__}: {exc})") from exc
+    for i, e in enumerate(manifest["samples"]):
+        check_fields(e, _ENTRY_FIELDS, f"{path}: sample entry {i}")
+        name, label, split = e["path"], e["label"], e["split"]
         if not 0 <= label < len(centers):
             raise DataFormatError(f"{path}: sample entry {i} ({name}) has label "
                                   f"{label}, outside 0..{len(centers) - 1}")

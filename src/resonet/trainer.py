@@ -44,7 +44,7 @@ import numpy as np
 
 from . import simulator
 from .errors import (ConfigError, DataFormatError, InvalidParameterError,
-                     NumericError)
+                     NumericError, check_fields)
 from .lattice import (CircuitParams, LatticeSpec, MechanicalParams,
                       QuantizationReport, ScalingFactor, choose_scaling,
                       mech_to_circuit, quantize_eseries)
@@ -272,7 +272,7 @@ def _adjoint_grad(sys: simulator.SystemMatrices, dt: float, src: np.ndarray,
     # so the GEMM below takes its (n, (T-1) B) flattening as a view: no
     # (T, n, B) lambda and no transposed copy of it
     chunk = simulator.CHUNK
-    lam = np.empty((n, t_len - 1, batch))
+    lam = np.empty((n, max(t_len - 1, 0), batch))   # a zero-length drive has none
     ring = np.empty((chunk + 2, n, batch))
     ring[chunk:] = 0.0
     a_lam = np.empty((n, batch))
@@ -440,52 +440,25 @@ class Checkpoint:
 
     @classmethod
     def from_json_dict(cls, d: dict, source: str = "checkpoint") -> "Checkpoint":
-        """Parse `to_json_dict` output; a missing or ill-typed field is a
-        DataFormatError naming `source` and the key."""
-        def field(doc, key, kind, name=None):
-            name = name or key
-            if key not in doc:
-                raise DataFormatError(f"{source}: checkpoint has no {name!r}")
-            value = doc[key]
-            if not _CHECKPOINT_KINDS[kind](value):
-                raise DataFormatError(f"{source}: checkpoint field {name!r} must be "
-                                      f"{kind}, got {value!r:.60}")
-            return value
-
-        if not isinstance(d, dict):
-            raise DataFormatError(f"{source}: checkpoint must be a JSON object")
-        k_min, k_max = field(d, "k_min", "a number"), field(d, "k_max", "a number")
-        if not 0.0 < k_min < k_max:
+        """Parse `to_json_dict` output; a missing, unknown or ill-typed field
+        is a DataFormatError naming `source` and the key."""
+        check_fields(d, _CHECKPOINT_FIELDS, source)
+        adam = check_fields(d["adam"], _ADAM_FIELDS, source, "adam.")
+        for i, h in enumerate(d["history"]):
+            check_fields(h, _HISTORY_FIELDS, source, f"history[{i}].")
+        if not 0.0 < d["k_min"] < d["k_max"]:
             raise DataFormatError(f"{source}: checkpoint needs 0 < k_min < k_max")
-        params = TrainableParams(theta_kn=np.asarray(field(d, "theta_kn", "a vector")),
-                                 theta_kc=np.asarray(field(d, "theta_kc", "a vector")),
-                                 k_min=k_min, k_max=k_max)
-        a = field(d, "adam", "an object")
-
-        def adam_field(key, kind):
-            return field(a, key, kind, "adam." + key)
-
-        adam = AdamState(m=np.asarray(adam_field("m", "a vector")),
-                         v=np.asarray(adam_field("v", "a vector")),
-                         t=adam_field("t", "an integer"), lr=adam_field("lr", "a number"),
-                         beta1=adam_field("beta1", "a number"),
-                         beta2=adam_field("beta2", "a number"),
-                         eps=adam_field("eps", "a number"))
-        rng_state = field(d, "rng_state", "a PCG64 state")
         try:
-            np.random.PCG64().state = rng_state
+            np.random.PCG64().state = d["rng_state"]
         except (OverflowError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{source}: checkpoint field 'rng_state' is not a "
                                   f"generator state: {exc}") from exc
-        history = field(d, "history", "a list")
-        for i, h in enumerate(history):
-            if not isinstance(h, dict):
-                raise DataFormatError(f"{source}: checkpoint history[{i}] must be an object")
-            field(h, "epoch", "an integer", f"history[{i}].epoch")
-            for key in ("loss", "train_acc", "val_acc"):
-                field(h, key, "a number or NaN", f"history[{i}].{key}")
-        return cls(epoch=field(d, "epoch", "an integer"), params=params, adam=adam,
-                   rng_state=rng_state, history=list(history))
+        params = TrainableParams(theta_kn=np.asarray(d["theta_kn"]),
+                                 theta_kc=np.asarray(d["theta_kc"]),
+                                 k_min=d["k_min"], k_max=d["k_max"])
+        adam = AdamState(**dict(adam, m=np.asarray(adam["m"]), v=np.asarray(adam["v"])))
+        return cls(epoch=d["epoch"], params=params, adam=adam,
+                   rng_state=d["rng_state"], history=list(d["history"]))
 
     def check_fits(self, spec: LatticeSpec, cfg: TrainConfig,
                    source: str = "checkpoint") -> None:
@@ -510,10 +483,6 @@ class Checkpoint:
                                   "checkpoint's value")
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _like(value, template) -> bool:
     """Whether value has template's JSON structure: the same keys, integers
     where it has integers, and its strings."""
@@ -525,16 +494,15 @@ def _like(value, template) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-_CHECKPOINT_KINDS = {
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a number": lambda v: _is_number(v) and math.isfinite(v),
-    "a number or NaN": _is_number,
-    "a vector": lambda v: isinstance(v, list) and all(
-        _is_number(x) and math.isfinite(x) for x in v),
-    "an object": lambda v: isinstance(v, dict),
-    "a list": lambda v: isinstance(v, list),
-    "a PCG64 state": lambda v: _like(v, np.random.PCG64().state),
-}
+_CHECKPOINT_FIELDS = {
+    "k_min": "float", "k_max": "float", "theta_kn": "tuple[float, ...]",
+    "theta_kc": "tuple[float, ...]", "adam": "dict",
+    "rng_state": ("a PCG64 state", lambda v: _like(v, np.random.PCG64().state)),
+    "history": "list", "epoch": "int"}
+_ADAM_FIELDS = {"m": "tuple[float, ...]", "v": "tuple[float, ...]", "t": "int",
+                "lr": "float", "beta1": "float", "beta2": "float", "eps": "float"}
+_HISTORY_FIELDS = {"epoch": "int", "loss": "float | nan", "train_acc": "float | nan",
+                   "val_acc": "float | nan"}
 
 
 @dataclass(frozen=True)
@@ -637,25 +605,17 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
             idx = None
             sys = _assemble_checked(spec, cfg, params, dt)
             train_eval = _score(sys, *train_set, cfg.prob_epsilon)
+            if not math.isfinite(train_eval.loss):
+                raise NumericError(f"training loss is {train_eval.loss}")
             split = "test"
             val_eval = _score(sys, *val_set, cfg.prob_epsilon) if val_set else None
         except NumericError as exc:
+            # roll back to the last completed epoch, or to where the run began
             divergence = _divergence(epoch, exc, split, idx)
             stop_reason = "diverged"
             aborted = True
-            if checkpoints:
-                last = checkpoints[-1]
-                params, adam, history = last.params, last.adam, list(last.history)
-            elif resume is not None:
-                params, adam = resume.params, resume.adam
-            break
-        if not math.isfinite(train_eval.loss):
-            divergence = {"epoch": epoch, "message": f"training loss is {train_eval.loss}",
-                          "step": None, "sample": None, "split": None}
-            stop_reason = "diverged"
-            aborted = True
-            if checkpoints:
-                last = checkpoints[-1]
+            last = checkpoints[-1] if checkpoints else resume
+            if last is not None:
                 params, adam, history = last.params, last.adam, list(last.history)
             break
         history.append({

@@ -155,6 +155,19 @@ def test_resume_matches_the_uninterrupted_run(workspace, tmp_path):
         (workspace["run1"] / "model.json").read_bytes()
 
 
+def test_resume_rewrites_later_checkpoints_without_force(workspace, tmp_path):
+    # an interrupted run holds checkpoints past the one it resumes from
+    run4 = tmp_path / "run4"
+    shutil.copytree(workspace["run1"] / "checkpoints", run4 / "checkpoints")
+    (run4 / "checkpoints" / "epoch_003.json").write_text("stale")
+    rc = run_cli(["train", "--config", workspace["config"], "--out", run4,
+                  "--resume", run4 / "checkpoints" / "epoch_001.json"])
+    assert rc == 0
+    for epoch in (1, 2, 3):
+        name = f"checkpoints/epoch_{epoch:03d}.json"
+        assert (run4 / name).read_bytes() == (workspace["run1"] / name).read_bytes()
+
+
 def test_resume_checkpoint_missing_a_field_exits_2(workspace, tmp_path, capsys):
     ckpt = tmp_path / "partial.json"
     ckpt.write_text(json.dumps({"epoch": 1, "theta_kn": [1.0]}))

@@ -1,11 +1,12 @@
 """Property tests at the CLI boundary.
 
-A malformed or mis-encoded train config, dataset manifest or checkpoint must
-end ``resonet`` with exit 2 and a one-line error, never a traceback.  Each
-property starts from a valid document and breaks it one way: bytes that are
-not text, a truncated text, a field of the wrong JSON type, a missing or an
-unknown key.  The broken values are never numbers, so no example can turn into
-a valid (and possibly long) run.
+A malformed or mis-encoded train config, dataset manifest, checkpoint,
+system.json or model.json must end ``resonet`` with exit 2 and a one-line
+error, never a traceback.  Each property starts from a valid document and
+breaks it one way: bytes that are not text, a truncated text, a field of the
+wrong JSON type, a missing or an unknown key.  The broken values are never
+numbers, so no example can turn into a valid (and possibly long) run.  Every
+JSON file resonet writes must read back through the same readers.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from resonet import cli
+from resonet import cli, lattice, signals, trainer
+from resonet.errors import json_text, read_json
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -56,7 +58,8 @@ def assert_data_error(code, err):
 
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
-    """A tiny dataset, a valid config for it, one checkpoint and one system."""
+    """A tiny dataset, a valid config for it, and the run it trains: one
+    checkpoint, model.json and system.json."""
     base = tmp_path_factory.mktemp("props")
     assert cli.main(["gen-dataset", "--out", str(base / "ds"), "--seed", "2",
                      "--centers", "30,50", "--duration", "0.2", "--sigma", "0.03",
@@ -70,7 +73,10 @@ def ws(tmp_path_factory):
     checkpoint = json.loads((base / "run" / "checkpoints" / "epoch_001.json").read_text())
     manifest = json.loads((base / "ds" / "manifest.json").read_text())
     return {"base": base, "config": config, "checkpoint": checkpoint,
-            "manifest": manifest, "system": base / "run" / "system.json"}
+            "manifest": manifest, "system": base / "run" / "system.json",
+            "docs": {"system": json.loads((base / "run" / "system.json").read_text()),
+                     "model": json.loads((base / "run" / "model.json").read_text())},
+            "csv": base / "ds" / manifest["samples"][0]["path"]}
 
 
 def _paths(doc, prefix=()):
@@ -240,3 +246,113 @@ def test_checkpoint_with_an_ill_typed_or_missing_field_exits_2(ws, capsys, data)
 def test_checkpoint_that_is_not_text_or_not_json_exits_2(ws, capsys, data):
     assert_data_error(*_resume(ws, _mangled(json.dumps(ws["checkpoint"]), data),
                                capsys))
+
+
+# --- system.json and model.json ------------------------------------------------------
+
+# the record of the run in model.json is not read back: it may be left out, like
+# the spec's "grounded", and only its top-level types are checked
+RUN_RECORD = ("history", "stop_reason", "divergence", "train_config")
+OPTIONAL = {"grounded", *RUN_RECORD}
+
+
+def _read_back(ws, which, doc_bytes, capsys) -> list[str]:
+    """Every command that reads the broken file must exit 2; returns their
+    error lines."""
+    path = ws["base"] / f"fuzz_{which}.json"
+    path.write_bytes(doc_bytes)
+    out = ws["base"] / "fuzz_export"
+    if which == "model":
+        commands = [["export-netlist", "--model", path, "--out", out, "--force"]]
+    else:
+        commands = [["classify", "--system", path, "--input", ws["csv"], "--rate", "2000"],
+                    ["export-netlist", "--system", path, "--out", out, "--force"]]
+    errors = []
+    for argv in commands:
+        code, err = run_cli(argv, capsys)
+        assert_data_error(code, err)
+        errors.append(err)
+    return errors
+
+
+def _checked_paths(doc):
+    return [(p, v) for p, v in _paths(doc) if p[0] not in RUN_RECORD or len(p) == 1]
+
+
+@pytest.mark.parametrize("which", ["system", "model"])
+@SETTINGS
+@given(data=st.data())
+def test_system_or_model_with_an_ill_typed_or_missing_field_exits_2(ws, capsys, which,
+                                                                    data):
+    doc = ws["docs"][which]
+    path, original = data.draw(st.sampled_from(_checked_paths(doc)))
+    if (isinstance(path[-1], str) and path[-1] not in OPTIONAL
+            and data.draw(st.booleans())):
+        broken = _deleted(doc, path)
+    else:
+        broken = _replaced(doc, path,
+                           data.draw(WRONG.filter(lambda v: type(v) is not type(original))))
+    _read_back(ws, which, json.dumps(broken).encode(), capsys)
+
+
+@pytest.mark.parametrize("which", ["system", "model"])
+@SETTINGS
+@given(data=st.data())
+def test_system_or_model_with_an_unknown_key_exits_2(ws, capsys, which, data):
+    doc = ws["docs"][which]
+    objects = [()] + [p for p, v in _paths(doc)
+                      if isinstance(v, dict) and p[0] not in RUN_RECORD]
+    where = data.draw(st.sampled_from(objects))
+    target = doc
+    for key in where:
+        target = target[key]
+    key = data.draw(st.text(max_size=8).filter(lambda k: k not in target))
+    broken = _replaced(doc, where + (key,), data.draw(SCALARS))
+    _read_back(ws, which, json.dumps(broken).encode(), capsys)
+
+
+@pytest.mark.parametrize("which", ["system", "model"])
+@SETTINGS
+@given(doc=st.recursive(SCALARS, lambda c: st.lists(c, max_size=3), max_leaves=6))
+def test_system_or_model_that_is_not_an_object_exits_2(ws, capsys, which, doc):
+    _read_back(ws, which, json.dumps(doc).encode(), capsys)
+
+
+@pytest.mark.parametrize("which", ["system", "model"])
+@SETTINGS
+@given(data=st.data())
+def test_system_or_model_that_is_not_text_or_not_json_exits_2(ws, capsys, which, data):
+    _read_back(ws, which, _mangled(json.dumps(ws["docs"][which]), data), capsys)
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("scaling",), "abc", "'scaling'"),
+    (("edges", 0, "a"), "x", "'edges[0].a'"),
+    (("edges", 1, "R_c"), "1e6", "'edges[1].R_c'"),
+    (("cells", 2, "D_M"), True, "'cells[2].D_M'"),
+])
+def test_system_value_of_another_json_type_names_the_key(ws, capsys, path, value, named):
+    broken = _replaced(ws["docs"]["system"], path, value)
+    for err in _read_back(ws, "system", json.dumps(broken).encode(), capsys):
+        assert f"fuzz_system.json: {named} must be " in err
+
+
+def test_every_json_file_resonet_writes_reads_back(ws):
+    base, run = ws["base"], ws["base"] / "run"
+    manifest = ws["manifest"]
+    ds = signals.load_dataset(base / "ds" / "manifest.json")
+    assert ds.spec.rate_hz == manifest["rate"]
+    assert list(ds.spec.centers_hz) == manifest["classes"]
+    assert [(s.source.name, s.label, s.split) for s in ds.samples] == \
+        [(e["path"], e["label"], e["split"]) for e in manifest["samples"]]
+    for ckpt_path in sorted((run / "checkpoints").iterdir()):
+        ckpt = trainer.Checkpoint.from_json_dict(read_json(ckpt_path), str(ckpt_path))
+        assert json_text(ckpt.to_json_dict()) == ckpt_path.read_text()
+    model = read_json(run / "model.json")
+    spec, mech = lattice.mech_from_json_dict(model, run / "model.json")
+    written = lattice.mech_to_json_dict(spec, mech)
+    assert written == {k: v for k, v in model.items() if k not in RUN_RECORD}
+    for name in ("system.json", "system_quantized.json"):
+        spec, circ, scaling = lattice.load_system(run / name)
+        assert json_text(lattice.system_to_json_dict(spec, circ, scaling)) == \
+            (run / name).read_text()

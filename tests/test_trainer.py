@@ -89,6 +89,19 @@ def test_zero_drive_has_exactly_zero_gradient():
     np.testing.assert_allclose(probs, 0.5, rtol=1e-12)
 
 
+def test_zero_length_drive_has_log_c_loss_and_zero_gradient():
+    spec = LatticeSpec(rows=2, cols=2, grounded=(), input_cell=0, outputs=(2, 3))
+    cfg = TrainConfig()
+    params = init_params(spec, cfg, (40.0, 60.0), np.random.default_rng(0))
+    loss, probs, grad, energies = loss_and_grad(spec, cfg, params, np.zeros((0, 3)),
+                                                np.array([0, 1, 0]), 1.0 / 2000.0)
+    assert loss == pytest.approx(math.log(2.0), rel=1e-12)
+    np.testing.assert_array_equal(grad, 0.0)
+    assert grad.shape == (spec.n_cells + spec.n_edges,)
+    np.testing.assert_array_equal(energies, 0.0)
+    np.testing.assert_allclose(probs, 0.5, rtol=1e-12)
+
+
 def test_parameters_behind_grounded_wall_get_zero_gradient():
     # Grounding the middle column splits the grid: input and outputs live in
     # the west column, the east column never moves.  Every stiffness that only
@@ -387,6 +400,38 @@ def test_resume_refuses_another_optimizer_setting(tiny_task, key, value):
     np.testing.assert_array_equal(resumed.params.theta_kc, full.params.theta_kc)
 
 
+def test_training_on_empty_signals_scores_log_c_and_keeps_its_parameters(tiny_task):
+    spec, dataset = tiny_task
+    empty = Dataset(spec=dataset.spec, samples=tuple(
+        replace(s, signal=Signal(s.signal.rate_hz, np.zeros(0))) for s in dataset.samples))
+    result = train(spec, empty, _tiny_cfg(epochs=2))
+    assert result.stop_reason == "epochs" and result.divergence is None
+    assert [h["loss"] for h in result.history] == pytest.approx([math.log(2.0)] * 2,
+                                                                rel=1e-12)
+    np.testing.assert_array_equal(result.params.packed(),
+                                  result.checkpoints[0].params.packed())
+
+
+def test_non_finite_loss_rolls_back_to_the_resumed_checkpoint(tiny_task, monkeypatch):
+    spec, dataset = tiny_task
+    cfg = _tiny_cfg(epochs=3)
+    ckpt = train(spec, dataset, cfg).checkpoints[0]
+    real_score = trainer._score
+
+    def nan_loss(*args):
+        return replace(real_score(*args), loss=math.nan)
+
+    monkeypatch.setattr(trainer, "_score", nan_loss)
+    result = train(spec, dataset, cfg, resume=ckpt)
+    assert result.aborted and result.stop_reason == "diverged"
+    assert result.divergence == {"epoch": 2, "message": "training loss is nan",
+                                 "step": None, "sample": None, "split": None}
+    assert result.history == tuple(ckpt.history) and result.checkpoints == ()
+    np.testing.assert_array_equal(result.params.packed(), ckpt.params.packed())
+    np.testing.assert_array_equal(result.mech.k_coupling,
+                                  mech_from_params(spec, cfg, ckpt.params).k_coupling)
+
+
 def test_healthy_run_reports_no_divergence(tiny_task):
     spec, dataset = tiny_task
     assert train(spec, dataset, _tiny_cfg(epochs=1)).divergence is None
@@ -428,8 +473,12 @@ def test_checkpoint_rng_state_must_be_a_pcg64_state(tiny_task, edit):
 def test_checkpoint_must_be_an_object_with_positive_k_bounds():
     with pytest.raises(DataFormatError, match="JSON object"):
         trainer.Checkpoint.from_json_dict([1, 2], "ckpt.json")
+    params = TrainableParams(theta_kn=[0.0], theta_kc=[0.0], k_min=-1.0, k_max=1.0)
+    doc = json.loads(json.dumps(trainer.Checkpoint(
+        epoch=1, params=params, adam=AdamState.fresh(2, 0.1),
+        rng_state=np.random.PCG64(0).state, history=[]).to_json_dict()))
     with pytest.raises(DataFormatError, match="0 < k_min < k_max"):
-        trainer.Checkpoint.from_json_dict({"k_min": -1.0, "k_max": 1.0})
+        trainer.Checkpoint.from_json_dict(doc)
 
 
 @pytest.mark.parametrize("field", ["theta_kn", "theta_kc", "adam.m", "adam.v"])
