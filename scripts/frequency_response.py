@@ -78,11 +78,14 @@ def main(argv=None) -> int:
                  axis=1)
     h_ref, ref_flags = acsolver.transmission(sys_m,
                                              2.0 * np.pi * meas.freqs_hz[far])
-    ok = np.array([f == "" for f in ref_flags])
-    rel = (np.abs(meas.h[:, far][:, ok] - h_ref[:, ok])
-           / np.abs(h_ref[:, ok]))
-    print(f"worst swept-sine vs AC disagreement >= 2 Hz from resonance: "
-          f"{float(np.max(rel)):.2%} over {int(ok.sum())} bins")
+    ok = np.array([f == "" for f in ref_flags], dtype=bool)
+    if ok.any():
+        rel = (np.abs(meas.h[:, far][:, ok] - h_ref[:, ok])
+               / np.abs(h_ref[:, ok]))
+        print(f"worst swept-sine vs AC disagreement >= 2 Hz from resonance: "
+              f"{float(np.max(rel)):.2%} over {int(ok.sum())} bins")
+    else:
+        print("no unflagged swept-sine bin lies >= 2 Hz from a resonance")
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)

@@ -109,11 +109,17 @@ def _pair(v) -> bool:
     return _numbers(v) and len(v) == 2
 
 
+def _positive(v) -> bool:
+    return is_json_number(v) and v > 0
+
+
 # what each kind of field holds, as (description, predicate on the parsed
-# JSON value); a kind is named by the annotation of the value it is read into
+# JSON value); a kind is named by the annotation of the value it is read
+# into, with "> 0" for element values and scales
 JSON_KINDS = {
     "int": ("an integer", is_json_int),
     "float": ("a finite number", is_json_number),
+    "float > 0": ("a finite number > 0", _positive),
     "float | nan": ("a number or NaN",
                     lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
     "float | None": ("a finite number or null", lambda v: v is None or is_json_number(v)),
@@ -124,6 +130,8 @@ JSON_KINDS = {
     "list[int]": ("a list of integers",
                   lambda v: isinstance(v, list) and all(map(is_json_int, v))),
     "tuple[float, ...]": ("a list of finite numbers", _numbers),
+    "tuple[float > 0, ...]": ("a list of finite numbers > 0",
+                              lambda v: isinstance(v, list) and all(map(_positive, v))),
     "tuple[float, float]": ("a pair of finite numbers", _pair),
     "tuple[float, float] | None": ("a pair of finite numbers or null",
                                    lambda v: v is None or _pair(v)),

@@ -83,9 +83,11 @@ class LatticeSpec:
         object.__setattr__(self, "outputs", tuple(int(i) for i in self.outputs))
         object.__setattr__(self, "input_cell", int(self.input_cell))
         n = self.n_cells
-        for i in self.grounded | {self.input_cell, *self.outputs}:
-            if not 0 <= i < n:
-                raise TopologyError(f"cell index {i} outside 0..{n - 1}")
+        for what, cells in (("grounded", self.grounded), ("input", (self.input_cell,)),
+                            ("output", self.outputs)):
+            for i in cells:
+                if not 0 <= i < n:
+                    raise TopologyError(f"{what} cell index {i} outside 0..{n - 1}")
         if self.input_cell in self.grounded:
             raise TopologyError("input cell must not be grounded")
         if len(set(self.outputs)) != len(self.outputs):
@@ -333,12 +335,16 @@ _SPEC_FIELDS = {"rows": "int", "cols": "int", "grounded": "list[int]",
 def spec_from_json_dict(d: dict, source="lattice description",
                         prefix: str = "") -> LatticeSpec:
     """Parse spec_to_json_dict output ("grounded" may be left out); a missing,
-    unknown or ill-typed key is a DataFormatError naming `source` and the
-    key, written `prefix + key`."""
+    unknown or ill-typed key, or a grid LatticeSpec refuses, is a
+    DataFormatError naming `source` and the key, written `prefix + key`."""
     check_fields(d, _SPEC_FIELDS, source, prefix, optional=("grounded",))
-    return LatticeSpec(rows=d["rows"], cols=d["cols"],
-                       grounded=frozenset(d.get("grounded", ())),
-                       input_cell=d["input"], outputs=tuple(d["outputs"]))
+    try:
+        return LatticeSpec(rows=d["rows"], cols=d["cols"],
+                           grounded=frozenset(d.get("grounded", ())),
+                           input_cell=d["input"], outputs=tuple(d["outputs"]))
+    except (InvalidParameterError, TopologyError) as exc:
+        where = f"{prefix[:-1]}: " if prefix else ""
+        raise DataFormatError(f"{source}: {where}{exc}") from exc
 
 
 def mech_to_json_dict(spec: LatticeSpec, mech: MechanicalParams) -> dict:
@@ -355,25 +361,29 @@ def mech_to_json_dict(spec: LatticeSpec, mech: MechanicalParams) -> dict:
 
 # model.json is a mechanical description plus the record of the training run
 # that wrote it (see resonet train); the record is not read back
-_MECH_FIELDS = {"spec": "dict", "mass_outer_kg": "tuple[float, ...]",
-                "mass_inner_kg": "tuple[float, ...]", "k_internal": "tuple[float, ...]",
-                "k_coupling": "tuple[float, ...]", "history": "list",
+_MECH_FIELDS = {"spec": "dict", "mass_outer_kg": "tuple[float > 0, ...]",
+                "mass_inner_kg": "tuple[float > 0, ...]",
+                "k_internal": "tuple[float > 0, ...]",
+                "k_coupling": "tuple[float > 0, ...]", "history": "list",
                 "stop_reason": "str", "divergence": "dict", "train_config": "dict"}
 
 
 def mech_from_json_dict(d: dict, source="mechanical description"
                         ) -> tuple[LatticeSpec, MechanicalParams]:
     """Parse mech_to_json_dict output or a model.json; a missing, unknown or
-    ill-typed key is a DataFormatError naming `source` and the key."""
+    ill-typed key, a value that is not > 0, or a list that does not fit the
+    spec is a DataFormatError naming `source` and the key."""
     check_fields(d, _MECH_FIELDS, source,
                  optional=("history", "stop_reason", "divergence", "train_config"))
     spec = spec_from_json_dict(d["spec"], source, "spec.")
-    mech = MechanicalParams(mass_outer=d["mass_outer_kg"], mass_inner=d["mass_inner_kg"],
-                            k_internal=d["k_internal"], k_coupling=d["k_coupling"])
-    if len(mech.mass_outer) != spec.n_cells or len(mech.k_coupling) != spec.n_edges:
-        raise DataFormatError(f"{source}: mechanical parameter lengths do not match "
-                              "the lattice spec")
-    return spec, mech
+    for key in ("mass_outer_kg", "mass_inner_kg", "k_internal", "k_coupling"):
+        n = spec.n_edges if key == "k_coupling" else spec.n_cells
+        if len(d[key]) != n:
+            raise DataFormatError(f"{source}: expected {n} {key!r} entries, "
+                                  f"got {len(d[key])}")
+    return spec, MechanicalParams(mass_outer=d["mass_outer_kg"],
+                                  mass_inner=d["mass_inner_kg"],
+                                  k_internal=d["k_internal"], k_coupling=d["k_coupling"])
 
 
 def system_to_json_dict(spec: LatticeSpec, circ: CircuitParams, s) -> dict:
@@ -395,16 +405,17 @@ def system_to_json_dict(spec: LatticeSpec, circ: CircuitParams, s) -> dict:
 
 
 _SYSTEM_FIELDS = {"spec": "dict", "cells": "list", "edges": "list",
-                  "scaling": "float"}
-_CELL_FIELDS = {"D_M": "float", "D_m": "float", "R_n": "float"}
-_EDGE_FIELDS = {"a": "int", "b": "int", "R_c": "float"}
+                  "scaling": "float > 0"}
+_CELL_FIELDS = {"D_M": "float > 0", "D_m": "float > 0", "R_n": "float > 0"}
+_EDGE_FIELDS = {"a": "int", "b": "int", "R_c": "float > 0"}
 
 
 def system_from_json_dict(d: dict, source="system description"
                           ) -> tuple[LatticeSpec, CircuitParams, ScalingFactor]:
     """Parse system_to_json_dict output; a missing, unknown or ill-typed key,
-    or a cell or edge list that does not fit the spec, is a DataFormatError
-    naming `source` and the key or entry."""
+    an element value or scaling that is not > 0, or a cell or edge list that
+    does not fit the spec, is a DataFormatError naming `source` and the key
+    or entry."""
     check_fields(d, _SYSTEM_FIELDS, source)
     spec = spec_from_json_dict(d["spec"], source, "spec.")
     cells, edges = d["cells"], d["edges"]

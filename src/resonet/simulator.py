@@ -24,30 +24,24 @@ bound max|u| <= limit once per CHUNK steps; only when a chunk fails the check
 is it rescanned row by row, so the error names the first step (and batch
 sample) past the limit exactly as a per-step check would.
 
-The recurrence is linear and time-invariant, so ``run`` takes one of three
-paths, each built from what ``leapfrog`` itself generates:
+The recurrence is linear and time-invariant, so the response from rest is
+the drive convolved with the impulse response.  ``_kernel`` generates it with
+``leapfrog`` and caches its spectrum and gain on ``SystemMatrices`` (at most
+KERNELS of them); ``_convolve`` is the one FFT convolution.  With dt within
+the stability limit, ``run`` uses them two ways, both equal to stepping to
+rounding:
 
 * A drive from rest (no initial state, or an all-zero one) shorter than
-  MIN_BLOCKS * BLOCK steps, with dt within the stability limit, is one FFT
-  convolution with the impulse response.  The kernel (the spectrum of the
-  impulse response at the recorded DOFs and its gain max_i sum_t |h_i[t]|)
-  is cached on ``SystemMatrices`` per (dt, steps, recorded DOFs), at most
-  KERNELS of them.  The result agrees with stepping to rounding.
-* A drive of at least MIN_BLOCKS * BLOCK steps, with dt within the stability
-  limit, is evaluated block by block from operators generated over one
-  BLOCK-step block: the impulse response, the free response to each unit
-  initial state, and the block transition.  Inside a block the trajectory is
-  the free response plus an FFT convolution of the drive with the impulse
-  response; a scan over blocks carries the state.  The result agrees with
-  stepping to rounding.
-* Everything else (an initial state on a short drive, dt beyond the limit
-  under enforce_stability=False) steps with ``leapfrog`` and equals it bit
-  for bit.
+  MIN_BLOCKS * BLOCK steps is one convolution, as are ``trainer``'s scores.
+* A longer drive is evaluated BLOCK steps at a time: each block is the free
+  response to the state entering it plus its drive convolved with the
+  BLOCK-step kernel, and a scan over blocks carries the state.
 
-The first two keep the blow-up check through a bound on |u| over all DOFs
-(max|x| times the gain, plus the free response's bound for blocks): when it
-cannot rule out |u| > limit, ``run`` steps with ``leapfrog`` instead, which
-raises at the exact step or returns its own result.
+Everything else (an initial state on a short drive, dt beyond the limit
+under enforce_stability=False) steps with ``leapfrog`` and equals it bit for
+bit, and so does a drive whose bound on |u| over all DOFs (max|x| times the
+gain, plus the free response's bound for blocks) cannot rule out |u| > limit:
+stepping then raises at the exact step or returns its own result.
 
 The natural frequencies behind the stability limit come from one eigensolve
 per system, cached on ``SystemMatrices``.
@@ -411,16 +405,18 @@ def run(sys: SystemMatrices, signal: "Signal | None" = None,
     dofs = _recorded_dofs(sys, cfg)
     u_prev, u_curr = _initial_pair(sys, initial)
     drive = np.zeros(n_steps) if signal is None else np.asarray(signal.values, dtype=float)
-    cols = np.asarray(dofs, dtype=int)
     values = None
     if dt <= dt_max:
         if n_steps >= MIN_BLOCKS * BLOCK:
-            values = _run_blocked(sys, dt, drive, u_prev, u_curr, cols,
+            values = _run_blocked(sys, dt, drive, u_prev, u_curr, dofs,
                                   cfg.blowup_limit)
-        elif n_steps and not (np.any(u_prev) or np.any(u_curr)):
-            values = _run_kernel(sys, dt, drive, dofs, cfg.blowup_limit)
+        elif not (np.any(u_prev) or np.any(u_curr)):
+            spectrum = _bounded_kernel(sys, dt, drive, dofs, cfg.blowup_limit)
+            if spectrum is not None:
+                values = _convolve(spectrum, _drive_spectra(drive), n_steps).T
     if values is None:
-        values = leapfrog(sys, dt, drive, u_prev, u_curr, cols, cfg.blowup_limit)
+        values = leapfrog(sys, dt, drive, u_prev, u_curr,
+                          np.asarray(dofs, dtype=int), cfg.blowup_limit)
     return Trajectory(dt=dt, dofs=dofs, values=values)
 
 
@@ -436,64 +432,67 @@ def _initial_pair(sys: SystemMatrices, initial) -> tuple[np.ndarray, np.ndarray]
     return pair
 
 
-def _impulse_response(sys: SystemMatrices, dt: float, steps: int):
-    """leapfrog's response to a unit drive at step 0, BLOCK rows at a time.
+def _fft_size(steps: int) -> int:
+    """The FFT length of every convolution over `steps` steps: the power of
+    two >= 2 * steps, so the circular product is the linear convolution."""
+    return 1 << (2 * steps - 1).bit_length()
 
-    Yields (k, n) pieces of u[t+1] at every DOF, `steps` rows in all; each
-    piece starts from the last two rows of the one before, so the pieces
-    equal one leapfrog call bit for bit without the whole history in memory.
-    """
-    drive = np.zeros(min(BLOCK, steps))
-    drive[0] = 1.0
-    h = leapfrog(sys, dt, drive, limit=np.inf)
-    yield h
-    drive[0] = 0.0
-    for t0 in range(BLOCK, steps, BLOCK):
-        h = leapfrog(sys, dt, drive[:steps - t0], h[-2], h[-1], limit=np.inf)
-        yield h
+
+def _drive_spectra(drive: np.ndarray) -> np.ndarray:
+    """rfft over _fft_size(T) of a (T,) drive, (F,), or of each column of a
+    (T, B) drive, (B, F)."""
+    return np.fft.rfft(drive.T, n=_fft_size(len(drive)))
 
 
 def _kernel(sys: SystemMatrices, dt: float, steps: int, dofs: tuple[int, ...]):
     """(spectrum, gain) for drives of `steps` steps from rest.
 
-    spectrum is the rfft, over the power of two n_fft >= 2 * steps, of the
-    impulse response at `dofs`; gain = max_i sum_t |h_i[t]| over every DOF, so
-    max|u| <= gain * max|x|.  Cached on the system; past KERNELS entries the
-    least recently used one is dropped.
+    spectrum (d, F) is the rfft over _fft_size(steps) of the impulse
+    response at `dofs`, which leapfrog generates BLOCK rows at a time;
+    gain = max_i sum_t |h_i[t]| over every DOF, so max|u| <= gain * max|x|.
+    Cached on the system; past KERNELS entries the least recently used one
+    is dropped.
     """
     cache = sys._kernels
     key = (dt, steps, dofs)
     entry = cache.pop(key, None)
     if entry is None:
         cols = np.asarray(dofs, dtype=int)
-        h_rec = np.empty((steps, len(cols)))
+        h_rec = np.empty((len(cols), steps))
         gain = np.zeros(sys.n_dof)
-        t0 = 0
-        for h in _impulse_response(sys, dt, steps):
-            h_rec[t0:t0 + len(h)] = h[:, cols]
+        pulse = np.zeros(min(BLOCK, steps))
+        pulse[0] = 1.0
+        h = leapfrog(sys, dt, pulse, limit=np.inf)
+        pulse[0] = 0.0
+        for t0 in range(0, steps, BLOCK):
+            if t0:   # each piece continues from the last two rows of the one before
+                h = leapfrog(sys, dt, pulse[:steps - t0], h[-2], h[-1], limit=np.inf)
+            h_rec[:, t0:t0 + len(h)] = h[:, cols].T
             gain += np.sum(np.abs(h), axis=0)
-            t0 += len(h)
-        n_fft = 1 << (2 * steps - 1).bit_length()
-        entry = (np.fft.rfft(h_rec, n=n_fft, axis=0), float(np.max(gain)))
+        entry = (np.fft.rfft(h_rec, n=_fft_size(steps)), float(np.max(gain)))
         if len(cache) >= KERNELS:
             del cache[next(iter(cache))]
     cache[key] = entry
     return entry
 
 
-def _run_kernel(sys: SystemMatrices, dt: float, drive: np.ndarray,
-                dofs: tuple[int, ...], limit: float) -> np.ndarray | None:
-    """leapfrog's result from rest, as one FFT convolution (see module doc).
-
-    Returns None when max|x| * gain exceeds `limit` or is not finite; the
-    caller then steps with leapfrog.
-    """
-    spectrum, gain = _kernel(sys, dt, len(drive), dofs)
-    if not np.max(np.abs(drive)) * gain <= limit:
+def _bounded_kernel(sys: SystemMatrices, dt: float, drive: np.ndarray,
+                    dofs: tuple[int, ...], limit: float) -> np.ndarray | None:
+    """The kernel spectrum for a (T,) or (T, B) drive from rest, or None when
+    the caller must step with leapfrog instead: the drive is empty, or
+    max|x| * gain cannot rule out |u| > limit (or is not finite)."""
+    if not len(drive):
         return None
-    n_fft = 2 * (len(spectrum) - 1)
-    x_f = np.fft.rfft(drive, n=n_fft)
-    return np.fft.irfft(x_f[:, None] * spectrum, n=n_fft, axis=0)[:len(drive)]
+    spectrum, gain = _kernel(sys, dt, len(drive), dofs)
+    return spectrum if max(drive.max(), -drive.min()) * gain <= limit else None
+
+
+def _convolve(spectrum: np.ndarray, x_f: np.ndarray, steps: int) -> np.ndarray:
+    """The first `steps` samples of each drive with spectrum x_f ((F,) or
+    (b, F)) convolved with the kernel `spectrum` (d, F): (d, steps) or
+    (b, d, steps)."""
+    n_fft = 2 * (spectrum.shape[-1] - 1)
+    return np.fft.irfft(x_f[..., None, :] * spectrum, n=n_fft)[..., :steps]
 
 
 def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
@@ -508,7 +507,9 @@ def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
     the state entering a block to the state entering the next.
     """
     n, L = sys.n_dof, BLOCK
-    h = np.concatenate(list(_impulse_response(sys, dt, L)))
+    pulse = np.zeros(L)
+    pulse[0] = 1.0
+    h = leapfrog(sys, dt, pulse, limit=np.inf)
     eye = np.eye(n)
     u_prev, u_curr = np.hstack([eye, -eye]), np.hstack([eye, np.zeros((n, n))])
     o_rec = np.empty((L, len(dofs), 2 * n))
@@ -524,7 +525,7 @@ def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
 
 
 def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
-                 u_prev: np.ndarray, u_curr: np.ndarray, dofs: np.ndarray,
+                 u_prev: np.ndarray, u_curr: np.ndarray, dofs: tuple[int, ...],
                  limit: float) -> np.ndarray | None:
     """leapfrog's result, evaluated BLOCK steps at a time (see module doc).
 
@@ -532,7 +533,7 @@ def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
     finite; the caller then steps with leapfrog.
     """
     n, L, d = sys.n_dof, BLOCK, len(dofs)
-    h, o_rec, o_max, trans = _block_operators(sys, dt, dofs)
+    h, o_rec, o_max, trans = _block_operators(sys, dt, np.asarray(dofs, dtype=int))
     n_full = len(drive) // L
     x = drive[:n_full * L].reshape(n_full, L)
     rest = len(drive) - n_full * L
@@ -562,12 +563,11 @@ def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
         return None
 
     o_flat = o_rec.reshape(L * d, 2 * n).T
-    h_f = np.fft.rfft(h[:, dofs].T, n=2 * L)
+    spectrum, _ = _kernel(sys, dt, L, dofs)
 
     def blocks(s_b, x_b, dest):   # dest: the (k, L, d) rows of these blocks
         np.matmul(s_b, o_flat, out=dest.reshape(len(s_b), L * d))
-        forced = np.fft.irfft(np.fft.rfft(x_b, n=2 * L)[:, None, :] * h_f, n=2 * L)
-        dest += forced[:, :, :L].transpose(0, 2, 1)
+        dest += _convolve(spectrum, _drive_spectra(x_b.T), L).transpose(0, 2, 1)
 
     out = np.empty((len(drive), d))
     full = out[:n_full * L].reshape(n_full, L, d)

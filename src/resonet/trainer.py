@@ -25,12 +25,12 @@ E-series quantization of its resistors.
 
 Scoring (``evaluate_system`` and the per-epoch train/val scores) never feeds
 the parameters, so it takes the cheaper route the linear time-invariant
-lattice allows: the output energies of drives from rest are one FFT
-convolution with the impulse-response kernel that ``simulator._kernel``
-generates with leapfrog and caches on the system.  They agree with stepping
-to 1e-12 of the largest channel; a batch whose bound on |u| passes the
-blow-up limit is stepped with leapfrog instead, so a divergence still names
-its step and sample.  Epoch ``loss``, ``train_acc`` and ``val_acc`` are
+lattice allows: the output energies of drives from rest come from the
+convolution behind ``simulator.run`` from rest (``simulator._convolve`` with
+the kernel that leapfrog generates and the system caches).  They agree with
+stepping to 1e-12 of the largest channel; a batch whose bound on |u| passes
+the blow-up limit is stepped with leapfrog instead, so a divergence still
+names its step and sample.  Epoch ``loss``, ``train_acc`` and ``val_acc`` are
 therefore within rounding of stepped scoring, not bit for bit; the trained
 parameters, checkpoints and the export are bit for bit.
 """
@@ -347,19 +347,19 @@ def evaluate_system(sys: simulator.SystemMatrices, samples,
     ``leapfrog``, not bit for bit.  A drive whose bound on |u| passes the
     blow-up limit is stepped, so it raises leapfrog's NumericError.
     """
-    dt = 1.0 / samples[0].signal.rate_hz
-    drive, labels = stack_batch(samples, dt)
+    dt, drive, labels = _stacked(samples)
     return _score(sys, dt, drive, labels, None, prob_epsilon)
 
 
+def _stacked(samples) -> tuple[float, np.ndarray, np.ndarray]:
+    """(dt, drive, labels) of labeled signals at their own sample rate."""
+    if not samples:
+        raise InvalidParameterError("empty batch")
+    dt = 1.0 / samples[0].signal.rate_hz
+    return (dt, *stack_batch(samples, dt))
+
+
 _SCORE_COLUMNS = 16   # drive columns per chunk of _score's convolution
-
-
-def _drive_spectra(drive: np.ndarray) -> np.ndarray:
-    """(B, n_fft // 2 + 1) rfft of each column of a (T, B) drive, over the
-    FFT length of simulator._kernel for T steps."""
-    n_fft = 1 << (2 * len(drive) - 1).bit_length()
-    return np.fft.rfft(drive.T, n=n_fft)
 
 
 def _score(sys: simulator.SystemMatrices, dt: float, drive: np.ndarray,
@@ -368,11 +368,11 @@ def _score(sys: simulator.SystemMatrices, dt: float, drive: np.ndarray,
     """Score (T, B) drives from rest on an assembled system.
 
     The lattice is linear and time-invariant, so each output's history is
-    the drive convolved with the impulse response: the kernel that
-    simulator._kernel generates with leapfrog and caches on the system.  The
-    energies are one FFT convolution, _SCORE_COLUMNS drive columns at a time,
-    within 1e-12 of stepping.  `spectra` are the drives' _drive_spectra when
-    the caller keeps them (train scores the same splits every epoch).  When
+    the drive convolved with the impulse response whose kernel the simulator
+    generates with leapfrog and caches on the system.  The energies are one
+    FFT convolution, _SCORE_COLUMNS drive columns at a time, within 1e-12 of
+    stepping.  `spectra` are the drives' simulator._drive_spectra when the
+    caller keeps them (train scores the same splits every epoch).  When
     max|x| * gain cannot rule out |u| > BLOWUP_LIMIT, the batch is stepped
     with leapfrog instead, which raises NumericError at the exact step and
     batch column.
@@ -382,19 +382,14 @@ def _score(sys: simulator.SystemMatrices, dt: float, drive: np.ndarray,
         raise NumericError(f"dt={dt} exceeds the stability limit {dt_max:.3e}")
     t_len, batch = drive.shape
     out = sys.output_dofs
-    bounded = False   # an empty drive has no kernel: it steps, to nothing
-    if t_len:
-        spectrum, gain = simulator._kernel(sys, dt, t_len, out)
-        bounded = max(drive.max(), -drive.min()) * gain <= simulator.BLOWUP_LIMIT
-    if bounded:
-        n_fft = 2 * (len(spectrum) - 1)
-        h_f = spectrum.T.copy()   # (C, F): the last axis contiguous
+    spectrum = simulator._bounded_kernel(sys, dt, drive, out, simulator.BLOWUP_LIMIT)
+    if spectrum is not None:
         e = np.empty((batch, len(out)))
         for lo in range(0, batch, _SCORE_COLUMNS):
             cols = slice(lo, lo + _SCORE_COLUMNS)
-            x_f = (np.fft.rfft(drive[:, cols].T, n=n_fft) if spectra is None
+            x_f = (simulator._drive_spectra(drive[:, cols]) if spectra is None
                    else spectra[cols])
-            u = np.fft.irfft(x_f[:, None, :] * h_f, n=n_fft)[..., :t_len]
+            u = simulator._convolve(spectrum, x_f, t_len)
             e[cols] = np.einsum("bct,bct->bc", u, u)
         energies = e.T * dt
     else:
@@ -409,9 +404,9 @@ def _score(sys: simulator.SystemMatrices, dt: float, drive: np.ndarray,
 
 def evaluate(spec: LatticeSpec, cfg: TrainConfig, params: TrainableParams,
              samples) -> EvalResult:
-    dt = 1.0 / samples[0].signal.rate_hz
-    return evaluate_system(_assemble_checked(spec, cfg, params, dt), samples,
-                           cfg.prob_epsilon)
+    dt, drive, labels = _stacked(samples)
+    return _score(_assemble_checked(spec, cfg, params, dt), dt, drive, labels,
+                  None, cfg.prob_epsilon)
 
 
 # --- the training loop ---------------------------------------------------------
@@ -546,15 +541,13 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
     val_samples = dataset.split("test")
     if not train_samples:
         raise InvalidParameterError("dataset has no training split")
-    dt = 1.0 / train_samples[0].signal.rate_hz
-    drive, labels = stack_batch(train_samples, dt)
+    dt, drive, labels = _stacked(train_samples)
     # every epoch scores the same two splits: take their spectra once
-    train_set = (dt, drive, labels, _drive_spectra(drive))
+    train_set = (dt, drive, labels, simulator._drive_spectra(drive))
     val_set = None
     if val_samples:
-        val_dt = 1.0 / val_samples[0].signal.rate_hz
-        val_drive, val_labels = stack_batch(val_samples, val_dt)
-        val_set = (val_dt, val_drive, val_labels, _drive_spectra(val_drive))
+        val_dt, val_drive, val_labels = _stacked(val_samples)
+        val_set = (val_dt, val_drive, val_labels, simulator._drive_spectra(val_drive))
 
     if resume is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))

@@ -337,6 +337,22 @@ def test_system_value_of_another_json_type_names_the_key(ws, capsys, path, value
         assert f"fuzz_system.json: {named} must be " in err
 
 
+@pytest.mark.parametrize("which, path, value, named", [
+    ("system", ("cells", 1, "D_M"), -1.0, "'cells[1].D_M' must be a finite number > 0"),
+    ("system", ("edges", 0, "R_c"), 0, "'edges[0].R_c' must be a finite number > 0"),
+    ("system", ("scaling",), -2, "'scaling' must be a finite number > 0"),
+    ("system", ("spec", "outputs"), [2, 99], "spec: output cell index 99 outside 0..3"),
+    ("model", ("k_coupling", 0), 0.0, "'k_coupling' must be a list of finite numbers > 0"),
+    ("model", ("spec", "input"), -1, "spec: input cell index -1 outside 0..3"),
+    ("model", ("mass_inner_kg",), [1.0], "expected 4 'mass_inner_kg' entries, got 1"),
+])
+def test_system_or_model_value_out_of_range_names_the_file_and_key(ws, capsys, which,
+                                                                   path, value, named):
+    broken = _replaced(ws["docs"][which], path, value)
+    for err in _read_back(ws, which, json.dumps(broken).encode(), capsys):
+        assert f"fuzz_{which}.json: {named}" in err
+
+
 def test_every_json_file_resonet_writes_reads_back(ws):
     base, run = ws["base"], ws["base"] / "run"
     manifest = ws["manifest"]

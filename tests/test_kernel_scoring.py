@@ -83,7 +83,7 @@ def test_kernel_energies_match_stepping(name, sys_m, dt, steps):
     scale = np.max(want, axis=0)   # each sample's largest channel
     if steps >= 65:
         assert np.all(scale > 0.0)
-    for spectra in (None, trainer._drive_spectra(drive)):
+    for spectra in (None, simulator._drive_spectra(drive)):
         got = trainer._score(sys_m, dt, drive, labels, spectra, 1e-12).energies
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= tol * scale)
@@ -94,7 +94,7 @@ def test_zero_or_empty_drive_scores_exactly_zero_energies(steps):
     _, sys_m, dt = SYSTEMS[-2]
     drive = np.zeros((steps, 3))
     result = trainer._score(sys_m, dt, drive, np.array([0, 1, 2]),
-                            trainer._drive_spectra(drive), 1e-12)
+                            simulator._drive_spectra(drive), 1e-12)
     np.testing.assert_array_equal(result.energies, np.zeros((3, 3)))
     np.testing.assert_allclose(result.probs, 1.0 / 3.0, rtol=1e-12)
 

@@ -481,6 +481,22 @@ def test_kernel_is_generated_once_and_reused(monkeypatch):
     assert np.max(np.abs(every[:, list(sys_m.output_dofs)] - first)) <= 1e-12 * scale
 
 
+def test_run_from_rest_is_a_column_of_the_batched_convolution():
+    sys_m = assemble(*make_uniform_plant())
+    dt = 1.0 / 2000.0
+    drives = np.random.default_rng(12).standard_normal((700, 3))
+    spectrum, _ = simulator._kernel(sys_m, dt, len(drives), sys_m.output_dofs)
+    batched = simulator._convolve(spectrum, simulator._drive_spectra(drives),
+                                  len(drives))
+    for b in range(drives.shape[1]):
+        traj = run(sys_m, Signal(1.0 / dt, drives[:, b]))
+        np.testing.assert_array_equal(traj.values, batched[b].T)
+    # the blocked evaluator convolves inside each block with the BLOCK-step kernel
+    long = np.random.default_rng(13).standard_normal(simulator.MIN_BLOCKS * simulator.BLOCK)
+    run(sys_m, Signal(1.0 / dt, long), SimConfig(record="all"))
+    assert (dt, simulator.BLOCK, tuple(range(sys_m.n_dof))) in sys_m._kernels
+
+
 def test_kernel_cache_stays_at_its_cap():
     sys_m = _free_square()
     dt = 0.5 * max_stable_dt(sys_m)

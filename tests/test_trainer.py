@@ -284,6 +284,16 @@ def test_stack_batch_validation():
     np.testing.assert_array_equal(labels, [0, 1])
 
 
+def test_scoring_an_empty_batch_is_an_invalid_parameter():
+    spec, mech, sys_m = grounded_corner()
+    cfg = TrainConfig(seed=0)
+    params = init_params(spec, cfg, (40.0, 60.0), np.random.default_rng(0))
+    with pytest.raises(InvalidParameterError, match="empty batch"):
+        trainer.evaluate_system(sys_m, [])
+    with pytest.raises(InvalidParameterError, match="empty batch"):
+        evaluate(spec, cfg, params, [])
+
+
 # --- the training loop -------------------------------------------------------------
 
 def _tiny_cfg(**kw):
