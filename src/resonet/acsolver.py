@@ -159,13 +159,26 @@ def transmission(sys: SystemMatrices, omegas, guard_hz: float = GUARD_BAND_HZ,
     Bins within guard_hz of a computed eigenfrequency are skipped (NaN) and
     flagged "guard"; bins where the solve still turns out near-singular are
     flagged "singular".  z_ref_ohm divides the raw V/A magnitude (1.0 keeps
-    raw values).
+    raw values).  The guard band, the system and every omega are checked
+    before any bin, so a damped system or a bad omega raises even where its
+    bin is guarded.
     """
     om = np.asarray(omegas, dtype=float)
     if om.ndim != 1:
         raise InvalidParameterError("omegas must be a 1-D array")
     if z_ref_ohm <= 0.0 or not np.isfinite(z_ref_ohm):
         raise InvalidParameterError("z_ref_ohm must be finite and > 0")
+    if not (np.isfinite(guard_hz) and guard_hz >= 0.0):
+        raise InvalidParameterError(
+            f"transmission: guard_hz must be finite and >= 0, got {guard_hz}")
+    if sys.damping != 0.0:
+        raise InvalidParameterError(
+            "transmission covers the lossless model only (damping=0)")
+    bad = ~(np.isfinite(om) & (om > 0.0))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise InvalidParameterError(
+            f"transmission: omega {j} is {om[j]}; every omega must be finite and > 0")
     eig_hz = eigenfrequencies_hz(sys)
     h = np.full((len(sys.output_dofs), len(om)), np.nan)
     flags: list[str] = []

@@ -462,8 +462,8 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
     """Virtual swept-sine measurement of the lattice transmission.
 
     A linear chirp voltage is injected as current through transconductance
-    g_m; input and output spectra are read along the chirp's frequency-time
-    ridge and their ratio, divided by g_m, is |H| in V/A.  Each analysis
+    g_m; the drive current's and the output's spectra are read along the
+    chirp's frequency-time ridge and their ratio is |H| in V/A.  Each analysis
     frame is read at one DFT bin only, the ridge bin: the frames, bins and
     ``freqs_hz`` are those of ``stft``'s spectrograms, and |H| agrees with
     reading those spectrograms to about 1e-12 relative.
@@ -507,8 +507,9 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
         warnings.simplefilter("ignore")  # the padded start may dip below the guidance band
         sweep = gen_sweep(f_lo, f_hi, duration, rate_hz, amplitude=amplitude)
     drive = Signal(rate_hz, g_m * sweep.values, unit="A")
+    del sweep   # the drive, g_m * sweep, also gives the input ridge
 
-    n_win, _, starts, times, freqs = _frame_grid(sweep, window_s, None)
+    n_win, _, starts, times, freqs = _frame_grid(drive, window_s, None)
     win = _window_values(window, n_win)
     ridge_f = f_lo + sweep_rate_hz_per_s * times
     keep = (ridge_f >= f_start_hz) & (ridge_f <= f_end_hz)
@@ -516,8 +517,8 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
     starts = starts[keep]
 
     traj = simulator.run(sys, drive, simulator.SimConfig(record="outputs"))
-    amp_in, amp_out = _ridge_mags(win, starts, bin_idx, sweep.values, traj.values)
-    h = np.ascontiguousarray(amp_out.T) / amp_in / g_m
+    amp_in, amp_out = _ridge_mags(win, starts, bin_idx, drive.values, traj.values)
+    h = np.ascontiguousarray(amp_out.T) / amp_in
     # The out/in ratio at a bin is dominated by the instant the chirp crosses
     # that bin's frequency (stationary phase), so the estimate belongs to the
     # bin centre, not to the frame-centre instantaneous frequency.  Report the

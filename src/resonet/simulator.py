@@ -25,23 +25,24 @@ is it rescanned row by row, so the error names the first step (and batch
 sample) past the limit exactly as a per-step check would.
 
 The recurrence is linear and time-invariant, so the response from rest is
-the drive convolved with the impulse response.  ``_kernel`` generates it with
-``leapfrog`` and caches its spectrum and gain on ``SystemMatrices`` (at most
-KERNELS of them); ``_convolve`` is the one FFT convolution.  With dt within
-the stability limit, ``run`` uses them two ways, both equal to stepping to
-rounding:
+the drive convolved with the impulse response.  With dt within the stability
+limit, ``run`` uses that two ways, both equal to stepping to rounding:
 
 * A drive from rest (no initial state, or an all-zero one) shorter than
-  MIN_BLOCKS * BLOCK steps is one convolution, as are ``trainer``'s scores.
+  MIN_BLOCKS * BLOCK steps is one FFT convolution (``_convolve``), as are
+  ``trainer``'s scores; ``_kernel`` generates its impulse response with
+  ``leapfrog`` and caches it on ``SystemMatrices`` (at most KERNELS).
 * A longer drive is evaluated BLOCK steps at a time: each block is the free
-  response to the state entering it plus its drive convolved with the
-  BLOCK-step kernel, and a scan over blocks carries the state.
+  response to the state entering it plus its drive times the Toeplitz
+  matrix of the BLOCK-step impulse response, one GEMM per chunk of
+  _CHUNK_BLOCKS blocks, while a scan over blocks carries the state.
 
 Everything else (an initial state on a short drive, dt beyond the limit
 under enforce_stability=False) steps with ``leapfrog`` and equals it bit for
 bit, and so does a drive whose bound on |u| over all DOFs (max|x| times the
-gain, plus the free response's bound for blocks) cannot rule out |u| > limit:
-stepping then raises at the exact step or returns its own result.
+gain, plus the free response's bound for blocks, checked chunk by chunk)
+cannot rule out |u| > limit: stepping then raises at the exact step or
+returns its own result.
 
 The natural frequencies behind the stability limit come from one eigensolve
 per system, cached on ``SystemMatrices``.
@@ -68,9 +69,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 BLOWUP_LIMIT = 1e12  # |u| beyond this aborts the run as numerically unstable
 CHUNK = 64           # leapfrog steps between two checks of the blow-up limit
-BLOCK = 1024         # steps per block of run's blocked evaluation
-MIN_BLOCKS = 16      # drives shorter than this many blocks step through leapfrog
-_CHUNK_BLOCKS = 16   # blocks evaluated together, bounding the temporaries
+BLOCK = 256          # steps per block of run's blocked evaluation
+MIN_BLOCKS = 64      # drives shorter than this many blocks are not evaluated blockwise
+_CHUNK_BLOCKS = 64   # blocks per GEMM of the blocked evaluation
 KERNELS = 4          # impulse-response kernels cached per system
 
 
@@ -496,32 +497,38 @@ def _convolve(spectrum: np.ndarray, x_f: np.ndarray, steps: int) -> np.ndarray:
 
 
 def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
-    """One block's operators, generated by leapfrog: (h, o_rec, o_max, trans).
+    """One block's operators, generated by leapfrog: (h, ops, o_max, trans).
 
     The state entering a block is (u_curr, u_curr - u_prev) as a 2n-vector:
     carrying the step difference rather than u_prev keeps a large rigid
     displacement (free lattice) from swamping the velocity in rounding.
     h (L, n) is the response to a unit drive at the block's first step from
-    rest; o_rec (L, d, 2n) the response at `dofs` to each unit state; o_max
-    (n, 2n) the largest |free response| over the block; trans (2n, 2n) maps
-    the state entering a block to the state entering the next.
+    rest.  ops (2n + L, L * d) maps [state | block drive] to the block's
+    (L, d) rows at `dofs`, flattened: its first 2n rows are the free
+    response to each unit state, its last L the lower-triangular Toeplitz
+    matrix of h.  o_max (n, 2n) is the largest |free response| over the
+    block; trans (2n, 2n) maps the state entering a block to the state
+    entering the next.
     """
-    n, L = sys.n_dof, BLOCK
+    n, L, d = sys.n_dof, BLOCK, len(dofs)
     pulse = np.zeros(L)
     pulse[0] = 1.0
     h = leapfrog(sys, dt, pulse, limit=np.inf)
+    ops = np.zeros((2 * n + L, L, d))
+    h_rec = h[:, dofs]
+    for j in range(L):   # the response to a unit drive at step j
+        ops[2 * n + j, j:] = h_rec[:L - j]
     eye = np.eye(n)
     u_prev, u_curr = np.hstack([eye, -eye]), np.hstack([eye, np.zeros((n, n))])
-    o_rec = np.empty((L, len(dofs), 2 * n))
     o_max = np.zeros((n, 2 * n))
     piece = 32    # keeps each (piece, n, 2n) free response under 1 MB
     for t0 in range(0, L, piece):
         o = leapfrog(sys, dt, np.zeros((piece, 2 * n)), u_prev, u_curr,
                      limit=np.inf)
         np.maximum(o_max, np.max(np.abs(o), axis=0), out=o_max)
-        o_rec[t0:t0 + piece] = o[:, dofs]
+        ops[:2 * n, t0:t0 + piece] = o[:, dofs].transpose(2, 0, 1)
         u_prev, u_curr = o[-2], o[-1]
-    return h, o_rec, o_max, np.vstack([u_curr, u_curr - u_prev])
+    return h, ops.reshape(2 * n + L, L * d), o_max, np.vstack([u_curr, u_curr - u_prev])
 
 
 def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
@@ -529,56 +536,42 @@ def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
                  limit: float) -> np.ndarray | None:
     """leapfrog's result, evaluated BLOCK steps at a time (see module doc).
 
-    Returns None when the per-block bound on |u| exceeds `limit` or is not
+    Each chunk of _CHUNK_BLOCKS blocks scans the state entering its blocks,
+    bounds |u| and writes its rows with one GEMM, [state | block drive] @
+    ops.  Returns None once a chunk's bound exceeds `limit` or is not
     finite; the caller then steps with leapfrog.
     """
     n, L, d = sys.n_dof, BLOCK, len(dofs)
-    h, o_rec, o_max, trans = _block_operators(sys, dt, np.asarray(dofs, dtype=int))
-    n_full = len(drive) // L
-    x = drive[:n_full * L].reshape(n_full, L)
-    rest = len(drive) - n_full * L
-    tail = np.zeros((1, L))
-    tail[0, :rest] = drive[n_full * L:]
-
-    # State entering each block: s[b+1] = trans @ s[b] + z[b], where z[b] is
-    # the state block b reaches from rest, a sum of the reversed impulse
-    # response (and of its step difference) weighted by the drive.
+    h, ops, o_max, trans = _block_operators(sys, dt, np.asarray(dofs, dtype=int))
+    h_sum = np.sum(np.abs(h), axis=0)
+    # The state a block's drive alone leaves it in, from rest, is the drive
+    # weighted by the reversed impulse response (and by its step difference).
     ends = np.empty((L, 2 * n))
     ends[:, :n] = h[::-1]
     ends[:, n:] = h[::-1]
     ends[:-1, n:] -= h[-2::-1]
-    s = np.empty((n_full + 1, 2 * n))
-    s[0] = np.concatenate([u_curr, u_curr - u_prev])
-    for b0 in range(0, n_full, _CHUNK_BLOCKS):
-        # chunked: one drive-long GEMM would grow BLAS's buffers by MBs
-        z = x[b0:b0 + _CHUNK_BLOCKS] @ ends
-        for b, z_b in enumerate(z, start=b0):
-            s[b + 1] = trans @ s[b] + z_b
 
-    # |u| in block b is at most |s[b]| @ o_max.T + max|x_b| * sum_t |h[t]|.
-    x_max = np.append(np.maximum(x.max(axis=1), -x.min(axis=1)),
-                      np.max(np.abs(tail)))
-    bound = np.abs(s) @ o_max.T + x_max[:, None] * np.sum(np.abs(h), axis=0)
-    if not np.max(bound) <= limit:
-        return None
-
-    o_flat = o_rec.reshape(L * d, 2 * n).T
-    spectrum, _ = _kernel(sys, dt, L, dofs)
-
-    def blocks(s_b, x_b, dest):   # dest: the (k, L, d) rows of these blocks
-        np.matmul(s_b, o_flat, out=dest.reshape(len(s_b), L * d))
-        dest += _convolve(spectrum, _drive_spectra(x_b.T), L).transpose(0, 2, 1)
-
-    out = np.empty((len(drive), d))
-    full = out[:n_full * L].reshape(n_full, L, d)
-    for b0 in range(0, n_full, _CHUNK_BLOCKS):
-        b1 = min(b0 + _CHUNK_BLOCKS, n_full)
-        blocks(s[b0:b1], x[b0:b1], full[b0:b1])
-    if rest:
-        last = np.empty((1, L, d))
-        blocks(s[n_full:], tail, last)
-        out[n_full * L:] = last[0, :rest]
-    return out
+    steps = len(drive)
+    out = np.empty((-(-steps // L) * L, d))   # whole blocks; steps rows returned
+    lhs = np.empty((_CHUNK_BLOCKS, 2 * n + L))   # [state | block drive] rows
+    state = np.concatenate([u_curr, u_curr - u_prev])
+    for t0 in range(0, steps, _CHUNK_BLOCKS * L):
+        m = min(_CHUNK_BLOCKS * L, steps - t0)
+        k, full = -(-m // L), m // L
+        s, x = lhs[:k, :2 * n], lhs[:k, 2 * n:]
+        x[:full] = drive[t0:t0 + full * L].reshape(full, L)
+        if full < k:   # the drive's last block is partial: pad it with zeros
+            x[full] = np.append(drive[t0 + full * L:t0 + m], np.zeros(k * L - m))
+        z = x @ ends
+        for j in range(k):
+            s[j] = state
+            state = trans @ state + z[j]
+        # |u| in a block is at most |s| @ o_max.T + max|x| * sum_t |h[t]|.
+        x_max = np.maximum(x.max(axis=1), -x.min(axis=1))
+        if not np.max(np.abs(s) @ o_max.T + x_max[:, None] * h_sum) <= limit:
+            return None
+        np.matmul(lhs[:k], ops, out=out[t0:t0 + k * L].reshape(k, L * d))
+    return out[:steps]
 
 
 # --- explicit recurrent-network form ---------------------------------------

@@ -1,6 +1,7 @@
 """Frequency-domain solves: nodal analysis, branch currents and KCL, per-cell
 impedance maps, transmission spectra, and agreement with time-domain runs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -205,6 +206,34 @@ def test_transmission_flags_guard_bins(uniform_plant):
     h, flags = transmission(sys_m, omegas, guard_hz=0.25)
     assert flags[0] == "guard" and flags[1] == "guard" and flags[2] == ""
     assert np.isnan(h[:, 0]).all() and np.isfinite(h[:, 2]).all()
+
+
+@pytest.mark.parametrize("grid", ["every_bin_guarded", "empty", "unguarded"])
+def test_transmission_rejects_a_damped_system_before_any_bin(uniform_plant, grid):
+    _, _, lossless = uniform_plant
+    sys_m = dataclasses.replace(lossless, damping=0.5)
+    f_eig = eigenfrequencies_hz(sys_m)[4]
+    hz = {"every_bin_guarded": [f_eig, f_eig + 0.1], "empty": [],
+          "unguarded": [0.5 * f_eig]}[grid]
+    with pytest.raises(InvalidParameterError, match="^transmission covers"):
+        transmission(sys_m, TWO_PI * np.asarray(hz, dtype=float))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_transmission_rejects_a_bad_omega_inside_a_guard_band(uniform_plant, bad):
+    _, _, sys_m = uniform_plant
+    f_eig = eigenfrequencies_hz(sys_m)[4]
+    # a guard band wide enough to cover every bin, the bad one included
+    omegas = TWO_PI * np.array([f_eig, bad])
+    with pytest.raises(InvalidParameterError, match="^transmission: omega 1 is"):
+        transmission(sys_m, omegas, guard_hz=1e6)
+
+
+@pytest.mark.parametrize("guard_hz", [-0.25, np.nan, np.inf])
+def test_transmission_rejects_a_bad_guard_band(uniform_plant, guard_hz):
+    _, _, sys_m = uniform_plant
+    with pytest.raises(InvalidParameterError, match="^transmission: guard_hz"):
+        transmission(sys_m, TWO_PI * np.array([10.0, 20.0]), guard_hz=guard_hz)
 
 
 def test_transmission_independent_of_injection_amplitude():

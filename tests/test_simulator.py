@@ -350,6 +350,49 @@ def test_blocked_run_matches_leapfrog():
         assert np.max(np.abs(traj.values - ref)) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("steps", [LONG, LONG + 1, LONG + simulator.BLOCK - 1])
+def test_blocked_run_at_block_and_chunk_edges_matches_leapfrog(steps):
+    # LONG is exactly one chunk of whole blocks; one step more starts a second
+    # chunk with a one-step block, BLOCK - 1 more fills all but one of its steps.
+    rng = np.random.default_rng(steps)
+    sys_m = dataclasses.replace(random_small_system(rng)[2], damping=0.5)
+    dt = 0.9 * max_stable_dt(sys_m)
+    x = rng.standard_normal(steps)
+    u0, u1 = rng.standard_normal((2, sys_m.n_dof))
+    for initial in (None, (u0, u1)):
+        traj = run(sys_m, Signal(1.0 / dt, x), SimConfig(record="all"),
+                   initial=initial)
+        ref = leapfrog(sys_m, dt, x, *(initial or ()))
+        assert traj.values.shape == ref.shape == (steps, sys_m.n_dof)
+        assert np.max(np.abs(traj.values - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_blocked_run_falls_back_when_a_later_chunk_breaks_the_bound(uniform_plant,
+                                                                    monkeypatch):
+    _, _, sys_m = uniform_plant
+    dt = 1.0 / 4000.0
+    x = 1e-3 * np.random.default_rng(9).standard_normal(3 * LONG)
+    spike = 2 * LONG + 100   # in the third chunk of _CHUNK_BLOCKS blocks
+    x[spike] = 1e3
+    limit = 0.5 * np.max(np.abs(leapfrog(sys_m, dt, x)))
+    with pytest.raises(NumericError) as ref:
+        leapfrog(sys_m, dt, x, limit=limit)
+    assert ref.value.step > spike
+    calls = []
+    real_leapfrog = simulator.leapfrog
+
+    def spy(sys_, dt_, drive, *args, **kwargs):
+        calls.append(len(drive))
+        return real_leapfrog(sys_, dt_, drive, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "leapfrog", spy)
+    with pytest.raises(NumericError) as exc:
+        run(sys_m, Signal(1.0 / dt, x), SimConfig(blowup_limit=limit))
+    assert calls[-1] == len(x)   # the blocked evaluator gave up; leapfrog stepped
+    assert exc.value.step == ref.value.step
+    assert str(exc.value) == str(ref.value)
+
+
 @pytest.mark.parametrize("steps, dt_frac, enforce", [
     (LONG - 1, 0.5, True),              # one step short of the blocked path
     (LONG + 10, 1.0 + 1e-8, False),     # long, but dt beyond the stability limit
@@ -469,14 +512,16 @@ def test_kernel_is_generated_once_and_reused(monkeypatch):
 
     monkeypatch.setattr(simulator, "leapfrog", spy)
     first = run(sys_m, Signal(1.0 / dt, x)).values
-    assert steps == [simulator.BLOCK, 1500 - simulator.BLOCK]   # the impulse response
+    # the impulse response, stepped in pieces of at most BLOCK steps
+    assert sum(steps) == 1500 and max(steps) <= simulator.BLOCK
+    pieces = list(steps)
     again = run(sys_m, Signal(1.0 / dt, x)).values
     run(sys_m, Signal(1.0 / dt, -x))
-    assert steps == [simulator.BLOCK, 1500 - simulator.BLOCK]
+    assert steps == pieces
     np.testing.assert_array_equal(again, first)
     # other recorded DOFs need a kernel of their own
     every = run(sys_m, Signal(1.0 / dt, x), SimConfig(record="all")).values
-    assert len(steps) == 4
+    assert steps == pieces + pieces
     scale = np.max(np.abs(first))
     assert np.max(np.abs(every[:, list(sys_m.output_dofs)] - first)) <= 1e-12 * scale
 
@@ -491,10 +536,12 @@ def test_run_from_rest_is_a_column_of_the_batched_convolution():
     for b in range(drives.shape[1]):
         traj = run(sys_m, Signal(1.0 / dt, drives[:, b]))
         np.testing.assert_array_equal(traj.values, batched[b].T)
-    # the blocked evaluator convolves inside each block with the BLOCK-step kernel
-    long = np.random.default_rng(13).standard_normal(simulator.MIN_BLOCKS * simulator.BLOCK)
+    # the blocked evaluator steps its own block operators and caches no kernel
+    cached = dict(sys_m._kernels)
+    long = np.random.default_rng(13).standard_normal(LONG)
     run(sys_m, Signal(1.0 / dt, long), SimConfig(record="all"))
-    assert (dt, simulator.BLOCK, tuple(range(sys_m.n_dof))) in sys_m._kernels
+    assert list(sys_m._kernels) == list(cached)
+    assert all(sys_m._kernels[key] is entry for key, entry in cached.items())
 
 
 def test_kernel_cache_stays_at_its_cap():
