@@ -317,6 +317,17 @@ def _parse_rows(path) -> np.ndarray:
 
 # --- sweeps and spectrograms --------------------------------------------------
 
+_SWEEP_PIECE = 1 << 15   # gen_sweep's samples per piece: two 256 kB arrays, in L2
+
+
+def _check_finite(**params: float) -> None:
+    """Raise InvalidParameterError naming the first parameter that is not a
+    finite number."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value}")
+
+
 def gen_sweep(f_start_hz: float, f_end_hz: float, duration_s: float,
               rate_hz: float, amplitude: float = 1.0) -> Signal:
     """Linear chirp; instantaneous frequency runs start -> end.
@@ -325,6 +336,17 @@ def gen_sweep(f_start_hz: float, f_end_hz: float, duration_s: float,
     enough to move more than 1 Hz per 10 periods at its slowest point (ridge
     extraction degrades on such sweeps).
     """
+    _check_finite(amplitude=amplitude)
+    return Signal(rate_hz, _chirp(f_start_hz, f_end_hz, duration_s, rate_hz, amplitude))
+
+
+def _chirp(f_start_hz: float, f_end_hz: float, duration_s: float, rate_hz: float,
+           *gains: float) -> np.ndarray:
+    """gen_sweep's samples at unit amplitude, multiplied by each of `gains`
+    in turn; the parameters are checked, and a fast sweep warned about, as
+    gen_sweep says."""
+    _check_finite(f_start_hz=f_start_hz, f_end_hz=f_end_hz, duration_s=duration_s,
+                  rate_hz=rate_hz)
     if f_start_hz < 0.0 or f_end_hz < f_start_hz:
         raise InvalidParameterError("need 0 <= f_start <= f_end")
     if f_start_hz == 0.0 and f_end_hz == 0.0:
@@ -338,18 +360,26 @@ def gen_sweep(f_start_hz: float, f_end_hz: float, duration_s: float,
     if sweep_rate * 10.0 / f_slow > 1.0:
         warnings.warn(
             f"sweep moves {sweep_rate * 10.0 / f_slow:.2f} Hz per 10 periods at "
-            f"{f_slow} Hz; consider a longer sweep", stacklevel=2)
-    # 2 pi (((0.5 rate) t) t + f0 t), evaluated in place in that order
-    t = np.arange(int(round(duration_s * rate_hz)), dtype=float)
-    t /= rate_hz
-    phase = (0.5 * sweep_rate) * t
-    phase *= t
-    t *= f_start_hz
-    phase += t
-    phase *= 2.0 * np.pi
-    np.sin(phase, out=phase)
-    phase *= amplitude
-    return Signal(rate_hz, phase)
+            f"{f_slow} Hz; consider a longer sweep", stacklevel=3)
+    # 2 pi (((0.5 rate) t) t + f0 t), evaluated in place in that order, one
+    # piece at a time so that each piece's passes run in cache
+    values = np.empty(int(round(duration_s * rate_hz)))
+    counts = np.arange(min(_SWEEP_PIECE, len(values)), dtype=float)
+    t = np.empty_like(counts)
+    for i0 in range(0, len(values), _SWEEP_PIECE):
+        phase = values[i0:i0 + _SWEEP_PIECE]
+        ti = t[:len(phase)]
+        np.add(counts[:len(phase)], i0, out=ti)
+        ti /= rate_hz
+        np.multiply(0.5 * sweep_rate, ti, out=phase)
+        phase *= ti
+        ti *= f_start_hz
+        phase += ti
+        phase *= 2.0 * np.pi
+        np.sin(phase, out=phase)
+        for gain in gains:
+            phase *= gain
+    return values
 
 
 @dataclass(frozen=True)
@@ -418,22 +448,29 @@ def _ridge_mags(window: np.ndarray, starts: np.ndarray, bins: np.ndarray,
     for the j-th (s, k) of zip(starts, bins), as stft's mags would read it.
 
     The twiddle e^(-2 pi i k m / N) is looked up in a cos/sin table at the
-    exact integer (k m) mod N, and each frame is one real product of the
-    (2, N) twiddle rows with a view of the column, so no frame matrix or
-    spectrum is built.
+    exact integer (k m) mod N, factored through m = a q + b with
+    q = ceil(sqrt(N)): the index is (k q a mod N) + (k b mod N), the outer
+    sum of two short index vectors, and the table is stored twice over so
+    that no sum needs reducing mod N (the q ceil(N/q) - N sums past
+    m = N - 1 are computed and dropped).  Each frame is one real product of
+    the (2, N) windowed twiddle rows with a view of the column, so no frame
+    matrix or spectrum is built.
     """
     n = len(window)
-    m = np.arange(n)
-    angle = (2.0 * np.pi / n) * m
-    cos, sin = np.cos(angle), np.sin(angle)
-    idx = np.empty(n, dtype=m.dtype)
+    q = math.isqrt(n - 1) + 1   # ceil(sqrt(n))
+    r = -(-n // q)
+    angle = (2.0 * np.pi / n) * np.arange(n)
+    cos, sin = np.tile(np.cos(angle), 2), np.tile(np.sin(angle), 2)
+    a, b = q * np.arange(r), np.arange(q)
+    grid = np.empty((r, q), dtype=np.intp)
+    idx = grid.reshape(-1)[:n]
     twiddle = np.empty((2, n))
     out = [np.empty((len(starts),) + c.shape[1:]) for c in columns]
     for j, (s, k) in enumerate(zip(starts, bins)):
-        np.multiply(m, k, out=idx)
-        np.remainder(idx, n, out=idx)
-        np.take(cos, idx, out=twiddle[0])
-        np.take(sin, idx, out=twiddle[1])
+        np.add.outer((k * a) % n, (k * b) % n, out=grid)
+        # every index lies in the table; "clip" only skips the bounds check
+        np.take(cos, idx, out=twiddle[0], mode="clip")
+        np.take(sin, idx, out=twiddle[1], mode="clip")
         twiddle *= window
         for c, mags in zip(columns, out):
             re, im = twiddle @ c[s:s + n]
@@ -488,14 +525,17 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
     """
     from . import simulator  # local import; simulator does not import back at runtime
 
-    if g_m <= 0.0 or not np.isfinite(g_m):
+    _check_finite(f_start_hz=f_start_hz, f_end_hz=f_end_hz, rate_hz=rate_hz,
+                  sweep_rate_hz_per_s=sweep_rate_hz_per_s, g_m=g_m,
+                  window_s=window_s, amplitude=amplitude)
+    if g_m <= 0.0:
         raise InvalidParameterError("g_m must be finite and > 0")
     if sweep_rate_hz_per_s <= 0.0:
         raise InvalidParameterError("sweep rate must be > 0")
     span = f_end_hz - f_start_hz
     if span <= 0.0:
         raise InvalidParameterError("need f_start < f_end")
-    if not np.isfinite(amplitude) or amplitude <= 0.0:
+    if amplitude <= 0.0:
         raise InvalidParameterError("amplitude must be finite and > 0")
 
     pad_s = window_s
@@ -505,9 +545,9 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
     duration = (f_hi - f_lo) / sweep_rate_hz_per_s
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the padded start may dip below the guidance band
-        sweep = gen_sweep(f_lo, f_hi, duration, rate_hz, amplitude=amplitude)
-    drive = Signal(rate_hz, g_m * sweep.values, unit="A")
-    del sweep   # the drive, g_m * sweep, also gives the input ridge
+        # the drive current, g_m times gen_sweep's chirp, also gives the input ridge
+        drive = Signal(rate_hz, _chirp(f_lo, f_hi, duration, rate_hz, amplitude, g_m),
+                       unit="A")
 
     n_win, _, starts, times, freqs = _frame_grid(drive, window_s, None)
     win = _window_values(window, n_win)

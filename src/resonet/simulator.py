@@ -36,6 +36,9 @@ limit, ``run`` uses that two ways, both equal to stepping to rounding:
   response to the state entering it plus its drive times the Toeplitz
   matrix of the BLOCK-step impulse response, one GEMM per chunk of
   _CHUNK_BLOCKS blocks, while a scan over blocks carries the state.
+  ``_block_operators`` generates those matrices with ``leapfrog``; they are
+  cached per (dt, recorded DOFs) beside the kernels, in the same
+  KERNELS-entry cache.
 
 Everything else (an initial state on a short drive, dt beyond the limit
 under enforce_stability=False) steps with ``leapfrog`` and equals it bit for
@@ -117,7 +120,10 @@ class SystemMatrices:
 
     @cached_property
     def _kernels(self) -> dict:
-        """(dt, steps, recorded DOFs) -> (spectrum, gain); see _kernel."""
+        """Least recently used first, at most KERNELS entries, of two kinds:
+        (dt, steps, recorded DOFs) -> (spectrum, gain), see _kernel, and
+        ("blocks", dt, recorded DOFs) -> block operators, see
+        _block_operators."""
         return {}
 
 
@@ -445,19 +451,28 @@ def _drive_spectra(drive: np.ndarray) -> np.ndarray:
     return np.fft.rfft(drive.T, n=_fft_size(len(drive)))
 
 
+def _cached(sys: SystemMatrices, key: tuple, make):
+    """sys._kernels[key], made by make() on a miss.  The cache keeps the
+    KERNELS most recently used entries and drops the least recently used."""
+    cache = sys._kernels
+    entry = cache.pop(key, None)
+    if entry is None:
+        entry = make()
+        if len(cache) >= KERNELS:
+            del cache[next(iter(cache))]
+    cache[key] = entry
+    return entry
+
+
 def _kernel(sys: SystemMatrices, dt: float, steps: int, dofs: tuple[int, ...]):
     """(spectrum, gain) for drives of `steps` steps from rest.
 
     spectrum (d, F) is the rfft over _fft_size(steps) of the impulse
     response at `dofs`, which leapfrog generates BLOCK rows at a time;
     gain = max_i sum_t |h_i[t]| over every DOF, so max|u| <= gain * max|x|.
-    Cached on the system; past KERNELS entries the least recently used one
-    is dropped.
+    Cached on the system under (dt, steps, dofs).
     """
-    cache = sys._kernels
-    key = (dt, steps, dofs)
-    entry = cache.pop(key, None)
-    if entry is None:
+    def make():
         cols = np.asarray(dofs, dtype=int)
         h_rec = np.empty((len(cols), steps))
         gain = np.zeros(sys.n_dof)
@@ -470,11 +485,9 @@ def _kernel(sys: SystemMatrices, dt: float, steps: int, dofs: tuple[int, ...]):
                 h = leapfrog(sys, dt, pulse[:steps - t0], h[-2], h[-1], limit=np.inf)
             h_rec[:, t0:t0 + len(h)] = h[:, cols].T
             gain += np.sum(np.abs(h), axis=0)
-        entry = (np.fft.rfft(h_rec, n=_fft_size(steps)), float(np.max(gain)))
-        if len(cache) >= KERNELS:
-            del cache[next(iter(cache))]
-    cache[key] = entry
-    return entry
+        return np.fft.rfft(h_rec, n=_fft_size(steps)), float(np.max(gain))
+
+    return _cached(sys, (dt, steps, dofs), make)
 
 
 def _bounded_kernel(sys: SystemMatrices, dt: float, drive: np.ndarray,
@@ -497,18 +510,23 @@ def _convolve(spectrum: np.ndarray, x_f: np.ndarray, steps: int) -> np.ndarray:
 
 
 def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
-    """One block's operators, generated by leapfrog: (h, ops, o_max, trans).
+    """One block's operators, generated by leapfrog: (ops, o_max, trans,
+    h_sum, ends).  _run_blocked caches them on the system under
+    ("blocks", dt, dofs).
 
     The state entering a block is (u_curr, u_curr - u_prev) as a 2n-vector:
     carrying the step difference rather than u_prev keeps a large rigid
     displacement (free lattice) from swamping the velocity in rounding.
-    h (L, n) is the response to a unit drive at the block's first step from
-    rest.  ops (2n + L, L * d) maps [state | block drive] to the block's
-    (L, d) rows at `dofs`, flattened: its first 2n rows are the free
+    With h (L, n) the response to a unit drive at the block's first step
+    from rest: ops (2n + L, L * d) maps [state | block drive] to the block's
+    (L, d) rows at `dofs`, flattened; its first 2n rows are the free
     response to each unit state, its last L the lower-triangular Toeplitz
     matrix of h.  o_max (n, 2n) is the largest |free response| over the
-    block; trans (2n, 2n) maps the state entering a block to the state
-    entering the next.
+    block and h_sum (n,) = sum_t |h[t]|, the two parts of the block's bound
+    on |u|.  trans (2n, 2n) maps the state entering a block to the state
+    entering the next; ends (L, 2n) maps a block's drive to the state it
+    leaves from rest.  ops holds (2n + L) * L * d floats, about 2 MB for the
+    3 outputs of the 5x5 lattice and 29 MB for all its 42 DOFs.
     """
     n, L, d = sys.n_dof, BLOCK, len(dofs)
     pulse = np.zeros(L)
@@ -528,7 +546,14 @@ def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
         np.maximum(o_max, np.max(np.abs(o), axis=0), out=o_max)
         ops[:2 * n, t0:t0 + piece] = o[:, dofs].transpose(2, 0, 1)
         u_prev, u_curr = o[-2], o[-1]
-    return h, ops.reshape(2 * n + L, L * d), o_max, np.vstack([u_curr, u_curr - u_prev])
+    # The state a block's drive alone leaves it in, from rest, is the drive
+    # weighted by the reversed impulse response (and by its step difference).
+    ends = np.empty((L, 2 * n))
+    ends[:, :n] = h[::-1]
+    ends[:, n:] = h[::-1]
+    ends[:-1, n:] -= h[-2::-1]
+    return (ops.reshape(2 * n + L, L * d), o_max, np.vstack([u_curr, u_curr - u_prev]),
+            np.sum(np.abs(h), axis=0), ends)
 
 
 def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
@@ -542,19 +567,18 @@ def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
     finite; the caller then steps with leapfrog.
     """
     n, L, d = sys.n_dof, BLOCK, len(dofs)
-    h, ops, o_max, trans = _block_operators(sys, dt, np.asarray(dofs, dtype=int))
-    h_sum = np.sum(np.abs(h), axis=0)
-    # The state a block's drive alone leaves it in, from rest, is the drive
-    # weighted by the reversed impulse response (and by its step difference).
-    ends = np.empty((L, 2 * n))
-    ends[:, :n] = h[::-1]
-    ends[:, n:] = h[::-1]
-    ends[:-1, n:] -= h[-2::-1]
-
+    ops, o_max, trans, h_sum, ends = _cached(
+        sys, ("blocks", dt, dofs),
+        lambda: _block_operators(sys, dt, np.asarray(dofs, dtype=int)))
     steps = len(drive)
     out = np.empty((-(-steps // L) * L, d))   # whole blocks; steps rows returned
-    lhs = np.empty((_CHUNK_BLOCKS, 2 * n + L))   # [state | block drive] rows
-    state = np.concatenate([u_curr, u_curr - u_prev])
+    # [state | block drive] rows.  The scan writes each state in place
+    # through row views made once; the state leaving a chunk lands in the row
+    # after its last block, and the next chunk starts from it.
+    lhs = np.empty((_CHUNK_BLOCKS + 1, 2 * n + L))
+    states = list(lhs[:, :2 * n])
+    lhs[0, :n] = u_curr
+    np.subtract(u_curr, u_prev, out=lhs[0, n:2 * n])
     for t0 in range(0, steps, _CHUNK_BLOCKS * L):
         m = min(_CHUNK_BLOCKS * L, steps - t0)
         k, full = -(-m // L), m // L
@@ -562,15 +586,15 @@ def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
         x[:full] = drive[t0:t0 + full * L].reshape(full, L)
         if full < k:   # the drive's last block is partial: pad it with zeros
             x[full] = np.append(drive[t0 + full * L:t0 + m], np.zeros(k * L - m))
-        z = x @ ends
-        for j in range(k):
-            s[j] = state
-            state = trans @ state + z[j]
+        for s_in, s_out, z in zip(states, states[1:], x @ ends):
+            np.dot(trans, s_in, out=s_out)
+            s_out += z
         # |u| in a block is at most |s| @ o_max.T + max|x| * sum_t |h[t]|.
         x_max = np.maximum(x.max(axis=1), -x.min(axis=1))
         if not np.max(np.abs(s) @ o_max.T + x_max[:, None] * h_sum) <= limit:
             return None
         np.matmul(lhs[:k], ops, out=out[t0:t0 + k * L].reshape(k, L * d))
+        lhs[0, :2 * n] = lhs[k, :2 * n]
     return out[:steps]
 
 

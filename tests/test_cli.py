@@ -493,6 +493,24 @@ def test_ac_sweep_target_validation(workspace, tmp_path):
                     "--f-start", "5", "--out", out]) == 2       # both bands
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--sweep-rate", "nan"), ("--window", "nan"), ("--rate", "nan"),
+    ("--f-start", "nan"), ("--f-stop", "nan"), ("--f-start", "-inf"),
+    ("--rate", "inf"),
+])
+def test_non_finite_swept_sine_parameter_exits_2(workspace, tmp_path, capsys,
+                                                 flag, value):
+    band = {"--f-start": "20", "--f-stop": "30", flag: value}
+    argv = ["ac-sweep", "--system", workspace["system"], "--method", "swept-sine",
+            "--out", tmp_path / "o.csv"]
+    for key, text in band.items():
+        argv.append(f"{key}={text}")
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_sweep_methods_agree_away_from_resonance(workspace, tmp_path):
     spec, circ, scaling = lattice.load_system(workspace["system"])
     sys_m = simulator.assemble(spec, circ)

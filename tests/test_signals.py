@@ -442,6 +442,13 @@ def test_sweep_equals_the_one_expression_chirp(f0, f1, duration, rate, amplitude
 def test_sweep_validation_and_speed_warning():
     with pytest.raises(InvalidParameterError):
         gen_sweep(10.0, 5.0, 1.0, 1000.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, 20.0, 1.0, 1000.0), (1.0, bad, 1.0, 1000.0),
+                     (1.0, 20.0, bad, 1000.0), (1.0, 20.0, 1.0, bad)):
+            with pytest.raises(InvalidParameterError, match="must be finite"):
+                gen_sweep(*args)
+        with pytest.raises(InvalidParameterError, match="amplitude must be finite"):
+            gen_sweep(1.0, 20.0, 1.0, 1000.0, amplitude=bad)
     with pytest.raises(InvalidParameterError):
         gen_sweep(10.0, 600.0, 1.0, 1000.0)   # beyond Nyquist
     with pytest.warns(UserWarning, match="sweep"):
@@ -478,9 +485,29 @@ def test_parseval_for_hann_half_hop():
     assert est == pytest.approx(direct, rel=0.01)
 
 
+def ridge_mags_by_remainder(window, starts, bins, *columns):
+    """_ridge_mags as it gathered each frame's twiddle at (k m) mod N for
+    every m, kept as the oracle of its factored index."""
+    n = len(window)
+    m = np.arange(n)
+    angle = (2.0 * np.pi / n) * m
+    cos, sin = np.cos(angle), np.sin(angle)
+    out = [np.empty((len(starts),) + c.shape[1:]) for c in columns]
+    for j, (s, k) in enumerate(zip(starts, bins)):
+        idx = (m * k) % n
+        twiddle = np.stack([cos[idx], sin[idx]]) * window
+        for c, mags in zip(columns, out):
+            re, im = twiddle @ c[s:s + n]
+            mags[j] = np.hypot(re, im)
+    return out
+
+
 @pytest.mark.parametrize("window", ["hann", "nuttall"])
-@pytest.mark.parametrize("n_win", [64, 65, 1000, 1001])
+@pytest.mark.parametrize("n_win", [64, 65, 997, 1000, 1001, 16000])
 def test_ridge_reader_matches_the_spectrogram(window, n_win):
+    # 16000 is the frame of the 1-100 Hz measurement; the factored index
+    # holds ceil(sqrt(N)) * ceil(N / ceil(sqrt(N))) - N sums past the frame
+    # end, none for 64, 2 for 16000 and 27 for the prime 997
     rate = 1000.0
     rng = np.random.default_rng(n_win)
     x = rng.standard_normal(12 * n_win + 7)
@@ -492,6 +519,10 @@ def test_ridge_reader_matches_the_spectrogram(window, n_win):
     bin_idx[0], bin_idx[-1] = 0, len(freqs) - 1   # bin 0, and N/2 for even N
     got_x, got_y = signals._ridge_mags(signals._window_values(window, n),
                                        starts[frame_idx], bin_idx, x, y)
+    # the factored index reads the same twiddles as the remainder did
+    want_x, want_y = ridge_mags_by_remainder(signals._window_values(window, n),
+                                             starts[frame_idx], bin_idx, x, y)
+    assert got_x.tobytes() == want_x.tobytes() and got_y.tobytes() == want_y.tobytes()
     want = stft(Signal(rate, x), n_win / rate, window=window).mags
     np.testing.assert_allclose(got_x, want[frame_idx, bin_idx], rtol=1e-9)
     for ch in range(y.shape[1]):
@@ -569,6 +600,17 @@ def test_measurement_invariant_under_drive_amplitude():
     b = measure_transfer(sys_m, 15.0, 45.0, amplitude=2.0, **kw)
     np.testing.assert_array_equal(a.freqs_hz, b.freqs_hz)
     np.testing.assert_allclose(b.h, a.h, rtol=1e-12)
+
+
+@pytest.mark.parametrize("key", ["f_start_hz", "f_end_hz", "rate_hz", "sweep_rate_hz_per_s",
+                                 "g_m", "window_s", "amplitude"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_measurement_rejects_non_finite_parameters(key, bad):
+    kw = dict(f_start_hz=15.0, f_end_hz=45.0, rate_hz=4000.0,
+              sweep_rate_hz_per_s=1.0, window_s=2.0)
+    kw[key] = bad
+    with pytest.raises(InvalidParameterError, match=f"{key} must be finite"):
+        measure_transfer(small_plant(), **kw)
 
 
 def test_measured_transfer_matches_ac_solution(uniform_plant,
