@@ -341,10 +341,9 @@ def gen_sweep(f_start_hz: float, f_end_hz: float, duration_s: float,
 
 
 def _chirp(f_start_hz: float, f_end_hz: float, duration_s: float, rate_hz: float,
-           *gains: float) -> np.ndarray:
-    """gen_sweep's samples at unit amplitude, multiplied by each of `gains`
-    in turn; the parameters are checked, and a fast sweep warned about, as
-    gen_sweep says."""
+           amplitude: float) -> np.ndarray:
+    """gen_sweep's samples; the parameters are checked, and a fast sweep
+    warned about, as gen_sweep says."""
     _check_finite(f_start_hz=f_start_hz, f_end_hz=f_end_hz, duration_s=duration_s,
                   rate_hz=rate_hz)
     if f_start_hz < 0.0 or f_end_hz < f_start_hz:
@@ -377,8 +376,7 @@ def _chirp(f_start_hz: float, f_end_hz: float, duration_s: float, rate_hz: float
         phase += ti
         phase *= 2.0 * np.pi
         np.sin(phase, out=phase)
-        for gain in gains:
-            phase *= gain
+        phase *= amplitude
     return values
 
 
@@ -545,9 +543,11 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
     duration = (f_hi - f_lo) / sweep_rate_hz_per_s
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the padded start may dip below the guidance band
-        # the drive current, g_m times gen_sweep's chirp, also gives the input ridge
-        drive = Signal(rate_hz, _chirp(f_lo, f_hi, duration, rate_hz, amplitude, g_m),
-                       unit="A")
+        values = _chirp(f_lo, f_hi, duration, rate_hz, amplitude)
+    # the drive current, g_m times gen_sweep's chirp, also gives the input ridge
+    values *= g_m
+    drive = Signal(rate_hz, values, unit="A")
+    del values
 
     n_win, _, starts, times, freqs = _frame_grid(drive, window_s, None)
     win = _window_values(window, n_win)

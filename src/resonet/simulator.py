@@ -36,9 +36,6 @@ limit, ``run`` uses that two ways, both equal to stepping to rounding:
   response to the state entering it plus its drive times the Toeplitz
   matrix of the BLOCK-step impulse response, one GEMM per chunk of
   _CHUNK_BLOCKS blocks, while a scan over blocks carries the state.
-  ``_block_operators`` generates those matrices with ``leapfrog``; they are
-  cached per (dt, recorded DOFs) beside the kernels, in the same
-  KERNELS-entry cache.
 
 Everything else (an initial state on a short drive, dt beyond the limit
 under enforce_stability=False) steps with ``leapfrog`` and equals it bit for
@@ -120,10 +117,7 @@ class SystemMatrices:
 
     @cached_property
     def _kernels(self) -> dict:
-        """Least recently used first, at most KERNELS entries, of two kinds:
-        (dt, steps, recorded DOFs) -> (spectrum, gain), see _kernel, and
-        ("blocks", dt, recorded DOFs) -> block operators, see
-        _block_operators."""
+        """(dt, steps, recorded DOFs) -> (spectrum, gain); see _kernel."""
         return {}
 
 
@@ -451,28 +445,19 @@ def _drive_spectra(drive: np.ndarray) -> np.ndarray:
     return np.fft.rfft(drive.T, n=_fft_size(len(drive)))
 
 
-def _cached(sys: SystemMatrices, key: tuple, make):
-    """sys._kernels[key], made by make() on a miss.  The cache keeps the
-    KERNELS most recently used entries and drops the least recently used."""
-    cache = sys._kernels
-    entry = cache.pop(key, None)
-    if entry is None:
-        entry = make()
-        if len(cache) >= KERNELS:
-            del cache[next(iter(cache))]
-    cache[key] = entry
-    return entry
-
-
 def _kernel(sys: SystemMatrices, dt: float, steps: int, dofs: tuple[int, ...]):
     """(spectrum, gain) for drives of `steps` steps from rest.
 
     spectrum (d, F) is the rfft over _fft_size(steps) of the impulse
     response at `dofs`, which leapfrog generates BLOCK rows at a time;
     gain = max_i sum_t |h_i[t]| over every DOF, so max|u| <= gain * max|x|.
-    Cached on the system under (dt, steps, dofs).
+    Cached on the system; past KERNELS entries the least recently used one
+    is dropped.
     """
-    def make():
+    cache = sys._kernels
+    key = (dt, steps, dofs)
+    entry = cache.pop(key, None)
+    if entry is None:
         cols = np.asarray(dofs, dtype=int)
         h_rec = np.empty((len(cols), steps))
         gain = np.zeros(sys.n_dof)
@@ -485,9 +470,11 @@ def _kernel(sys: SystemMatrices, dt: float, steps: int, dofs: tuple[int, ...]):
                 h = leapfrog(sys, dt, pulse[:steps - t0], h[-2], h[-1], limit=np.inf)
             h_rec[:, t0:t0 + len(h)] = h[:, cols].T
             gain += np.sum(np.abs(h), axis=0)
-        return np.fft.rfft(h_rec, n=_fft_size(steps)), float(np.max(gain))
-
-    return _cached(sys, (dt, steps, dofs), make)
+        entry = (np.fft.rfft(h_rec, n=_fft_size(steps)), float(np.max(gain)))
+        if len(cache) >= KERNELS:
+            del cache[next(iter(cache))]
+    cache[key] = entry
+    return entry
 
 
 def _bounded_kernel(sys: SystemMatrices, dt: float, drive: np.ndarray,
@@ -511,8 +498,7 @@ def _convolve(spectrum: np.ndarray, x_f: np.ndarray, steps: int) -> np.ndarray:
 
 def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
     """One block's operators, generated by leapfrog: (ops, o_max, trans,
-    h_sum, ends).  _run_blocked caches them on the system under
-    ("blocks", dt, dofs).
+    h_sum, ends).
 
     The state entering a block is (u_curr, u_curr - u_prev) as a 2n-vector:
     carrying the step difference rather than u_prev keeps a large rigid
@@ -525,8 +511,7 @@ def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
     block and h_sum (n,) = sum_t |h[t]|, the two parts of the block's bound
     on |u|.  trans (2n, 2n) maps the state entering a block to the state
     entering the next; ends (L, 2n) maps a block's drive to the state it
-    leaves from rest.  ops holds (2n + L) * L * d floats, about 2 MB for the
-    3 outputs of the 5x5 lattice and 29 MB for all its 42 DOFs.
+    leaves from rest.
     """
     n, L, d = sys.n_dof, BLOCK, len(dofs)
     pulse = np.zeros(L)
@@ -567,9 +552,7 @@ def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
     finite; the caller then steps with leapfrog.
     """
     n, L, d = sys.n_dof, BLOCK, len(dofs)
-    ops, o_max, trans, h_sum, ends = _cached(
-        sys, ("blocks", dt, dofs),
-        lambda: _block_operators(sys, dt, np.asarray(dofs, dtype=int)))
+    ops, o_max, trans, h_sum, ends = _block_operators(sys, dt, np.asarray(dofs, dtype=int))
     steps = len(drive)
     out = np.empty((-(-steps // L) * L, d))   # whole blocks; steps rows returned
     # [state | block drive] rows.  The scan writes each state in place

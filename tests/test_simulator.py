@@ -536,13 +536,11 @@ def test_run_from_rest_is_a_column_of_the_batched_convolution():
     for b in range(drives.shape[1]):
         traj = run(sys_m, Signal(1.0 / dt, drives[:, b]))
         np.testing.assert_array_equal(traj.values, batched[b].T)
-    # the blocked evaluator caches its block operators beside the kernel and
-    # leaves the kernel as it was
+    # the blocked evaluator steps its own block operators and caches no kernel
     cached = dict(sys_m._kernels)
     long = np.random.default_rng(13).standard_normal(LONG)
     run(sys_m, Signal(1.0 / dt, long), SimConfig(record="all"))
-    blocks = ("blocks", dt, tuple(range(sys_m.n_dof)))
-    assert list(sys_m._kernels) == list(cached) + [blocks]
+    assert list(sys_m._kernels) == list(cached)
     assert all(sys_m._kernels[key] is entry for key, entry in cached.items())
 
 
@@ -560,58 +558,6 @@ def test_kernel_cache_stays_at_its_cap():
     run(sys_m, Signal(1.0 / dt, x[:kept[0]]))
     run(sys_m, Signal(1.0 / dt, x[:99]))
     assert [key[1] for key in sys_m._kernels] == kept[2:] + [kept[0], 99]
-
-
-def test_block_operators_are_generated_once_and_reused(monkeypatch):
-    sys_m = _free_square()
-    dt = 0.5 * max_stable_dt(sys_m)
-    rng = np.random.default_rng(15)
-    x = Signal(1.0 / dt, rng.standard_normal(LONG + 777))
-    initial = (rng.standard_normal(sys_m.n_dof), rng.standard_normal(sys_m.n_dof))
-    calls = []
-    real_leapfrog = simulator.leapfrog
-
-    def spy(*args, **kwargs):
-        calls.append(len(args[2]))
-        return real_leapfrog(*args, **kwargs)
-
-    monkeypatch.setattr(simulator, "leapfrog", spy)
-    first = run(sys_m, x).values
-    assert calls   # the block operators, generated once
-    generated = list(calls)
-    again = run(sys_m, x).values
-    from_state = run(sys_m, x, initial=initial).values
-    assert calls == generated
-    np.testing.assert_array_equal(again, first)
-    # other recorded DOFs need operators of their own
-    run(sys_m, x, SimConfig(record="all"))
-    assert calls == generated + generated
-    # cached operators give what a system without a cache gives
-    monkeypatch.undo()
-    fresh = dataclasses.replace(sys_m)
-    np.testing.assert_array_equal(first, run(fresh, x).values)
-    np.testing.assert_array_equal(from_state, run(fresh, x, initial=initial).values)
-
-
-def test_kernel_and_block_entries_share_the_cache_cap():
-    sys_m = _free_square()
-    dt = 0.5 * max_stable_dt(sys_m)
-    x = np.random.default_rng(16).standard_normal(LONG)
-    out = sys_m.output_dofs
-    blocks = ("blocks", dt, out)
-    kernels = [(dt, steps, out) for steps in range(10, 10 + simulator.KERNELS)]
-    run(sys_m, Signal(1.0 / dt, x))
-    for _, steps, _ in kernels[:-1]:
-        run(sys_m, Signal(1.0 / dt, x[:steps]))
-    assert list(sys_m._kernels) == [blocks] + kernels[:-1]
-    # a long run refreshes its block entry, so the oldest kernel goes next
-    run(sys_m, Signal(1.0 / dt, x))
-    run(sys_m, Signal(1.0 / dt, x[:kernels[-1][1]]))
-    assert list(sys_m._kernels) == kernels[1:-1] + [blocks, kernels[-1]]
-    # block operators for other DOFs evict like a kernel does
-    run(sys_m, Signal(1.0 / dt, x), SimConfig(record="all"))
-    assert list(sys_m._kernels) == kernels[2:-1] + [blocks, kernels[-1],
-                                                    ("blocks", dt, tuple(range(sys_m.n_dof)))]
 
 
 def test_cfg_dt_must_match_signal_rate():
