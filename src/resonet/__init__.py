@@ -29,10 +29,9 @@ from .lattice import (CircuitParams, LatticeSpec, MechanicalParams,
 from .signals import (Dataset, DatasetSpec, Signal, gen_dataset, gen_pulse,
                       gen_sweep, load_csv, load_dataset, measure_transfer,
                       save_dataset, stft)
-from .simulator import (SimConfig, SystemMatrices, Trajectory, assemble,
-                        classify, discrete_energy, eigenfrequencies_hz,
-                        integrate_energy, max_stable_dt, natural_frequencies,
-                        run, run_rnn)
+from .simulator import (SystemMatrices, Trajectory, assemble, classify,
+                        discrete_energy, eigenfrequencies_hz, integrate_energy,
+                        max_stable_dt, natural_frequencies, run, run_rnn)
 from .trainer import (TrainConfig, TrainResult, TrainableParams, evaluate,
                       evaluate_system, export_trained, train)
 from .unitcell import UnitCellParams, beta, d_eff, resonance_freqs, transfer_h, z_eff
@@ -48,7 +47,7 @@ __all__ = [
     "nearest_standard_value", "quantize_eseries", "netlist_rows",
     "save_system", "load_system",
     "UnitCellParams", "resonance_freqs", "d_eff", "z_eff", "beta", "transfer_h",
-    "SystemMatrices", "SimConfig", "Trajectory", "assemble", "run", "run_rnn",
+    "SystemMatrices", "Trajectory", "assemble", "run", "run_rnn",
     "natural_frequencies", "eigenfrequencies_hz", "max_stable_dt",
     "discrete_energy", "integrate_energy", "classify",
     "Signal", "DatasetSpec", "Dataset", "gen_pulse", "gen_dataset",

@@ -267,8 +267,7 @@ def cmd_classify(args) -> int:
                  for p in args.input]
     for source, label, sig in items:
         try:
-            traj = simulator.run(sys_m, sig,
-                                 simulator.SimConfig(record="outputs"))
+            traj = simulator.run(sys_m, sig)
         except _NUMERIC_ERRORS as exc:
             raise type(exc)(f"{source}: {exc}") from exc
         energies = simulator.integrate_energy(traj, traj.dofs)
@@ -315,8 +314,7 @@ def cmd_classify(args) -> int:
 def cmd_simulate(args) -> int:
     spec, circ, scaling, sys_m = _load_system(args.system)
     sig = signals.load_csv(args.input, rate=args.rate)
-    cfg = simulator.SimConfig(record=args.record)
-    traj = simulator.run(sys_m, sig, cfg)
+    traj = simulator.run(sys_m, sig, args.record)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

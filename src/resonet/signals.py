@@ -35,6 +35,7 @@ from .errors import (DataFormatError, InvalidParameterError, check_fields,
                      write_json)
 
 DEFAULT_G_M = 1e-6  # transconductance (S) used for swept-sine injection
+MAX_SAMPLES = 1 << 28   # longest generated signal: 2 GiB of float64, ~170x the 1-100 Hz sweep
 
 SWEEP_PRESETS = {
     "1-100": (1.0, 100.0),
@@ -82,10 +83,21 @@ def gen_pulse(rate_hz: float, duration_s: float, center_hz: float,
             f"center_hz={center_hz} must lie in (0, rate/2={rate_hz / 2})")
     if sigma_s <= 0.0 or duration_s <= 0.0:
         raise InvalidParameterError("sigma_s and duration_s must be > 0")
-    t = np.arange(int(round(duration_s * rate_hz))) / rate_hz
+    t = np.arange(_sample_count(duration_s, rate_hz)) / rate_hz
     tc = duration_s / 2.0 if t_center is None else t_center
     envelope = amplitude * np.exp(-((t - tc) ** 2) / (2.0 * sigma_s ** 2))
     return Signal(rate_hz, envelope * np.cos(2.0 * np.pi * center_hz * (t - tc) + phase))
+
+
+def _sample_count(duration_s: float, rate_hz: float) -> int:
+    """The samples in duration_s at rate_hz, refused with InvalidParameterError
+    before anything is allocated when not finite or past MAX_SAMPLES."""
+    count = duration_s * rate_hz
+    if not count <= MAX_SAMPLES:   # NaN fails too
+        raise InvalidParameterError(
+            f"{duration_s} s at {rate_hz} Hz is {count:.3g} samples; "
+            f"a generated signal holds at most {MAX_SAMPLES}")
+    return int(round(count))
 
 
 def add_noise(sig: Signal, snr_db: float | None, rng) -> Signal:
@@ -362,7 +374,7 @@ def _chirp(f_start_hz: float, f_end_hz: float, duration_s: float, rate_hz: float
             f"{f_slow} Hz; consider a longer sweep", stacklevel=3)
     # 2 pi (((0.5 rate) t) t + f0 t), evaluated in place in that order, one
     # piece at a time so that each piece's passes run in cache
-    values = np.empty(int(round(duration_s * rate_hz)))
+    values = np.empty(_sample_count(duration_s, rate_hz))
     counts = np.arange(min(_SWEEP_PIECE, len(values)), dtype=float)
     t = np.empty_like(counts)
     for i0 in range(0, len(values), _SWEEP_PIECE):
@@ -556,7 +568,7 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
     bin_idx = np.argmin(np.abs(freqs[None, :] - ridge_f[keep, None]), axis=1)
     starts = starts[keep]
 
-    traj = simulator.run(sys, drive, simulator.SimConfig(record="outputs"))
+    traj = simulator.run(sys, drive)
     amp_in, amp_out = _ridge_mags(win, starts, bin_idx, drive.values, traj.values)
     h = np.ascontiguousarray(amp_out.T) / amp_in
     # The out/in ratio at a bin is dominated by the instant the chirp crosses

@@ -25,8 +25,9 @@ is it rescanned row by row, so the error names the first step (and batch
 sample) past the limit exactly as a per-step check would.
 
 The recurrence is linear and time-invariant, so the response from rest is
-the drive convolved with the impulse response.  With dt within the stability
-limit, ``run`` uses that two ways, both equal to stepping to rounding:
+the drive convolved with the impulse response.  ``run`` steps at dt = 1 /
+the drive's rate, refuses a dt past the stability limit, and uses that two
+ways, both equal to stepping to rounding:
 
 * A drive from rest (no initial state, or an all-zero one) shorter than
   MIN_BLOCKS * BLOCK steps is one FFT convolution (``_convolve``), as are
@@ -37,12 +38,11 @@ limit, ``run`` uses that two ways, both equal to stepping to rounding:
   matrix of the BLOCK-step impulse response, one GEMM per chunk of
   _CHUNK_BLOCKS blocks, while a scan over blocks carries the state.
 
-Everything else (an initial state on a short drive, dt beyond the limit
-under enforce_stability=False) steps with ``leapfrog`` and equals it bit for
-bit, and so does a drive whose bound on |u| over all DOFs (max|x| times the
-gain, plus the free response's bound for blocks, checked chunk by chunk)
-cannot rule out |u| > limit: stepping then raises at the exact step or
-returns its own result.
+A short drive from a nonzero state steps with ``leapfrog`` and equals it
+bit for bit, and so does a drive whose bound on |u| over all DOFs (max|x|
+times the gain, plus the free response's bound for blocks, checked chunk by
+chunk) cannot rule out |u| > BLOWUP_LIMIT: stepping then raises at the exact
+step or returns its own result.
 
 The natural frequencies behind the stability limit come from one eigensolve
 per system, cached on ``SystemMatrices``.
@@ -323,17 +323,6 @@ def _raise_blowup(block: np.ndarray, t0: int, limit: float) -> None:
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Run controls.  dt=None derives the step from the drive signal's rate."""
-
-    dt: float | None = None
-    duration: float | None = None     # used only when no drive signal is given
-    record: str | tuple[int, ...] = "outputs"   # "outputs", "all", or DOF indices
-    blowup_limit: float = BLOWUP_LIMIT
-    enforce_stability: bool = True
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Recorded displacement history; row t holds u[(t+1) * dt] at `dofs`."""
 
@@ -352,72 +341,49 @@ class Trajectory:
             raise InvalidParameterError(f"DOF {dof} was not recorded") from None
 
 
-def _resolve_dt(sys: SystemMatrices, signal, cfg: SimConfig) -> tuple[float, int]:
-    if signal is not None:
-        sig_dt = 1.0 / signal.rate_hz
-        if cfg.dt is not None and abs(cfg.dt - sig_dt) > 1e-9 * sig_dt:
-            raise InvalidParameterError(
-                f"configured dt={cfg.dt} does not match signal rate {signal.rate_hz} Hz; "
-                "resample the signal instead")
-        return sig_dt, len(signal.values)
-    if cfg.dt is None or cfg.duration is None:
-        raise InvalidParameterError("zero-input runs need both cfg.dt and cfg.duration")
-    return cfg.dt, int(round(cfg.duration / cfg.dt))
+def _recorded_dofs(sys: SystemMatrices, record: str) -> tuple[int, ...]:
+    if not isinstance(record, str) or record not in ("outputs", "all"):
+        raise InvalidParameterError(f"record must be 'outputs' or 'all', got {record!r}")
+    return sys.output_dofs if record == "outputs" else tuple(range(sys.n_dof))
 
 
-def _recorded_dofs(sys: SystemMatrices, cfg: SimConfig) -> tuple[int, ...]:
-    if cfg.record == "outputs":
-        return sys.output_dofs
-    if cfg.record == "all":
-        return tuple(range(sys.n_dof))
-    dofs = tuple(int(d) for d in cfg.record)
-    for d in dofs:
-        if not 0 <= d < sys.n_dof:
-            raise InvalidParameterError(f"record DOF {d} outside 0..{sys.n_dof - 1}")
-    return dofs
-
-
-def run(sys: SystemMatrices, signal: "Signal | None" = None,
-        cfg: SimConfig = SimConfig(),
+def run(sys: SystemMatrices, signal: "Signal", record: str = "outputs",
         initial: tuple[np.ndarray, np.ndarray] | None = None) -> Trajectory:
-    """Integrate the lattice and record selected DOFs.
+    """Integrate the lattice at dt = 1 / signal.rate_hz and record the output
+    DOFs (record="outputs") or every DOF (record="all").
 
     Drive samples are consumed one per step; the trajectory has exactly one
-    row per drive sample (or duration/dt rows for zero-input runs).  The
-    state starts at rest unless `initial` gives the pair (u_prev, u_curr) =
-    (u[-1], u[0]) of (n,) vectors.  Raises NumericError citing the step index
-    if any |u| exceeds the blow-up limit.
+    row per drive sample.  The state starts at rest unless `initial` gives
+    the pair (u_prev, u_curr) = (u[-1], u[0]) of (n,) vectors.  A dt past
+    max_stable_dt is refused with InvalidParameterError; NumericError cites
+    the step index if any |u| exceeds BLOWUP_LIMIT.
 
-    With dt <= dt_max, a drive of at least MIN_BLOCKS * BLOCK steps is
-    evaluated block by block, and a shorter one from rest (no initial state,
-    or an all-zero one) is one FFT convolution with a cached impulse
-    response (see the module doc); both agree with ``leapfrog`` to rounding
-    (the tests hold the convolution to 1e-9 of the trajectory's peak, the
-    blocks to 1e-8).  A short drive from a nonzero state, and dt beyond the
-    stability limit under enforce_stability=False, step through ``leapfrog``
-    and equal it exactly.
+    A drive of at least MIN_BLOCKS * BLOCK steps is evaluated block by
+    block, and a shorter one from rest (no initial state, or an all-zero
+    one) is one FFT convolution with a cached impulse response (see the
+    module doc); both agree with ``leapfrog`` to rounding (the tests hold
+    the convolution to 1e-9 of the trajectory's peak, the blocks to 1e-8).
+    A short drive from a nonzero state steps through ``leapfrog`` and
+    equals it exactly.
     """
-    dt, n_steps = _resolve_dt(sys, signal, cfg)
+    dt = 1.0 / signal.rate_hz
     dt_max = max_stable_dt(sys)
-    if cfg.enforce_stability and dt > dt_max:
+    if dt > dt_max:
         raise InvalidParameterError(
             f"dt={dt} exceeds the stability limit {dt_max:.3e}; "
             "reduce dt or the stiffest element values")
-    dofs = _recorded_dofs(sys, cfg)
+    dofs = _recorded_dofs(sys, record)
     u_prev, u_curr = _initial_pair(sys, initial)
-    drive = np.zeros(n_steps) if signal is None else np.asarray(signal.values, dtype=float)
+    drive = np.asarray(signal.values, dtype=float)
     values = None
-    if dt <= dt_max:
-        if n_steps >= MIN_BLOCKS * BLOCK:
-            values = _run_blocked(sys, dt, drive, u_prev, u_curr, dofs,
-                                  cfg.blowup_limit)
-        elif not (np.any(u_prev) or np.any(u_curr)):
-            spectrum = _bounded_kernel(sys, dt, drive, dofs, cfg.blowup_limit)
-            if spectrum is not None:
-                values = _convolve(spectrum, _drive_spectra(drive), n_steps).T
+    if len(drive) >= MIN_BLOCKS * BLOCK:
+        values = _run_blocked(sys, dt, drive, u_prev, u_curr, dofs)
+    elif not (np.any(u_prev) or np.any(u_curr)):
+        spectrum = _bounded_kernel(sys, dt, drive, dofs)
+        if spectrum is not None:
+            values = _convolve(spectrum, _drive_spectra(drive), len(drive)).T
     if values is None:
-        values = leapfrog(sys, dt, drive, u_prev, u_curr,
-                          np.asarray(dofs, dtype=int), cfg.blowup_limit)
+        values = leapfrog(sys, dt, drive, u_prev, u_curr, np.asarray(dofs, dtype=int))
     return Trajectory(dt=dt, dofs=dofs, values=values)
 
 
@@ -478,14 +444,14 @@ def _kernel(sys: SystemMatrices, dt: float, steps: int, dofs: tuple[int, ...]):
 
 
 def _bounded_kernel(sys: SystemMatrices, dt: float, drive: np.ndarray,
-                    dofs: tuple[int, ...], limit: float) -> np.ndarray | None:
+                    dofs: tuple[int, ...]) -> np.ndarray | None:
     """The kernel spectrum for a (T,) or (T, B) drive from rest, or None when
     the caller must step with leapfrog instead: the drive is empty, or
-    max|x| * gain cannot rule out |u| > limit (or is not finite)."""
+    max|x| * gain cannot rule out |u| > BLOWUP_LIMIT (or is not finite)."""
     if not len(drive):
         return None
     spectrum, gain = _kernel(sys, dt, len(drive), dofs)
-    return spectrum if max(drive.max(), -drive.min()) * gain <= limit else None
+    return spectrum if max(drive.max(), -drive.min()) * gain <= BLOWUP_LIMIT else None
 
 
 def _convolve(spectrum: np.ndarray, x_f: np.ndarray, steps: int) -> np.ndarray:
@@ -542,13 +508,13 @@ def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
 
 
 def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
-                 u_prev: np.ndarray, u_curr: np.ndarray, dofs: tuple[int, ...],
-                 limit: float) -> np.ndarray | None:
+                 u_prev: np.ndarray, u_curr: np.ndarray,
+                 dofs: tuple[int, ...]) -> np.ndarray | None:
     """leapfrog's result, evaluated BLOCK steps at a time (see module doc).
 
     Each chunk of _CHUNK_BLOCKS blocks scans the state entering its blocks,
     bounds |u| and writes its rows with one GEMM, [state | block drive] @
-    ops.  Returns None once a chunk's bound exceeds `limit` or is not
+    ops.  Returns None once a chunk's bound exceeds BLOWUP_LIMIT or is not
     finite; the caller then steps with leapfrog.
     """
     n, L, d = sys.n_dof, BLOCK, len(dofs)
@@ -574,7 +540,7 @@ def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
             s_out += z
         # |u| in a block is at most |s| @ o_max.T + max|x| * sum_t |h[t]|.
         x_max = np.maximum(x.max(axis=1), -x.min(axis=1))
-        if not np.max(np.abs(s) @ o_max.T + x_max[:, None] * h_sum) <= limit:
+        if not np.max(np.abs(s) @ o_max.T + x_max[:, None] * h_sum) <= BLOWUP_LIMIT:
             return None
         np.matmul(lhs[:k], ops, out=out[t0:t0 + k * L].reshape(k, L * d))
         lhs[0, :2 * n] = lhs[k, :2 * n]
@@ -596,17 +562,17 @@ def build_rnn_weights(sys: SystemMatrices, dt: float) -> tuple[np.ndarray, np.nd
     return w_h, w_i
 
 
-def run_rnn(sys: SystemMatrices, signal: "Signal", cfg: SimConfig = SimConfig()) -> Trajectory:
-    """Same trajectory as run(), computed through the explicit W_h/W_i matrices."""
-    dt, n_steps = _resolve_dt(sys, signal, cfg)
+def run_rnn(sys: SystemMatrices, signal: "Signal", record: str = "outputs") -> Trajectory:
+    """Same trajectory as run() from rest, computed through the explicit
+    W_h/W_i matrices."""
+    dt = 1.0 / signal.rate_hz
     w_h, w_i = build_rnn_weights(sys, dt)
-    dofs = _recorded_dofs(sys, cfg)
-    n = sys.n_dof
-    h = np.zeros(2 * n)
+    dofs = _recorded_dofs(sys, record)
+    h = np.zeros(2 * sys.n_dof)
     drive = np.asarray(signal.values, dtype=float)
-    out = np.empty((n_steps, len(dofs)))
+    out = np.empty((len(drive), len(dofs)))
     col = np.asarray(dofs, dtype=int)
-    for t in range(n_steps):
+    for t in range(len(drive)):
         h = w_h @ h + w_i * drive[t]
         out[t] = h[col]
     return Trajectory(dt=dt, dofs=dofs, values=out)

@@ -382,7 +382,7 @@ def _score(sys: simulator.SystemMatrices, dt: float, drive: np.ndarray,
         raise NumericError(f"dt={dt} exceeds the stability limit {dt_max:.3e}")
     t_len, batch = drive.shape
     out = sys.output_dofs
-    spectrum = simulator._bounded_kernel(sys, dt, drive, out, simulator.BLOWUP_LIMIT)
+    spectrum = simulator._bounded_kernel(sys, dt, drive, out)
     if spectrum is not None:
         e = np.empty((batch, len(out)))
         for lo in range(0, batch, _SCORE_COLUMNS):
@@ -646,7 +646,7 @@ class ExportResult:
 
 def export_trained(spec: LatticeSpec, mech: MechanicalParams,
                    r_target_ohm: float = 1e6, series: str = "E96",
-                   heldout=None, prob_epsilon: float = 1e-12) -> ExportResult:
+                   heldout=None) -> ExportResult:
     """Convert trained mechanics to circuit values and quantize the resistors.
 
     series names the E-series (any case); "none" skips quantization.  When a
@@ -660,11 +660,10 @@ def export_trained(spec: LatticeSpec, mech: MechanicalParams,
     if series.lower() != "none":
         quantized, report = quantize_eseries(circuit, series.upper())
     if heldout:
-        acc_exact = evaluate_system(simulator.assemble(spec, circuit), heldout,
-                                    prob_epsilon).accuracy
+        acc_exact = evaluate_system(simulator.assemble(spec, circuit), heldout).accuracy
         if quantized is not None:
             acc_quant = evaluate_system(simulator.assemble(spec, quantized),
-                                        heldout, prob_epsilon).accuracy
+                                        heldout).accuracy
     return ExportResult(scaling=scaling, circuit=circuit, quantized=quantized,
                         report=report, accuracy_exact=acc_exact,
                         accuracy_quantized=acc_quant)

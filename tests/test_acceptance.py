@@ -119,9 +119,8 @@ def test_criterion_03_form_equivalences(ref_cell):
         _, _, sys_m = random_small_system(rng)
         dt = 0.4 * simulator.max_stable_dt(sys_m)
         sig = Signal(rate_hz=1.0 / dt, values=rng.standard_normal(200))
-        cfg = simulator.SimConfig(record="all")
-        a = simulator.run(sys_m, sig, cfg).values
-        b = simulator.run_rnn(sys_m, sig, cfg).values
+        a = simulator.run(sys_m, sig, "all").values
+        b = simulator.run_rnn(sys_m, sig, "all").values
         scale = max(1.0, float(np.max(np.abs(a))))
         worst_step = max(worst_step, float(np.max(np.abs(a - b))) / scale)
 
@@ -300,12 +299,13 @@ def test_criterion_10_energy_conservation():
         n = sys_m.n_dof
         u_prev = 1e-3 * rng.standard_normal(n)
         u_curr = u_prev + dt * (1e-3 * rng.standard_normal(n))
-        cfg = simulator.SimConfig(dt=dt, duration=steps * dt, record="all")
-        rows = simulator.run(sys_m, None, cfg, initial=(u_prev, u_curr)).values
-        e0 = simulator.discrete_energy(sys_m, u_prev, u_curr, dt)
+        traj = simulator.run(sys_m, Signal(1.0 / dt, np.zeros(steps)), "all",
+                             initial=(u_prev, u_curr))
+        rows = traj.values
+        e0 = simulator.discrete_energy(sys_m, u_prev, u_curr, traj.dt)
         pairs = [(u_curr, rows[0])]
         pairs += [(rows[i], rows[i + 1]) for i in range(4999, steps - 1, 5000)]
-        drift = max(abs(simulator.discrete_energy(sys_m, a, b, dt) - e0)
+        drift = max(abs(simulator.discrete_energy(sys_m, a, b, traj.dt) - e0)
                     / abs(e0) for a, b in pairs)
         worst = max(worst, drift)
     _report(10, worst <= 0.01,

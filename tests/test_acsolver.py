@@ -14,7 +14,7 @@ from resonet.errors import InvalidParameterError, NearResonanceError
 from resonet.lattice import (CircuitParams, LatticeSpec, MechanicalParams,
                              choose_scaling, mech_to_circuit)
 from resonet.signals import Signal
-from resonet.simulator import SimConfig, assemble, eigenfrequencies_hz, run
+from resonet.simulator import assemble, eigenfrequencies_hz, run
 from resonet.unitcell import UnitCellParams, resonance_freqs, transfer_h
 
 from conftest import make_uniform_plant, random_small_system
@@ -262,7 +262,7 @@ def test_time_domain_tone_matches_ac_solve(uniform_plant):
         t = np.arange(n) / rate
         envelope = np.minimum(t / settle, 1.0)
         drive = envelope * np.sin(omega * t)
-        traj = run(sys_m, Signal(rate, drive), SimConfig(record="outputs"))
+        traj = run(sys_m, Signal(rate, drive))
         sol = ac_solve(sys_m, omega)
         k0 = int(round(settle * rate))
         window = traj.values[k0:, :]

@@ -449,6 +449,24 @@ def test_simulate_artifacts(workspace, tmp_path, capsys):
     assert set("".join(r.split(",")[1] for r in logic[1:])) <= {"0", "1"}
 
 
+def test_simulate_record_all_writes_every_dof(workspace, tmp_path):
+    argv = ["simulate", "--system", workspace["system"],
+            "--input", workspace["ds"] / "class0_train_0000.csv", "--rate", "2000"]
+    assert run_cli(argv + ["--out", tmp_path / "outs"]) == 0
+    assert run_cli(argv + ["--record", "all", "--out", tmp_path / "all"]) == 0
+    outs = np.loadtxt(tmp_path / "outs" / "trajectory.csv", delimiter=",", skiprows=1)
+    every = tmp_path / "all" / "trajectory.csv"
+    sys_m = simulator.assemble(*lattice.load_system(workspace["system"])[:2])
+    n = sys_m.n_dof
+    assert every.read_text().splitlines()[0] == ",".join(
+        ["t"] + [f"dof{d}" for d in range(n)])
+    every = np.loadtxt(every, delimiter=",", skiprows=1)
+    assert every.shape == (len(outs), 1 + n)
+    np.testing.assert_array_equal(every[:, 0], outs[:, 0])
+    picked = every[:, [1 + d for d in sys_m.output_dofs]]
+    assert np.max(np.abs(picked - outs[:, 1:])) <= 1e-12 * np.max(np.abs(outs[:, 1:]))
+
+
 def test_simulate_zero_signal_is_undecidable_but_succeeds(workspace, tmp_path,
                                                           capsys):
     zero = tmp_path / "zero.csv"
@@ -509,6 +527,25 @@ def test_non_finite_swept_sine_parameter_exits_2(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert "must be finite" in err and "Traceback" not in err
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ac-sweep", "--method", "swept-sine", "--f-start", "20", "--f-stop", "30",
+     "--sweep-rate", "1e-12"],
+    ["gen-dataset", "--seed", "1", "--duration", "1e13"],
+    ["gen-dataset", "--seed", "1", "--rate", "1e300"],
+    ["gen-dataset", "--seed", "1", "--rate", "inf"],
+    ["gen-dataset", "--seed", "1", "--duration", "nan"],
+], ids=["sweep_rate_1e-12", "duration_1e13", "rate_1e300", "rate_inf", "duration_nan"])
+def test_unbounded_sample_count_exits_2_before_allocating(workspace, tmp_path,
+                                                          capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] == "ac-sweep":
+        argv = argv + ["--system", workspace["system"]]
+    assert run_cli(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "samples" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_sweep_methods_agree_away_from_resonance(workspace, tmp_path):

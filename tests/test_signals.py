@@ -561,7 +561,7 @@ def measure_transfer_by_stft(sys_m, f_start_hz, f_end_hz, rate_hz=4000.0,
         sweep = gen_sweep(f_lo, f_hi, (f_hi - f_lo) / sweep_rate_hz_per_s, rate_hz,
                           amplitude=amplitude)
     drive = Signal(rate_hz, g_m * sweep.values, unit="A")
-    traj = simulator.run(sys_m, drive, simulator.SimConfig(record="outputs"))
+    traj = simulator.run(sys_m, drive)
     spec_in = stft(sweep, window_s, window=window)
     ridge_f = f_lo + sweep_rate_hz_per_s * spec_in.times_s
     keep = (ridge_f >= f_start_hz) & (ridge_f <= f_end_hz)

@@ -14,7 +14,7 @@ from resonet.errors import (InvalidParameterError, NumericError,
 from resonet.lattice import (CircuitParams, LatticeSpec, MechanicalParams,
                              ScalingFactor, mech_to_circuit)
 from resonet.signals import Signal
-from resonet.simulator import (SimConfig, SystemMatrices, Trajectory, assemble,
+from resonet.simulator import (SystemMatrices, Trajectory, assemble,
                                build_rnn_weights, classify, comparator,
                                discrete_energy, integrate_energy, leapfrog,
                                max_stable_dt, natural_frequencies, run, run_rnn)
@@ -159,7 +159,7 @@ def test_dt_max_invariant_under_analogy_scale():
 
 def test_zero_state_zero_input_stays_zero():
     _, _, sys_m = single_cell()
-    traj = run(sys_m, cfg=SimConfig(dt=1e-3, duration=0.1, record="all"))
+    traj = run(sys_m, Signal(1e3, np.zeros(100)), "all")
     np.testing.assert_array_equal(traj.values, 0.0)
 
 
@@ -204,7 +204,7 @@ def test_driven_cell_matches_analytic_modal_solution(drive_at):
     n = cycles * steps_per_cycle
     t_drive = np.arange(n) * dt
     sig = Signal(rate_hz=1.0 / dt, values=np.sin(omega * t_drive))
-    traj = run(sys_m, sig, SimConfig(record="all"))
+    traj = run(sys_m, sig, "all")
     exact = _free_cell_analytic(mass_outer, mass_inner, k, omega, 1.0,
                                 traj.times)
     scale = np.max(np.abs(exact))
@@ -241,7 +241,7 @@ def test_batched_stepping_matches_per_sample_runs():
     for b, single in enumerate(singles):
         scale = np.max(np.abs(single))
         assert np.max(np.abs(batched[:, :, b] - single)) <= 1e-12 * scale
-        ran = run(sys_m, Signal(2000.0, drive[:, b]), SimConfig(record="all"))
+        ran = run(sys_m, Signal(2000.0, drive[:, b]), "all")
         assert np.max(np.abs(ran.values - single)) <= 1e-12 * scale
 
 
@@ -251,8 +251,8 @@ def test_run_equals_rnn_form_on_random_systems():
         _, _, sys_m = random_small_system(rng)
         dt = 0.4 * max_stable_dt(sys_m)
         sig = Signal(rate_hz=1.0 / dt, values=rng.standard_normal(200))
-        a = run(sys_m, sig, SimConfig(record="all"))
-        b = run_rnn(sys_m, sig, SimConfig(record="all"))
+        a = run(sys_m, sig, "all")
+        b = run_rnn(sys_m, sig, "all")
         scale = np.max(np.abs(a.values)) or 1.0
         assert np.max(np.abs(a.values - b.values)) <= 1e-12 * scale
 
@@ -278,10 +278,9 @@ def test_linearity_of_the_response():
     x = rng.standard_normal(300)
     y = rng.standard_normal(300)
     a, b = 2.5, -0.75
-    cfg = SimConfig(record="all")
-    rx = run(sys_m, Signal(1.0 / dt, x), cfg).values
-    ry = run(sys_m, Signal(1.0 / dt, y), cfg).values
-    rxy = run(sys_m, Signal(1.0 / dt, a * x + b * y), cfg).values
+    rx = run(sys_m, Signal(1.0 / dt, x), "all").values
+    ry = run(sys_m, Signal(1.0 / dt, y), "all").values
+    rxy = run(sys_m, Signal(1.0 / dt, a * x + b * y), "all").values
     scale = np.max(np.abs(rxy))
     assert np.max(np.abs(rxy - (a * rx + b * ry))) <= 1e-10 * scale
 
@@ -293,7 +292,7 @@ def test_long_zero_input_run_stays_bounded():
     dt = 0.5 * max_stable_dt(sys_m)
     rng = np.random.default_rng(17)
     u0 = rng.standard_normal(sys_m.n_dof)
-    traj = run(sys_m, cfg=SimConfig(dt=dt, duration=1_000_000 * dt, record="all"),
+    traj = run(sys_m, Signal(1.0 / dt, np.zeros(1_000_000)), "all",
                initial=(u0, u0))
     assert len(traj.values) == 1_000_000
     assert np.max(np.abs(traj.values)) <= 10.0 * np.max(np.abs(u0))
@@ -303,18 +302,18 @@ def test_unstable_dt_is_rejected_up_front():
     _, _, sys_m = single_cell()
     dt = 1.01 * max_stable_dt(sys_m)
     with pytest.raises(InvalidParameterError):
-        run(sys_m, cfg=SimConfig(dt=dt, duration=100 * dt))
+        run(sys_m, Signal(1.0 / dt, np.zeros(100)))
 
 
 def test_blowup_raises_numeric_error_with_step():
+    # what run's refusal guards against: stepped past dt_max, the fastest
+    # mode grows until leapfrog's blow-up check names the step
     _, _, sys_m = single_cell()
     dt = 1.05 * max_stable_dt(sys_m)
     rng = np.random.default_rng(3)
     u0 = rng.standard_normal(sys_m.n_dof)
     with pytest.raises(NumericError) as exc:
-        run(sys_m, cfg=SimConfig(dt=dt, duration=50_000 * dt,
-                                 enforce_stability=False),
-            initial=(u0, u0))
+        leapfrog(sys_m, dt, np.zeros(50_000), u0, u0)
     assert exc.value.step is not None and exc.value.step >= 0
 
 
@@ -326,24 +325,23 @@ def _free_square():
 def test_blocked_run_matches_leapfrog():
     # Long drives are evaluated blockwise; leapfrog stepping is the reference.
     # The cases cover grounded cells, a free lattice (rigid mode), damping,
-    # dt up to 0.95 dt_max, every record mode, a nonzero initial state and a
+    # dt up to 0.95 dt_max, both record modes, a nonzero initial state and a
     # length that is not a multiple of BLOCK.
     rng = np.random.default_rng(5)
     cases = [
         (random_small_system(rng)[2], 0.0, 0.3, "outputs"),
         (random_small_system(rng)[2], 0.5, 0.6, "all"),
-        (random_small_system(rng)[2], 5.0, 0.95, (1, 0, 3)),
+        (random_small_system(rng)[2], 5.0, 0.95, "outputs"),
         (grounded_corner()[2], 0.0, 0.95, "all"),
         (_free_square(), 0.0, 0.95, "outputs"),
-        (_free_square(), 0.5, 0.6, (1, 0, 3)),
+        (_free_square(), 0.5, 0.6, "all"),
     ]
     for base, damping, dt_frac, record in cases:
         sys_m = dataclasses.replace(base, damping=damping)
         dt = dt_frac * max_stable_dt(sys_m)
         x = rng.standard_normal(LONG + 777)
         u0, u1 = rng.standard_normal((2, sys_m.n_dof))
-        traj = run(sys_m, Signal(1.0 / dt, x), SimConfig(record=record),
-                   initial=(u0, u1))
+        traj = run(sys_m, Signal(1.0 / dt, x), record, initial=(u0, u1))
         ref = leapfrog(sys_m, traj.dt, x, u0, u1, np.asarray(traj.dofs))
         assert traj.values.shape == ref.shape
         scale = np.max(np.abs(ref))
@@ -360,8 +358,7 @@ def test_blocked_run_at_block_and_chunk_edges_matches_leapfrog(steps):
     x = rng.standard_normal(steps)
     u0, u1 = rng.standard_normal((2, sys_m.n_dof))
     for initial in (None, (u0, u1)):
-        traj = run(sys_m, Signal(1.0 / dt, x), SimConfig(record="all"),
-                   initial=initial)
+        traj = run(sys_m, Signal(1.0 / dt, x), "all", initial=initial)
         ref = leapfrog(sys_m, dt, x, *(initial or ()))
         assert traj.values.shape == ref.shape == (steps, sys_m.n_dof)
         assert np.max(np.abs(traj.values - ref)) <= 1e-8 * np.max(np.abs(ref))
@@ -374,9 +371,10 @@ def test_blocked_run_falls_back_when_a_later_chunk_breaks_the_bound(uniform_plan
     x = 1e-3 * np.random.default_rng(9).standard_normal(3 * LONG)
     spike = 2 * LONG + 100   # in the third chunk of _CHUNK_BLOCKS blocks
     x[spike] = 1e3
-    limit = 0.5 * np.max(np.abs(leapfrog(sys_m, dt, x)))
+    # scaled so that the spike's response peaks at twice the blow-up limit
+    x *= simulator.BLOWUP_LIMIT / (0.5 * np.max(np.abs(leapfrog(sys_m, dt, x))))
     with pytest.raises(NumericError) as ref:
-        leapfrog(sys_m, dt, x, limit=limit)
+        leapfrog(sys_m, dt, x)
     assert ref.value.step > spike
     calls = []
     real_leapfrog = simulator.leapfrog
@@ -387,25 +385,22 @@ def test_blocked_run_falls_back_when_a_later_chunk_breaks_the_bound(uniform_plan
 
     monkeypatch.setattr(simulator, "leapfrog", spy)
     with pytest.raises(NumericError) as exc:
-        run(sys_m, Signal(1.0 / dt, x), SimConfig(blowup_limit=limit))
+        run(sys_m, Signal(1.0 / dt, x))
     assert calls[-1] == len(x)   # the blocked evaluator gave up; leapfrog stepped
     assert exc.value.step == ref.value.step
     assert str(exc.value) == str(ref.value)
 
 
-@pytest.mark.parametrize("steps, dt_frac, enforce", [
-    (LONG - 1, 0.5, True),              # one step short of the blocked path
-    (LONG + 10, 1.0 + 1e-8, False),     # long, but dt beyond the stability limit
-])
-def test_runs_off_the_blocked_path_equal_leapfrog_exactly(steps, dt_frac, enforce):
+def test_runs_off_the_blocked_path_equal_leapfrog_exactly():
+    # one step short of the blocked path, and not from rest: run steps
     sys_m = _free_square()
-    dt = dt_frac * max_stable_dt(sys_m)
+    steps = LONG - 1
+    dt = 0.5 * max_stable_dt(sys_m)
     u0 = np.random.default_rng(6).standard_normal(sys_m.n_dof)
-    traj = run(sys_m, cfg=SimConfig(dt=dt, duration=steps * dt, record="all",
-                                    enforce_stability=enforce),
-               initial=(u0, u0))
+    traj = run(sys_m, Signal(1.0 / dt, np.zeros(steps)), "all", initial=(u0, u0))
     assert len(traj.values) == steps
-    np.testing.assert_array_equal(traj.values, leapfrog(sys_m, dt, np.zeros(steps), u0, u0))
+    np.testing.assert_array_equal(traj.values,
+                                  leapfrog(sys_m, traj.dt, np.zeros(steps), u0, u0))
 
 
 @pytest.mark.parametrize("cause", ["small_limit", "nan_state"])
@@ -414,16 +409,14 @@ def test_long_run_blowup_raises_at_the_leapfrog_step(uniform_plant, cause):
     dt = 1.0 / 4000.0
     x = np.random.default_rng(7).standard_normal(LONG + 10)
     u0 = np.zeros(sys_m.n_dof)
-    limit = simulator.BLOWUP_LIMIT
     if cause == "small_limit":   # crossed late, near the trajectory's peak
-        limit = 0.999 * np.max(np.abs(leapfrog(sys_m, dt, x)))
+        x *= simulator.BLOWUP_LIMIT / (0.999 * np.max(np.abs(leapfrog(sys_m, dt, x))))
     else:
         u0[5] = np.nan
     with pytest.raises(NumericError) as ref:
-        leapfrog(sys_m, dt, x, u0, u0, limit=limit)
+        leapfrog(sys_m, dt, x, u0, u0)
     with pytest.raises(NumericError) as exc:
-        run(sys_m, Signal(1.0 / dt, x), SimConfig(blowup_limit=limit),
-            initial=(u0, u0))
+        run(sys_m, Signal(1.0 / dt, x), initial=(u0, u0))
     assert exc.value.step == ref.value.step
     assert str(exc.value) == str(ref.value)
 
@@ -439,7 +432,7 @@ def test_kernel_run_matches_leapfrog(system):
     base = {"random": lambda: random_small_system(rng)[2],
             "grounded_corner": lambda: grounded_corner()[2],
             "free": _free_square}[system]()
-    records = ["outputs", "all", (1, 0, 3)]
+    records = ["outputs", "all"]
     case = 0
     for damping in (0.0, 0.5, 5.0):
         sys_m = dataclasses.replace(base, damping=damping)
@@ -449,7 +442,7 @@ def test_kernel_run_matches_leapfrog(system):
                 x = rng.standard_normal(steps)
                 record = records[case % len(records)]
                 case += 1
-                traj = run(sys_m, Signal(1.0 / dt, x), SimConfig(record=record))
+                traj = run(sys_m, Signal(1.0 / dt, x), record)
                 ref = leapfrog(sys_m, traj.dt, x)[:, list(traj.dofs)]
                 assert traj.values.shape == ref.shape
                 scale = np.max(np.abs(ref))
@@ -472,9 +465,9 @@ def test_kernel_run_of_stock_systems_matches_leapfrog(uniform_plant):
 
 
 def test_kernel_run_of_a_zero_drive_is_exactly_zero(uniform_plant):
-    traj = run(uniform_plant[2], Signal(2000.0, np.zeros(500)), SimConfig(record="all"))
+    traj = run(uniform_plant[2], Signal(2000.0, np.zeros(500)), "all")
     np.testing.assert_array_equal(traj.values, 0.0)
-    empty = run(uniform_plant[2], cfg=SimConfig(dt=1e-3, duration=0.0))
+    empty = run(uniform_plant[2], Signal(1e3, np.zeros(0)))
     assert empty.values.shape == (0, 3)
 
 
@@ -482,21 +475,22 @@ def test_kernel_run_past_the_gain_bound_steps_with_leapfrog(uniform_plant):
     _, _, sys_m = uniform_plant
     dt = 1.0 / 2000.0
     x = np.random.default_rng(8).standard_normal(2000)
-    stepped = leapfrog(sys_m, dt, x)
-    peak = np.max(np.abs(stepped))
-    # under the peak: run raises leapfrog's own error
+    peak = np.max(np.abs(leapfrog(sys_m, dt, x)))
+    # the peak past the limit: run raises leapfrog's own error
+    x_over = x * (simulator.BLOWUP_LIMIT / (0.5 * peak))
     with pytest.raises(NumericError) as ref:
-        leapfrog(sys_m, dt, x, limit=0.5 * peak)
+        leapfrog(sys_m, dt, x_over)
     with pytest.raises(NumericError) as exc:
-        run(sys_m, Signal(1.0 / dt, x), SimConfig(blowup_limit=0.5 * peak))
+        run(sys_m, Signal(1.0 / dt, x_over))
     assert exc.value.step == ref.value.step
     assert str(exc.value) == str(ref.value)
-    # between the peak and the bound: run steps and returns leapfrog's result
+    # the limit between the peak and the bound: run steps and returns
+    # leapfrog's result
+    x_near = x * (simulator.BLOWUP_LIMIT / (1.01 * peak))
     _, gain = simulator._kernel(sys_m, dt, len(x), sys_m.output_dofs)
-    limit = 1.01 * peak
-    assert gain * np.max(np.abs(x)) > limit
-    traj = run(sys_m, Signal(1.0 / dt, x), SimConfig(record="all", blowup_limit=limit))
-    np.testing.assert_array_equal(traj.values, stepped)
+    assert gain * np.max(np.abs(x_near)) > simulator.BLOWUP_LIMIT
+    traj = run(sys_m, Signal(1.0 / dt, x_near), "all")
+    np.testing.assert_array_equal(traj.values, leapfrog(sys_m, dt, x_near))
 
 
 def test_kernel_is_generated_once_and_reused(monkeypatch):
@@ -520,7 +514,7 @@ def test_kernel_is_generated_once_and_reused(monkeypatch):
     assert steps == pieces
     np.testing.assert_array_equal(again, first)
     # other recorded DOFs need a kernel of their own
-    every = run(sys_m, Signal(1.0 / dt, x), SimConfig(record="all")).values
+    every = run(sys_m, Signal(1.0 / dt, x), "all").values
     assert steps == pieces + pieces
     scale = np.max(np.abs(first))
     assert np.max(np.abs(every[:, list(sys_m.output_dofs)] - first)) <= 1e-12 * scale
@@ -539,7 +533,7 @@ def test_run_from_rest_is_a_column_of_the_batched_convolution():
     # the blocked evaluator steps its own block operators and caches no kernel
     cached = dict(sys_m._kernels)
     long = np.random.default_rng(13).standard_normal(LONG)
-    run(sys_m, Signal(1.0 / dt, long), SimConfig(record="all"))
+    run(sys_m, Signal(1.0 / dt, long), "all")
     assert list(sys_m._kernels) == list(cached)
     assert all(sys_m._kernels[key] is entry for key, entry in cached.items())
 
@@ -560,11 +554,29 @@ def test_kernel_cache_stays_at_its_cap():
     assert [key[1] for key in sys_m._kernels] == kept[2:] + [kept[0], 99]
 
 
-def test_cfg_dt_must_match_signal_rate():
+# --- public surface ---------------------------------------------------------------
+
+def test_every_exported_name_exists():
+    import resonet
+    missing = [name for name in resonet.__all__ if not hasattr(resonet, name)]
+    assert missing == []
+    # run and run_rnn take their controls as arguments: no config class
+    from_simulator = {name for name in resonet.__all__
+                      if getattr(getattr(resonet, name), "__module__", None)
+                      == "resonet.simulator"}
+    assert from_simulator == {
+        "SystemMatrices", "Trajectory", "assemble", "run", "run_rnn",
+        "natural_frequencies", "eigenfrequencies_hz", "max_stable_dt",
+        "discrete_energy", "integrate_energy", "classify"}
+
+
+@pytest.mark.parametrize("record", ["output", (0, 1), np.array([0, 1])],
+                         ids=["output", "tuple", "array"])
+@pytest.mark.parametrize("runner", [run, run_rnn])
+def test_record_is_outputs_or_all(runner, record):
     _, _, sys_m = single_cell()
-    sig = Signal(rate_hz=1000.0, values=np.zeros(10))
-    with pytest.raises(InvalidParameterError):
-        run(sys_m, sig, SimConfig(dt=2e-3))
+    with pytest.raises(InvalidParameterError, match="'outputs' or 'all'"):
+        runner(sys_m, Signal(1e3, np.zeros(10)), record)
 
 
 # --- energy ---------------------------------------------------------------------------
@@ -592,11 +604,10 @@ def test_discrete_energy_conserved_near_the_stability_edge():
     sys_m = assemble(spec, mech)
     dt = 0.9 * max_stable_dt(sys_m)
     u0 = rng.standard_normal(sys_m.n_dof)
-    traj = run(sys_m, cfg=SimConfig(dt=dt, duration=100_000 * dt, record="all"),
-               initial=(u0, u0))
+    traj = run(sys_m, Signal(1.0 / dt, np.zeros(100_000)), "all", initial=(u0, u0))
     vals = traj.values
-    e_ref = discrete_energy(sys_m, u0, vals[0], dt)
-    checks = [discrete_energy(sys_m, vals[t], vals[t + 1], dt)
+    e_ref = discrete_energy(sys_m, u0, vals[0], traj.dt)
+    checks = [discrete_energy(sys_m, vals[t], vals[t + 1], traj.dt)
               for t in range(0, len(vals) - 1, 9999)]
     assert max(abs(e - e_ref) for e in checks) <= 0.01 * abs(e_ref)
 
