@@ -6,6 +6,8 @@ the AC transmission over a frequency band, re-measures it with a swept-sine
 virtual experiment, and reports per-channel peaks plus the worst-case
 disagreement away from the resonances.  Writes ac_sweep.csv and
 swept_sine.csv to --out.
+A resonet error or a file that cannot be read is one line on stderr and
+exits as ``resonet`` does: 2 for config/data, 3 for a numeric failure.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ try:
 except ImportError:  # running from a checkout without `pip install -e .`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from resonet import acsolver, signals, simulator
+from resonet import acsolver, cli, signals, simulator
 from resonet.lattice import LatticeSpec, MechanicalParams, load_system
 
 REF_MASS_OUTER = 1.307e-3
@@ -52,8 +54,11 @@ def main(argv=None) -> int:
                     help="swept-sine rate in Hz per second")
     ap.add_argument("--out", type=pathlib.Path,
                     default=pathlib.Path("runs/frequency_response"))
-    args = ap.parse_args(argv)
+    return cli.exit_code(characterize, ap.parse_args(argv),
+                         prog=pathlib.Path(__file__).name)
 
+
+def characterize(args) -> int:
     spec, sys_m = build_system(args.system)
     n_out = len(spec.outputs)
     eigs = simulator.eigenfrequencies_hz(sys_m)

@@ -7,6 +7,8 @@ scores the held-out split, converts the result to realizable circuit values,
 and writes the artifacts to --out: metrics and the exact system, plus the
 quantized system and its report unless --series is none.  The system files
 go through the same writer as ``resonet train``.
+A resonet error or a file that cannot be read is one line on stderr and
+exits as ``resonet`` does: 2 for config/data, 3 for a numeric failure.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ try:
 except ImportError:  # running from a checkout without `pip install -e .`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from resonet import signals, trainer
+from resonet import cli, signals, trainer
 from resonet.lattice import LatticeSpec, save_system_files
 
 
@@ -37,8 +39,11 @@ def main(argv=None) -> int:
     ap.add_argument("--series", default="E96", choices=["E24", "E96", "none"],
                     help="resistor series for the quantized export "
                          "(none: exact values only)")
-    args = ap.parse_args(argv)
+    return cli.exit_code(train_and_export, ap.parse_args(argv),
+                         prog=pathlib.Path(__file__).name)
 
+
+def train_and_export(args) -> int:
     centers = tuple(float(c) for c in args.centers.split(","))
     ds = signals.gen_dataset(signals.DatasetSpec(centers_hz=centers,
                                                  seed=args.data_seed))

@@ -27,9 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import acsolver, lattice, signals, simulator, trainer, unitcell
-from .errors import (ConfigError, DataFormatError, InvalidParameterError,
-                     NearResonanceError, NumericError, PoleError,
-                     TopologyError, UndecidableError, check_fields,
+from .errors import (ConfigError, NearResonanceError, NumericError, PoleError,
+                     ResonetError, UndecidableError, check_fields,
                      is_json_number, json_text, read_json, refuse_overwrite,
                      write_json)
 
@@ -37,8 +36,6 @@ USAGE_EXIT = 1
 CONFIG_EXIT = 2
 NUMERIC_EXIT = 3
 
-_CONFIG_ERRORS = (ConfigError, DataFormatError, InvalidParameterError,
-                  TopologyError, OSError)
 _NUMERIC_ERRORS = (NumericError, NearResonanceError, PoleError, UndecidableError)
 
 
@@ -610,20 +607,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+def exit_code(func, args, prog: str = "resonet") -> int:
+    """func(args), or the exit code of the resonet error or OSError it raised."""
+    try:
+        return func(args)
+    except (ResonetError, OSError) as exc:
+        if isinstance(exc, _NUMERIC_ERRORS):
+            print(f"{prog}: numeric failure: {exc}", file=sys.stderr)
+            return NUMERIC_EXIT
+        print(f"{prog}: error: {exc}", file=sys.stderr)   # config or data
+        return CONFIG_EXIT
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "command", None) is None:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
-    try:
-        return args.func(args)
-    except _NUMERIC_ERRORS as exc:
-        print(f"resonet: numeric failure: {exc}", file=sys.stderr)
-        return NUMERIC_EXIT
-    except _CONFIG_ERRORS as exc:
-        print(f"resonet: error: {exc}", file=sys.stderr)
-        return CONFIG_EXIT
+    return exit_code(args.func, args)
 
 
 if __name__ == "__main__":

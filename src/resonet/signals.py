@@ -451,40 +451,39 @@ def stft(sig: Signal, window_s: float, hop_s: float | None = None,
                        window_s=n_win / sig.rate_hz, hop_s=n_hop / sig.rate_hz)
 
 
+_REANCHOR = 64   # _ridge_mags sets its twiddle exactly at every 64th frame
+
+
 def _ridge_mags(window: np.ndarray, starts: np.ndarray, bins: np.ndarray,
                 *columns: np.ndarray) -> list[np.ndarray]:
     """|DFT| of windowed frames at one bin per frame: one array per column
     array c (time along axis 0), whose row j is |rfft(window * c[s:s+N])[k]|
     for the j-th (s, k) of zip(starts, bins), as stft's mags would read it.
 
-    The twiddle e^(-2 pi i k m / N) is looked up in a cos/sin table at the
-    exact integer (k m) mod N, factored through m = a q + b with
-    q = ceil(sqrt(N)): the index is (k q a mod N) + (k b mod N), the outer
-    sum of two short index vectors, and the table is stored twice over so
-    that no sum needs reducing mod N (the q ceil(N/q) - N sums past
-    m = N - 1 are computed and dropped).  Each frame is one real product of
-    the (2, N) windowed twiddle rows with a view of the column, so no frame
-    matrix or spectrum is built.
+    One windowed twiddle w[m] e^(-2 pi i k m / N) is kept: set from the exact
+    integer (k m) mod N at every _REANCHOR-th frame from the first, and in
+    between rotated to the next bin by the exact step phasor of k - k_prev,
+    made once per step.  Each frame is one real GEMM of the column with the
+    twiddle's (N, 2) float view: no frame matrix or spectrum is built.
     """
     n = len(window)
-    q = math.isqrt(n - 1) + 1   # ceil(sqrt(n))
-    r = -(-n // q)
-    angle = (2.0 * np.pi / n) * np.arange(n)
-    cos, sin = np.tile(np.cos(angle), 2), np.tile(np.sin(angle), 2)
-    a, b = q * np.arange(r), np.arange(q)
-    grid = np.empty((r, q), dtype=np.intp)
-    idx = grid.reshape(-1)[:n]
-    twiddle = np.empty((2, n))
+    m = np.arange(n)
+    unit = np.exp((-2j * np.pi / n) * m)   # e^(-2 pi i k m / N) is unit[(k m) % N]
+    steps = {}
+    twiddle = np.empty(n, dtype=complex)
+    pair = twiddle.view(float).reshape(n, 2)   # its (re, im) columns
     out = [np.empty((len(starts),) + c.shape[1:]) for c in columns]
     for j, (s, k) in enumerate(zip(starts, bins)):
-        np.add.outer((k * a) % n, (k * b) % n, out=grid)
-        # every index lies in the table; "clip" only skips the bounds check
-        np.take(cos, idx, out=twiddle[0], mode="clip")
-        np.take(sin, idx, out=twiddle[1], mode="clip")
-        twiddle *= window
+        if j % _REANCHOR:
+            if k - k_prev not in steps:
+                steps[k - k_prev] = unit[((k - k_prev) * m) % n]
+            twiddle *= steps[k - k_prev]
+        else:
+            np.multiply(unit[(k * m) % n], window, out=twiddle)
+        k_prev = k
         for c, mags in zip(columns, out):
-            re, im = twiddle @ c[s:s + n]
-            mags[j] = np.hypot(re, im)
+            re_im = c[s:s + n].T @ pair
+            mags[j] = np.hypot(re_im[..., 0], re_im[..., 1])
     return out
 
 
@@ -513,7 +512,7 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
     chirp's frequency-time ridge and their ratio is |H| in V/A.  Each analysis
     frame is read at one DFT bin only, the ridge bin: the frames, bins and
     ``freqs_hz`` are those of ``stft``'s spectrograms, and |H| agrees with
-    reading those spectrograms to about 1e-12 relative.
+    reading those spectrograms to about 1e-11 relative.
     The drive level cancels out of that ratio, so ``amplitude`` only matters
     for numerical headroom.
     The chirp is padded by one window length on both sides so every reported
@@ -542,14 +541,12 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
         raise InvalidParameterError("g_m must be finite and > 0")
     if sweep_rate_hz_per_s <= 0.0:
         raise InvalidParameterError("sweep rate must be > 0")
-    span = f_end_hz - f_start_hz
-    if span <= 0.0:
+    if f_end_hz <= f_start_hz:
         raise InvalidParameterError("need f_start < f_end")
     if amplitude <= 0.0:
         raise InvalidParameterError("amplitude must be finite and > 0")
 
-    pad_s = window_s
-    pad_hz = sweep_rate_hz_per_s * pad_s
+    pad_hz = sweep_rate_hz_per_s * window_s
     f_lo = max(f_start_hz - pad_hz, 0.0)
     f_hi = f_end_hz + pad_hz
     duration = (f_hi - f_lo) / sweep_rate_hz_per_s
@@ -561,12 +558,17 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
     drive = Signal(rate_hz, values, unit="A")
     del values
 
-    n_win, _, starts, times, freqs = _frame_grid(drive, window_s, None)
+    n_win, n_hop, starts, times, freqs = _frame_grid(drive, window_s, None)
     win = _window_values(window, n_win)
     ridge_f = f_lo + sweep_rate_hz_per_s * times
     keep = (ridge_f >= f_start_hz) & (ridge_f <= f_end_hz)
-    bin_idx = np.argmin(np.abs(freqs[None, :] - ridge_f[keep, None]), axis=1)
-    starts = starts[keep]
+    if not keep.any():
+        raise InvalidParameterError(f"no analysis frame in the band {f_start_hz:g}-{f_end_hz:g} Hz: "
+                                    f"the ridge moves {sweep_rate_hz_per_s * n_hop / rate_hz:g} Hz a frame")
+    ridge_f, starts = ridge_f[keep], starts[keep]
+    # the nearer of the two bins around each ridge frequency, the lower on a tie
+    hi = np.clip(np.searchsorted(freqs, ridge_f), 1, len(freqs) - 1)
+    bin_idx = hi - (np.abs(freqs[hi - 1] - ridge_f) <= np.abs(freqs[hi] - ridge_f))
 
     traj = simulator.run(sys, drive)
     amp_in, amp_out = _ridge_mags(win, starts, bin_idx, drive.values, traj.values)

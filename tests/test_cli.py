@@ -548,6 +548,16 @@ def test_unbounded_sample_count_exits_2_before_allocating(workspace, tmp_path,
     assert not out.exists()
 
 
+def test_swept_sine_band_without_a_frame_exits_2(workspace, tmp_path, capsys):
+    out = tmp_path / "ss.csv"
+    assert run_cli(["ac-sweep", "--system", workspace["system"], "--method", "swept-sine",
+                    "--f-start", "20", "--f-stop", "20.5", "--sweep-rate", "5",
+                    "--window", "0.5001", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "no analysis frame in the band 20-20.5 Hz" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_methods_agree_away_from_resonance(workspace, tmp_path):
     spec, circ, scaling = lattice.load_system(workspace["system"])
     sys_m = simulator.assemble(spec, circ)

@@ -39,3 +39,19 @@ def test_frequency_response_writes_both_sweeps(tmp_path, capsys):
     swept = (tmp_path / "swept_sine.csv").read_text().splitlines()
     assert swept[0] == "freq_hz,h1,h2,h3" and len(swept) > 1
     assert f"wrote {tmp_path}/ac_sweep.csv" in capsys.readouterr().out
+
+
+def test_scripts_map_errors_to_the_cli_exit_codes(tmp_path, capsys):
+    # a missing file (OSError) and a bad parameter (a resonet error) are
+    # one line on stderr and exit 2, as resonet reports them
+    missing = tmp_path / "missing.json"
+    assert _load("frequency_response").main(["--system", str(missing),
+                                             "--out", str(tmp_path / "fr")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("frequency_response.py: error: ") and str(missing) in err
+    assert err.count("\n") == 1 and not (tmp_path / "fr").exists()
+    assert _load("train_pulse_classifier").main(["--centers", "30,5000",
+                                                 "--out", str(tmp_path / "tp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("train_pulse_classifier.py: error: ") and "5000" in err
+    assert err.count("\n") == 1 and not (tmp_path / "tp").exists()

@@ -487,7 +487,7 @@ def test_parseval_for_hann_half_hop():
 
 def ridge_mags_by_remainder(window, starts, bins, *columns):
     """_ridge_mags as it gathered each frame's twiddle at (k m) mod N for
-    every m, kept as the oracle of its factored index."""
+    every m, kept as the oracle of its rotated twiddle."""
     n = len(window)
     m = np.arange(n)
     angle = (2.0 * np.pi / n) * m
@@ -505,9 +505,7 @@ def ridge_mags_by_remainder(window, starts, bins, *columns):
 @pytest.mark.parametrize("window", ["hann", "nuttall"])
 @pytest.mark.parametrize("n_win", [64, 65, 997, 1000, 1001, 16000])
 def test_ridge_reader_matches_the_spectrogram(window, n_win):
-    # 16000 is the frame of the 1-100 Hz measurement; the factored index
-    # holds ceil(sqrt(N)) * ceil(N / ceil(sqrt(N))) - N sums past the frame
-    # end, none for 64, 2 for 16000 and 27 for the prime 997
+    # 16000 is the frame of the 1-100 Hz measurement, 997 is prime
     rate = 1000.0
     rng = np.random.default_rng(n_win)
     x = rng.standard_normal(12 * n_win + 7)
@@ -519,15 +517,39 @@ def test_ridge_reader_matches_the_spectrogram(window, n_win):
     bin_idx[0], bin_idx[-1] = 0, len(freqs) - 1   # bin 0, and N/2 for even N
     got_x, got_y = signals._ridge_mags(signals._window_values(window, n),
                                        starts[frame_idx], bin_idx, x, y)
-    # the factored index reads the same twiddles as the remainder did
+    # the rotated twiddle reads what the exact one does, to rounding
     want_x, want_y = ridge_mags_by_remainder(signals._window_values(window, n),
                                              starts[frame_idx], bin_idx, x, y)
-    assert got_x.tobytes() == want_x.tobytes() and got_y.tobytes() == want_y.tobytes()
+    np.testing.assert_allclose(got_x, want_x, rtol=1e-11)
+    np.testing.assert_allclose(got_y, want_y, rtol=1e-11)
     want = stft(Signal(rate, x), n_win / rate, window=window).mags
     np.testing.assert_allclose(got_x, want[frame_idx, bin_idx], rtol=1e-9)
     for ch in range(y.shape[1]):
         want = stft(Signal(rate, y[:, ch]), n_win / rate, window=window).mags
         np.testing.assert_allclose(got_y[:, ch], want[frame_idx, bin_idx], rtol=1e-9)
+
+
+def test_ridge_reader_holds_over_many_rotations():
+    # 320 frames, bins stepping by 0, 1, 3 and 7 in turn: the twiddle is
+    # rotated 63 times between re-anchors, by four step phasors
+    rate, n_win, n_hop = 1000.0, 2000, 50
+    assert signals._REANCHOR < 320
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(319 * n_hop + n_win)
+    y = rng.standard_normal((len(x), 2))
+    n, _, starts, _, freqs = signals._frame_grid(Signal(rate, x), n_win / rate,
+                                                 n_hop / rate)
+    assert len(starts) == 320
+    bin_idx = 40 + np.cumsum(np.resize([0, 1, 3, 7], len(starts)))
+    assert bin_idx[-1] < len(freqs)
+    win = signals._window_values("nuttall", n)
+    got_x, got_y = signals._ridge_mags(win, starts, bin_idx, x, y)
+    want_x, want_y = ridge_mags_by_remainder(win, starts, bin_idx, x, y)
+    np.testing.assert_allclose(got_x, want_x, rtol=1e-11)
+    np.testing.assert_allclose(got_y, want_y, rtol=1e-11)
+    frames = np.arange(len(starts))
+    want = stft(Signal(rate, x), n_win / rate, n_hop / rate, window="nuttall").mags
+    np.testing.assert_allclose(got_x, want[frames, bin_idx], rtol=1e-9)
 
 
 def test_stft_window_validation():
@@ -575,18 +597,45 @@ def measure_transfer_by_stft(sys_m, f_start_hz, f_end_hz, rate_hz=4000.0,
     return spec_in.freqs_hz[bin_idx], h
 
 
-@pytest.mark.parametrize("plant", ["uniform", "small"])
+@pytest.mark.parametrize("plant", ["uniform", "small", "small_uneven_steps"])
 def test_measurement_matches_the_stft_oracle(plant, uniform_plant, uniform_measurement):
     if plant == "uniform":
         meas, args, kw = uniform_measurement, (uniform_plant[2], 1.0, 100.0), {}
-    else:
+    elif plant == "small":
         kw = dict(rate_hz=4000.0, sweep_rate_hz_per_s=1.0, window_s=2.0,
                   window="hann", amplitude=0.7)
         args = (small_plant(), 15.0, 45.0)
         meas = measure_transfer(*args, **kw)
+    else:
+        # the ridge moves 0.375 Hz per frame across 0.4 Hz bins, so the bin
+        # steps by 0 or 1, over more frames than one re-anchor period
+        kw = dict(rate_hz=4000.0, sweep_rate_hz_per_s=0.3, window_s=2.5)
+        args = (small_plant(), 15.0, 45.0)
+        meas = measure_transfer(*args, **kw)
+        assert set(np.diff(np.round(meas.freqs_hz / 0.4)).tolist()) == {0.0, 1.0}
+        assert len(meas.freqs_hz) > signals._REANCHOR
     freqs, h = measure_transfer_by_stft(*args, **kw)
     assert meas.freqs_hz.tobytes() == freqs.tobytes()
     np.testing.assert_allclose(meas.h, h, rtol=1e-9)
+
+
+def test_ridge_halfway_between_bins_takes_the_lower_bin():
+    # 1 Hz bins and a ridge at 10, 10.5, 11, ... Hz exactly: every other
+    # frame ties, and the tie goes to the lower bin, as argmin picks it
+    kw = dict(rate_hz=4000.0, sweep_rate_hz_per_s=1.0, window_s=1.0)
+    meas = measure_transfer(small_plant(), 10.0, 14.0, **kw)
+    np.testing.assert_array_equal(meas.freqs_hz, np.repeat(np.arange(10.0, 14.0), 2).tolist()
+                                  + [14.0])
+    freqs, _ = measure_transfer_by_stft(small_plant(), 10.0, 14.0, **kw)
+    assert meas.freqs_hz.tobytes() == freqs.tobytes()
+
+
+def test_band_without_a_frame_is_refused():
+    # the ridge moves 1.25 Hz per frame and skips the whole 20-20.5 Hz band
+    with pytest.raises(InvalidParameterError,
+                       match=r"no analysis frame in the band 20-20\.5 Hz: .* 1\.25 Hz a frame"):
+        measure_transfer(small_plant(), 20.0, 20.5, sweep_rate_hz_per_s=5.0,
+                         window_s=0.5001)
 
 
 def test_gm_default_value():
