@@ -6,13 +6,13 @@ the AC transmission over a frequency band, re-measures it with a swept-sine
 virtual experiment, and reports per-channel peaks plus the worst-case
 disagreement away from the resonances.  Writes ac_sweep.csv and
 swept_sine.csv to --out.
-A resonet error or a file that cannot be read is one line on stderr and
-exits as ``resonet`` does: 2 for config/data, 3 for a numeric failure.
+Exit codes are those of ``resonet``: a usage error exits 1, and a resonet
+error or a file that cannot be read is one line on stderr and exits 2 for
+config/data, 3 for a numeric failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import pathlib
 import sys
 
@@ -43,7 +43,7 @@ def build_system(path):
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap = cli._Parser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--system", type=pathlib.Path, default=None,
                     help="system.json to characterize (default: uniform plant)")
     ap.add_argument("--f-start", type=float, default=1.0)

@@ -7,13 +7,13 @@ scores the held-out split, converts the result to realizable circuit values,
 and writes the artifacts to --out: metrics and the exact system, plus the
 quantized system and its report unless --series is none.  The system files
 go through the same writer as ``resonet train``.
-A resonet error or a file that cannot be read is one line on stderr and
-exits as ``resonet`` does: 2 for config/data, 3 for a numeric failure.
+Exit codes are those of ``resonet``: a usage error exits 1, and a resonet
+error or a file that cannot be read is one line on stderr and exits 2 for
+config/data, 3 for a numeric failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import pathlib
 import sys
 import time
@@ -28,13 +28,13 @@ from resonet.lattice import LatticeSpec, save_system_files
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap = cli._Parser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", type=pathlib.Path,
                     default=pathlib.Path("runs/pulse_classifier"))
     ap.add_argument("--epochs", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0, help="training seed")
     ap.add_argument("--data-seed", type=int, default=1, help="dataset seed")
-    ap.add_argument("--centers", default="30,50,70",
+    ap.add_argument("--centers", type=cli._float_list, default=(30.0, 50.0, 70.0),
                     help="comma-separated pulse center frequencies in Hz")
     ap.add_argument("--series", default="E96", choices=["E24", "E96", "none"],
                     help="resistor series for the quantized export "
@@ -44,14 +44,13 @@ def main(argv=None) -> int:
 
 
 def train_and_export(args) -> int:
-    centers = tuple(float(c) for c in args.centers.split(","))
-    ds = signals.gen_dataset(signals.DatasetSpec(centers_hz=centers,
+    ds = signals.gen_dataset(signals.DatasetSpec(centers_hz=args.centers,
                                                  seed=args.data_seed))
     train_split, heldout = ds.split("train"), ds.split("test")
     spec = LatticeSpec.default_grid()
     cfg = trainer.TrainConfig(epochs=args.epochs, seed=args.seed)
     print(f"dataset: {len(train_split)} train / {len(heldout)} held-out "
-          f"pulses, classes at {'/'.join(f'{c:g}' for c in centers)} Hz")
+          f"pulses, classes at {'/'.join(f'{c:g}' for c in args.centers)} Hz")
     print(f"lattice: {spec.rows}x{spec.cols}, input cell {spec.input_cell}, "
           f"output cells {list(spec.outputs)}")
 

@@ -35,8 +35,11 @@ ways, both equal to stepping to rounding:
   ``leapfrog`` and caches it on ``SystemMatrices`` (at most KERNELS).
 * A longer drive is evaluated BLOCK steps at a time: each block is the free
   response to the state entering it plus its drive times the Toeplitz
-  matrix of the BLOCK-step impulse response, one GEMM per chunk of
-  _CHUNK_BLOCKS blocks, while a scan over blocks carries the state.
+  matrix of the impulse response, while a scan over blocks carries the
+  state.  Drive in a block's second half never reaches its first half, so
+  each block is written as two half-blocks of BLOCK // 2 steps: one small
+  GEMM steps each block's state to mid-block, and one GEMM per chunk of
+  _CHUNK_BLOCKS blocks writes all its half-blocks.
 
 A short drive from a nonzero state steps with ``leapfrog`` and equals it
 bit for bit, and so does a drive whose bound on |u| over all DOFs (max|x|
@@ -71,7 +74,7 @@ BLOWUP_LIMIT = 1e12  # |u| beyond this aborts the run as numerically unstable
 CHUNK = 64           # leapfrog steps between two checks of the blow-up limit
 BLOCK = 256          # steps per block of run's blocked evaluation
 MIN_BLOCKS = 64      # drives shorter than this many blocks are not evaluated blockwise
-_CHUNK_BLOCKS = 64   # blocks per GEMM of the blocked evaluation
+_CHUNK_BLOCKS = 256  # blocks per GEMM of the blocked evaluation
 KERNELS = 4          # impulse-response kernels cached per system
 
 
@@ -463,30 +466,41 @@ def _convolve(spectrum: np.ndarray, x_f: np.ndarray, steps: int) -> np.ndarray:
 
 
 def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
-    """One block's operators, generated by leapfrog: (ops, o_max, trans,
+    """One block's operators, generated by leapfrog: (ops, mid, o_max, trans,
     h_sum, ends).
 
     The state entering a block is (u_curr, u_curr - u_prev) as a 2n-vector:
     carrying the step difference rather than u_prev keeps a large rigid
     displacement (free lattice) from swamping the velocity in rounding.
     With h (L, n) the response to a unit drive at the block's first step
-    from rest: ops (2n + L, L * d) maps [state | block drive] to the block's
-    (L, d) rows at `dofs`, flattened; its first 2n rows are the free
-    response to each unit state, its last L the lower-triangular Toeplitz
-    matrix of h.  o_max (n, 2n) is the largest |free response| over the
-    block and h_sum (n,) = sum_t |h[t]|, the two parts of the block's bound
-    on |u|.  trans (2n, 2n) maps the state entering a block to the state
-    entering the next; ends (L, 2n) maps a block's drive to the state it
-    leaves from rest.
+    from rest and H = L // 2 the half-block: ops (2n + H, H * d) maps
+    [state | half-block drive] to the half-block's (H, d) rows at `dofs`,
+    flattened; its first 2n rows are the free response to each unit state,
+    its last H the lower-triangular Toeplitz matrix of h[:H].  mid (2n + H,
+    2n) maps [state | first half of the drive] to the state at mid-block.
+    o_max (n, 2n) is the largest |free response| over the whole block and
+    h_sum (n,) = sum_t |h[t]|, the two parts of the block's bound on |u|.
+    trans (2n, 2n) maps the state entering a block to the state entering
+    the next; ends (L, 2n) maps a block's drive to the state it leaves from
+    rest, and its last H rows are those of mid's drive part.
     """
     n, L, d = sys.n_dof, BLOCK, len(dofs)
+    half = L // 2
     pulse = np.zeros(L)
     pulse[0] = 1.0
     h = leapfrog(sys, dt, pulse, limit=np.inf)
-    ops = np.zeros((2 * n + L, L, d))
-    h_rec = h[:, dofs]
-    for j in range(L):   # the response to a unit drive at step j
-        ops[2 * n + j, j:] = h_rec[:L - j]
+    ops = np.zeros((2 * n + half, half, d))
+    h_rec = h[:half, dofs]
+    for j in range(half):   # the response to a unit drive at step j
+        ops[2 * n + j, j:] = h_rec[:half - j]
+    # The state a block's drive alone leaves it in, from rest, is the drive
+    # weighted by the reversed impulse response (and by its step difference).
+    ends = np.empty((L, 2 * n))
+    ends[:, :n] = h[::-1]
+    ends[:, n:] = h[::-1]
+    ends[:-1, n:] -= h[-2::-1]
+    mid = np.empty((2 * n + half, 2 * n))
+    mid[2 * n:] = ends[half:]
     eye = np.eye(n)
     u_prev, u_curr = np.hstack([eye, -eye]), np.hstack([eye, np.zeros((n, n))])
     o_max = np.zeros((n, 2 * n))
@@ -495,16 +509,13 @@ def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
         o = leapfrog(sys, dt, np.zeros((piece, 2 * n)), u_prev, u_curr,
                      limit=np.inf)
         np.maximum(o_max, np.max(np.abs(o), axis=0), out=o_max)
-        ops[:2 * n, t0:t0 + piece] = o[:, dofs].transpose(2, 0, 1)
         u_prev, u_curr = o[-2], o[-1]
-    # The state a block's drive alone leaves it in, from rest, is the drive
-    # weighted by the reversed impulse response (and by its step difference).
-    ends = np.empty((L, 2 * n))
-    ends[:, :n] = h[::-1]
-    ends[:, n:] = h[::-1]
-    ends[:-1, n:] -= h[-2::-1]
-    return (ops.reshape(2 * n + L, L * d), o_max, np.vstack([u_curr, u_curr - u_prev]),
-            np.sum(np.abs(h), axis=0), ends)
+        if t0 < half:
+            ops[:2 * n, t0:t0 + piece] = o[:, dofs].transpose(2, 0, 1)
+        if t0 + piece == half:
+            mid[:2 * n] = np.vstack([u_curr, u_curr - u_prev]).T
+    return (ops.reshape(2 * n + half, half * d), mid, o_max,
+            np.vstack([u_curr, u_curr - u_prev]), np.sum(np.abs(h), axis=0), ends)
 
 
 def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
@@ -513,37 +524,47 @@ def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
     """leapfrog's result, evaluated BLOCK steps at a time (see module doc).
 
     Each chunk of _CHUNK_BLOCKS blocks scans the state entering its blocks,
-    bounds |u| and writes its rows with one GEMM, [state | block drive] @
-    ops.  Returns None once a chunk's bound exceeds BLOWUP_LIMIT or is not
-    finite; the caller then steps with leapfrog.
+    bounds |u| per block, steps each block's state to mid-block with one
+    GEMM, [state | first half of the drive] @ mid, and writes its rows as
+    2 * _CHUNK_BLOCKS half-blocks with one GEMM, [state | half-block drive]
+    @ ops.  Returns None once a chunk's bound exceeds BLOWUP_LIMIT or is
+    not finite; the caller then steps with leapfrog.
     """
     n, L, d = sys.n_dof, BLOCK, len(dofs)
-    ops, o_max, trans, h_sum, ends = _block_operators(sys, dt, np.asarray(dofs, dtype=int))
+    half = L // 2
+    ops, mid, o_max, trans, h_sum, ends = _block_operators(
+        sys, dt, np.asarray(dofs, dtype=int))
     steps = len(drive)
     out = np.empty((-(-steps // L) * L, d))   # whole blocks; steps rows returned
-    # [state | block drive] rows.  The scan writes each state in place
-    # through row views made once; the state leaving a chunk lands in the row
-    # after its last block, and the next chunk starts from it.
-    lhs = np.empty((_CHUNK_BLOCKS + 1, 2 * n + L))
-    states = list(lhs[:, :2 * n])
-    lhs[0, :n] = u_curr
-    np.subtract(u_curr, u_prev, out=lhs[0, n:2 * n])
+    # lhs[b, 0] and lhs[b, 1] are block b's two [state | half-block drive]
+    # rows.  The scan writes the state entering each block in place through
+    # row views made once; the state leaving a chunk lands in the row after
+    # its last block, and the next chunk starts from it.
+    lhs = np.empty((_CHUNK_BLOCKS + 1, 2, 2 * n + half))
+    states = list(lhs[:, 0, :2 * n])
+    lhs[0, 0, :n] = u_curr
+    np.subtract(u_curr, u_prev, out=lhs[0, 0, n:2 * n])
     for t0 in range(0, steps, _CHUNK_BLOCKS * L):
         m = min(_CHUNK_BLOCKS * L, steps - t0)
         k, full = -(-m // L), m // L
-        s, x = lhs[:k, :2 * n], lhs[:k, 2 * n:]
-        x[:full] = drive[t0:t0 + full * L].reshape(full, L)
+        s, x = lhs[:k, 0, :2 * n], lhs[:k, :, 2 * n:]
+        x[:full] = drive[t0:t0 + full * L].reshape(full, 2, half)
         if full < k:   # the drive's last block is partial: pad it with zeros
-            x[full] = np.append(drive[t0 + full * L:t0 + m], np.zeros(k * L - m))
-        for s_in, s_out, z in zip(states, states[1:], x @ ends):
+            x[full] = np.append(drive[t0 + full * L:t0 + m],
+                                np.zeros(k * L - m)).reshape(2, half)
+        z = x[:, 0] @ ends[:half]
+        z += x[:, 1] @ ends[half:]
+        for s_in, s_out, z_b in zip(states, states[1:], z):
             np.dot(trans, s_in, out=s_out)
-            s_out += z
+            s_out += z_b
         # |u| in a block is at most |s| @ o_max.T + max|x| * sum_t |h[t]|.
-        x_max = np.maximum(x.max(axis=1), -x.min(axis=1))
+        x_max = np.maximum(x.max(axis=(1, 2)), -x.min(axis=(1, 2)))
         if not np.max(np.abs(s) @ o_max.T + x_max[:, None] * h_sum) <= BLOWUP_LIMIT:
             return None
-        np.matmul(lhs[:k], ops, out=out[t0:t0 + k * L].reshape(k, L * d))
-        lhs[0, :2 * n] = lhs[k, :2 * n]
+        np.matmul(lhs[:k, 0], mid, out=lhs[:k, 1, :2 * n])
+        np.matmul(lhs[:k].reshape(2 * k, 2 * n + half), ops,
+                  out=out[t0:t0 + k * L].reshape(2 * k, half * d))
+        lhs[0, 0, :2 * n] = lhs[k, 0, :2 * n]
     return out[:steps]
 
 

@@ -1,7 +1,11 @@
 """Smoke tests of the example scripts under scripts/."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from resonet import lattice
 
@@ -55,3 +59,17 @@ def test_scripts_map_errors_to_the_cli_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("train_pulse_classifier.py: error: ") and "5000" in err
     assert err.count("\n") == 1 and not (tmp_path / "tp").exists()
+
+
+@pytest.mark.parametrize("name, args", [
+    ("train_pulse_classifier", ["--centers", "30,abc"]),
+    ("frequency_response", ["--points", "many"]),
+])
+def test_script_usage_errors_exit_1_without_a_traceback(tmp_path, name, args):
+    # as resonet does: argparse's own exit 2 would read as a config error
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / f"{name}.py"), *args,
+                           "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert f"{name}.py: error: " in proc.stderr and args[1] in proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()

@@ -25,6 +25,8 @@ from conftest import grounded_corner, make_uniform_plant, random_small_system
 TWO_PI = 2.0 * math.pi
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 LONG = simulator.MIN_BLOCKS * simulator.BLOCK   # shortest drive run evaluates blockwise
+CHUNK_LEN = simulator._CHUNK_BLOCKS * simulator.BLOCK   # steps per chunk of blocks
+HALF = simulator.BLOCK // 2
 
 
 def single_cell(mass_outer=1.307e-3, mass_inner=3.530e-3, k=100.0):
@@ -348,10 +350,14 @@ def test_blocked_run_matches_leapfrog():
         assert np.max(np.abs(traj.values - ref)) <= 1e-8 * scale
 
 
-@pytest.mark.parametrize("steps", [LONG, LONG + 1, LONG + simulator.BLOCK - 1])
+@pytest.mark.parametrize("steps", [LONG, LONG + 1, LONG + simulator.BLOCK - 1,
+                                   LONG + HALF, LONG + HALF + 1,
+                                   CHUNK_LEN, CHUNK_LEN + 1])
 def test_blocked_run_at_block_and_chunk_edges_matches_leapfrog(steps):
-    # LONG is exactly one chunk of whole blocks; one step more starts a second
-    # chunk with a one-step block, BLOCK - 1 more fills all but one of its steps.
+    # LONG is whole blocks; one step more ends in a one-step block, BLOCK - 1
+    # more fills all but one of its steps.  LONG + HALF ends on the last
+    # block's first half, one step more puts one step in its second half.
+    # CHUNK_LEN is exactly one chunk; one step more starts a second chunk.
     rng = np.random.default_rng(steps)
     sys_m = dataclasses.replace(random_small_system(rng)[2], damping=0.5)
     dt = 0.9 * max_stable_dt(sys_m)
@@ -364,12 +370,47 @@ def test_blocked_run_at_block_and_chunk_edges_matches_leapfrog(steps):
         assert np.max(np.abs(traj.values - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("system", ["random", "grounded_corner", "free"])
+def test_half_block_operators_are_leapfrog_steps(system):
+    # [state | first half of a block's drive] @ mid is the state leapfrog
+    # reaches after HALF steps, and the rows of ops are leapfrog's free
+    # response to each unit state and its impulse response.
+    rng = np.random.default_rng(31)
+    sys_m = {"random": lambda: dataclasses.replace(random_small_system(rng)[2],
+                                                   damping=0.5),
+             "grounded_corner": lambda: grounded_corner()[2],
+             "free": _free_square}[system]()
+    n = sys_m.n_dof
+    dt = 0.9 * max_stable_dt(sys_m)
+    dofs = np.arange(n)
+    ops, mid, *_ = simulator._block_operators(sys_m, dt, dofs)
+    assert ops.shape == (2 * n + HALF, HALF * n) and mid.shape == (2 * n + HALF, 2 * n)
+
+    s, x = rng.standard_normal(2 * n), rng.standard_normal(HALF)
+    u = leapfrog(sys_m, dt, x, s[:n] - s[n:], s[:n])
+    ref = np.concatenate([u[-1], u[-1] - u[-2]])
+    got = np.concatenate([s, x]) @ mid
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    eye = np.eye(n)
+    free = leapfrog(sys_m, dt, np.zeros((HALF, 2 * n)), np.hstack([eye, -eye]),
+                    np.hstack([eye, np.zeros((n, n))]))
+    pulse = np.zeros(HALF)
+    pulse[0] = 1.0
+    h = leapfrog(sys_m, dt, pulse)
+    toeplitz = np.zeros((HALF, HALF, n))
+    for j in range(HALF):
+        toeplitz[j, j:] = h[:HALF - j]
+    want = np.concatenate([free.transpose(2, 0, 1), toeplitz]).reshape(ops.shape)
+    assert np.max(np.abs(ops - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_blocked_run_falls_back_when_a_later_chunk_breaks_the_bound(uniform_plant,
                                                                     monkeypatch):
     _, _, sys_m = uniform_plant
     dt = 1.0 / 4000.0
-    x = 1e-3 * np.random.default_rng(9).standard_normal(3 * LONG)
-    spike = 2 * LONG + 100   # in the third chunk of _CHUNK_BLOCKS blocks
+    x = 1e-3 * np.random.default_rng(9).standard_normal(CHUNK_LEN + LONG)
+    spike = CHUNK_LEN + 100   # in the second chunk of _CHUNK_BLOCKS blocks
     x[spike] = 1e3
     # scaled so that the spike's response peaks at twice the blow-up limit
     x *= simulator.BLOWUP_LIMIT / (0.5 * np.max(np.abs(leapfrog(sys_m, dt, x))))
