@@ -257,22 +257,24 @@ def leapfrog(sys: SystemMatrices, dt: float, drive: np.ndarray,
     NumericError citing the step (and batch column) once any |u| exceeds
     `limit`.
 
-    Each step runs in preallocated buffers with the same floating-point
-    operations, in the same order, as ``2 u[t] - c_minus u[t-1] - A u[t]``
-    (the c_minus product is skipped when it is exactly 1).  max|u| is checked
-    once per CHUNK steps with overflow warnings silenced inside the chunk; a
-    chunk past the limit (or holding NaN) is rescanned for its first bad row,
-    so the error and its step equal those of a check after every step.
+    With dofs None the result is a (T, n, ...) view of DOF-major storage, not
+    C-contiguous, so the gradient GEMM reads the history as an (n, T B) view.
+
+    Each step runs in a ring of CHUNK preallocated rows, copied out after each
+    chunk, with the same floating-point operations, in the same order, as
+    ``2 u[t] - c_minus u[t-1] - A u[t]`` (the c_minus product is skipped when
+    it is exactly 1).  max|u| is checked once per CHUNK steps with overflow
+    warnings silenced inside the chunk; a chunk past the limit (or holding
+    NaN) is rescanned for its first bad row, so the error and its step equal
+    those of a check after every step.
     """
     a, b, c_plus, c_minus = _step_coeffs(sys, dt)
     in_dof = sys.input_dof
     b_in = b[in_dof]
     shape = (sys.n_dof,) + drive.shape[1:]
-    width = sys.n_dof if dofs is None else len(dofs)
-    out = np.empty((len(drive), width) + drive.shape[1:])
-    # Steps write into the result itself when it records every DOF, else into
-    # a ring of CHUNK rows whose selected DOFs are copied out after each chunk.
-    ring = None if dofs is None else np.empty((min(CHUNK, len(drive)),) + shape)
+    out = (np.moveaxis(np.empty((sys.n_dof, len(drive)) + drive.shape[1:]), 0, 1)
+           if dofs is None else np.empty((len(drive), len(dofs)) + drive.shape[1:]))
+    ring = np.empty((min(CHUNK, len(drive)),) + shape)
     head = np.empty((2,) + shape)
     head[0] = 0.0 if u_prev is None else u_prev
     head[1] = 0.0 if u_curr is None else u_curr
@@ -281,7 +283,7 @@ def leapfrog(sys: SystemMatrices, dt: float, drive: np.ndarray,
     cu = None if c_minus == 1.0 else np.empty(shape)
     for t0 in range(0, len(drive), CHUNK):
         k = min(CHUNK, len(drive) - t0)
-        block = out[t0:t0 + k] if ring is None else ring[:k]
+        block = ring[:k]
         # step j writes rows[j + 2] from rows[j + 1] and rows[j]; in the ring
         # it overwrites last_two only after the first two steps have read them
         rows = last_two + list(block)
@@ -291,7 +293,7 @@ def leapfrog(sys: SystemMatrices, dt: float, drive: np.ndarray,
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(k):
                 u_prev, u_curr, u_next = rows[j], rows[j + 1], rows[j + 2]
-                np.matmul(a, u_curr, out=au)
+                np.dot(a, u_curr, out=au)
                 np.multiply(u_curr, 2.0, out=u_next)
                 if cu is None:
                     u_next -= u_prev
@@ -305,8 +307,7 @@ def leapfrog(sys: SystemMatrices, dt: float, drive: np.ndarray,
         # max and min, not max|u|: no chunk-sized temporary; NaN fails both
         if not (block.max() <= limit and -block.min() <= limit):
             _raise_blowup(block, t0, limit)
-        if ring is not None:
-            out[t0:t0 + k] = block[:, dofs]
+        out[t0:t0 + k] = block if dofs is None else block[:, dofs]
         last_two = rows[k:k + 2]
     return out
 

@@ -77,6 +77,9 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not np.all(np.isfinite(value)):
+                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidParameterError("epochs and batch_size must be >= 1")
         if self.lr <= 0.0 or self.prob_epsilon < 0.0:
@@ -257,15 +260,14 @@ def _adjoint_grad(sys: simulator.SystemMatrices, dt: float, src: np.ndarray,
     """Adjoint sweep; returns dL/dY (dense, n_dof x n_dof).
 
     src (T, C, B) is dL/du[s] at the output DOFs for every step; u_flat is the
-    DOF-major (n, (T-1) B) copy of the forward history's rows u[1..T-1].
+    DOF-major (n, (T-1) B) matrix of the forward history's rows u[1..T-1],
+    which loss_and_grad takes as a view of leapfrog's DOF-major storage.
     """
     if sys.damping != 0.0:
         raise InvalidParameterError("gradients are defined for undamped systems only")
     t_len, _, batch = src.shape
     n = sys.n_dof
-    a = dt * dt * (sys.stiffness / sys.inertia[:, None])
-    a_t = a.T.copy()
-    out = list(enumerate(sys.output_dofs))
+    a_t = simulator._step_coeffs(sys, dt)[0].T.copy()
     # lambda[s] = src[s] + 2 lambda[s+1] - A^T lambda[s+1] - lambda[s+2],
     # with lambda[T] = lambda[T+1] = 0.  The sweep steps in a ring of CHUNK + 2
     # rows and copies each finished chunk of lambda[1:] into a DOF-major array,
@@ -273,20 +275,21 @@ def _adjoint_grad(sys: simulator.SystemMatrices, dt: float, src: np.ndarray,
     # (T, n, B) lambda and no transposed copy of it
     chunk = simulator.CHUNK
     lam = np.empty((n, max(t_len - 1, 0), batch))   # a zero-length drive has none
-    ring = np.empty((chunk + 2, n, batch))
-    ring[chunk:] = 0.0
+    ring = np.zeros((chunk + 2, n, batch))
     a_lam = np.empty((n, batch))
+    # a chunk of src, zero off the outputs: one add per step (+0.0 can flip a -0.0)
+    s_rows = np.zeros((chunk, n, batch))
+    out = list(sys.output_dofs)
     for hi in range(t_len, 0, -chunk):
         lo = max(hi - chunk, 0)
+        s_rows[:hi - lo, out] = src[lo:hi]
         block = ring[chunk - (hi - lo):]   # row j holds lambda[lo + j], j <= hi - lo + 1
         rows = list(block)
         for j in range(hi - lo - 1, -1, -1):
             cur, lam_1 = rows[j], rows[j + 1]
             np.multiply(lam_1, 2.0, out=cur)
-            src_j = src[lo + j]
-            for c, dof in out:   # a row add each: no fancy-index gather/scatter
-                cur[dof] += src_j[c]
-            np.matmul(a_t, lam_1, out=a_lam)
+            cur += s_rows[j]
+            np.dot(a_t, lam_1, out=a_lam)
             cur -= a_lam
             cur -= rows[j + 2]
         first = max(lo, 1)
@@ -315,12 +318,14 @@ def loss_and_grad(spec: LatticeSpec, cfg: TrainConfig, params: TrainableParams,
     u_out = hist[:, list(sys.output_dofs), :]
     energies = _energies(u_out, dt)
     probs, loss, dl_de = _probs_and_loss(energies, labels, cfg.prob_epsilon)
-    # dL/du[s] at the output DOFs for every step, and the DOF-major history
-    # the gradient GEMM reads; the (T, n, B) history is then released, so it
-    # is never alive together with the adjoint's lambda
+    # dL/du[s] at the output DOFs for every step, and the history as the
+    # (n, (T-1) B) matrix the gradient GEMM reads: a view of leapfrog's
+    # DOF-major storage, not a copy
     src = dl_de * ((2.0 * dt) * u_out)
     u_flat = hist[:-1].transpose(1, 0, 2).reshape(sys.n_dof, -1)
-    del hist
+    if drive.shape[1] == 1:
+        # one column, T-major as before: OpenBLAS's small NN and NT GEMMs round apart
+        u_flat = np.ascontiguousarray(u_flat.T).T
     g_y = _adjoint_grad(sys, dt, src, u_flat)
     # d k / d theta = k for the log parameterization
     grad = _project_grad(sys, g_y) * np.concatenate(params.realize())

@@ -193,3 +193,44 @@ def test_adjoint_sweep_equals_the_oracle(steps):
     u_flat = hist[:-1].transpose(1, 0, 2).reshape(sys_m.n_dof, -1)
     assert_bitwise_equal(trainer._adjoint_grad(sys_m, dt, src, u_flat),
                          grad_from_hist_oracle(sys_m, dt, hist, dl_de))
+
+
+@pytest.mark.parametrize("batch", [None, 4])
+def test_the_all_dof_history_is_dof_major_so_the_gemm_reads_a_view(batch):
+    _, sys_m, dt = SYSTEMS[1]
+    cols = () if batch is None else (batch,)
+    drive = np.random.default_rng(9).standard_normal((CHUNK + 3,) + cols)
+    hist = leapfrog(sys_m, dt, drive)
+    assert hist.shape == (CHUNK + 3, sys_m.n_dof) + cols
+    assert np.moveaxis(hist, 0, 1).flags.c_contiguous   # (n, T, ...) storage
+    # the (n, (T-1) B) matrix loss_and_grad hands the gradient GEMM
+    u_flat = np.moveaxis(hist[:-1], 0, 1).reshape(sys_m.n_dof, -1)
+    assert np.shares_memory(u_flat, hist)
+
+
+def _loss_and_grad_oracle(spec, cfg, params, drive, labels, dt):
+    """loss_and_grad rebuilt from the per-step oracles."""
+    sys_m = simulator.assemble(spec, trainer.mech_from_params(spec, cfg, params))
+    hist = leapfrog_oracle(sys_m, dt, drive)
+    energies = trainer._energies(hist[:, list(sys_m.output_dofs), :], dt)
+    probs, loss, dl_de = trainer._probs_and_loss(energies, labels, cfg.prob_epsilon)
+    g_y = grad_from_hist_oracle(sys_m, dt, hist, dl_de)
+    grad = trainer._project_grad(sys_m, g_y) * np.concatenate(params.realize())
+    return loss, probs, grad, energies
+
+
+@pytest.mark.parametrize("steps", [1, 2, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_the_training_step_equals_the_oracles(steps, batch):
+    spec = grounded_corner()[0]
+    cfg = trainer.TrainConfig()
+    rng = np.random.default_rng(100 * steps + batch)
+    params = trainer.init_params(spec, cfg, (40.0, 60.0), rng)
+    drive = rng.standard_normal((steps, batch))
+    labels = rng.integers(0, len(spec.outputs), batch)
+    dt = 1.0 / 2000.0
+    got = trainer.loss_and_grad(spec, cfg, params, drive, labels, dt)
+    want = _loss_and_grad_oracle(spec, cfg, params, drive, labels, dt)
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert_bitwise_equal(g, w)

@@ -294,6 +294,18 @@ def test_scoring_an_empty_batch_is_an_invalid_parameter():
         evaluate(spec, cfg, params, [])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", math.nan), ("prob_epsilon", math.nan), ("lr", math.inf),
+    ("k_max", math.inf), ("k_min", -math.inf), ("mass_outer_kg", math.inf),
+    ("mass_inner_kg", math.nan), ("kc_init", (300.0, math.inf)),
+    ("f0_band_hz", (1.0, math.inf)), ("adam_eps", math.inf),
+    ("beta1", math.nan), ("loss_floor", math.nan)])
+def test_train_config_refuses_non_finite_floats_naming_the_field(field, value):
+    # refused on construction, before a minibatch runs or any warning leaks
+    with pytest.raises(InvalidParameterError, match=rf"^{field} must be finite"):
+        TrainConfig(**{field: value})
+
+
 # --- the training loop -------------------------------------------------------------
 
 def _tiny_cfg(**kw):
