@@ -93,18 +93,13 @@ def characterize(args) -> int:
         print("no unflagged swept-sine bin lies >= 2 Hz from a resonance")
 
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     names = [f"h{j + 1}" for j in range(n_out)]
-    with open(out / "ac_sweep.csv", "w") as fh:
-        fh.write(",".join(["freq_hz"] + names + ["flags"]) + "\n")
-        for i, f in enumerate(freqs):
-            row = [repr(float(f))] + [repr(float(v)) for v in h_ac[:, i]]
-            fh.write(",".join(row + [flags[i]]) + "\n")
-    with open(out / "swept_sine.csv", "w") as fh:
-        fh.write(",".join(["freq_hz"] + names) + "\n")
-        for i, f in enumerate(meas.freqs_hz):
-            row = [repr(float(f))] + [repr(float(v)) for v in meas.h[:, i]]
-            fh.write(",".join(row) + "\n")
+    cli._write_csv(out / "ac_sweep.csv", ["freq_hz"] + names + ["flags"],
+                   [(f, *h_ac[:, i], flags[i]) for i, f in enumerate(freqs)],
+                   force=True)
+    cli._write_csv(out / "swept_sine.csv", ["freq_hz"] + names,
+                   [(f, *meas.h[:, i]) for i, f in enumerate(meas.freqs_hz)],
+                   force=True)
     print(f"wrote {out}/ac_sweep.csv and {out}/swept_sine.csv")
     return 0
 

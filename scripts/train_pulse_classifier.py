@@ -77,12 +77,9 @@ def train_and_export(args) -> int:
               f"values changed, max rel error {exp.report.max_rel_error:.2%}")
 
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "metrics.csv", "w") as fh:
-        fh.write("epoch,loss,train_acc,val_acc\n")
-        for h in result.history:
-            fh.write(f"{h['epoch']},{h['loss']!r},{h['train_acc']!r},"
-                     f"{h['val_acc']!r}\n")
+    cli._write_csv(out / "metrics.csv", ["epoch", "loss", "train_acc", "val_acc"],
+                   [(h["epoch"], h["loss"], h["train_acc"], h["val_acc"])
+                    for h in result.history], force=True)
     save_system_files(out, spec, exp.circuit, exp.scaling, exp.quantized,
                       exp.report, force=True)
     print(f"artifacts written to {out}/")

@@ -25,27 +25,28 @@ is it rescanned row by row, so the error names the first step (and batch
 sample) past the limit exactly as a per-step check would.
 
 The recurrence is linear and time-invariant, so the response from rest is
-the drive convolved with the impulse response.  ``run`` steps at dt = 1 /
-the drive's rate, refuses a dt past the stability limit, and uses that two
-ways, both equal to stepping to rounding:
+the drive convolved with the impulse response.  ``_respond`` is the one
+place that picks how to evaluate it, for ``run`` and for ``trainer``'s
+scores alike.  It refuses a dt past the stability limit, then:
 
-* A drive from rest (no initial state, or an all-zero one) shorter than
-  MIN_BLOCKS * BLOCK steps is one FFT convolution (``_convolve``), as are
-  ``trainer``'s scores; ``_kernel`` generates its impulse response with
+* A (T,) drive of at least MIN_BLOCKS * BLOCK steps, with dt below
+  _BLOCK_MARGIN * dt_max, is evaluated BLOCK steps at a time: each block is
+  the free response to the state entering it plus its drive times the
+  Toeplitz matrix of the impulse response, while a scan over blocks carries
+  the state.  Drive in a block's second half never reaches its first half,
+  so each block is written as two half-blocks of BLOCK // 2 steps: one
+  small GEMM steps each block's state to mid-block, and one GEMM per chunk
+  of _CHUNK_BLOCKS blocks writes all its half-blocks.  Closer to dt_max the
+  composed block map drifts from stepping, so such drives step.
+* A shorter (T,) drive or a (T, B) drive of any length, from rest (no
+  initial state, or an all-zero one), is one FFT convolution
+  (``_convolve``); ``_kernel`` generates its impulse response with
   ``leapfrog`` and caches it on ``SystemMatrices`` (at most KERNELS).
-* A longer drive is evaluated BLOCK steps at a time: each block is the free
-  response to the state entering it plus its drive times the Toeplitz
-  matrix of the impulse response, while a scan over blocks carries the
-  state.  Drive in a block's second half never reaches its first half, so
-  each block is written as two half-blocks of BLOCK // 2 steps: one small
-  GEMM steps each block's state to mid-block, and one GEMM per chunk of
-  _CHUNK_BLOCKS blocks writes all its half-blocks.
-
-A short drive from a nonzero state steps with ``leapfrog`` and equals it
-bit for bit, and so does a drive whose bound on |u| over all DOFs (max|x|
-times the gain, plus the free response's bound for blocks, checked chunk by
-chunk) cannot rule out |u| > BLOWUP_LIMIT: stepping then raises at the exact
-step or returns its own result.
+* The rest steps with ``leapfrog`` and equals it bit for bit, and so does a
+  drive whose bound on |u| over all DOFs (max|x| times the gain, plus the
+  free response's bound for blocks, checked chunk by chunk) cannot rule
+  out |u| > BLOWUP_LIMIT: stepping then raises at the exact step or
+  returns its own result.
 
 The natural frequencies behind the stability limit come from one eigensolve
 per system, cached on ``SystemMatrices``.
@@ -75,7 +76,9 @@ CHUNK = 64           # leapfrog steps between two checks of the blow-up limit
 BLOCK = 256          # steps per block of run's blocked evaluation
 MIN_BLOCKS = 64      # drives shorter than this many blocks are not evaluated blockwise
 _CHUNK_BLOCKS = 256  # blocks per GEMM of the blocked evaluation
+_BLOCK_MARGIN = 0.999  # blocks only below this share of dt_max: at it they drift ~3e-8
 KERNELS = 4          # impulse-response kernels cached per system
+_FFT_COLUMNS = 16    # drive columns per FFT of _convolve
 
 
 @dataclass(frozen=True)
@@ -360,42 +363,50 @@ def run(sys: SystemMatrices, signal: "Signal", record: str = "outputs",
     row per drive sample.  The state starts at rest unless `initial` gives
     the pair (u_prev, u_curr) = (u[-1], u[0]) of (n,) vectors.  A dt past
     max_stable_dt is refused with InvalidParameterError; NumericError cites
-    the step index if any |u| exceeds BLOWUP_LIMIT.
-
-    A drive of at least MIN_BLOCKS * BLOCK steps is evaluated block by
-    block, and a shorter one from rest (no initial state, or an all-zero
-    one) is one FFT convolution with a cached impulse response (see the
-    module doc); both agree with ``leapfrog`` to rounding (the tests hold
-    the convolution to 1e-9 of the trajectory's peak, the blocks to 1e-8).
-    A short drive from a nonzero state steps through ``leapfrog`` and
-    equals it exactly.
+    the step index if any |u| exceeds BLOWUP_LIMIT.  ``_respond`` picks how
+    the recurrence is evaluated (see the module doc).
     """
+    dofs = _recorded_dofs(sys, record)
+    u_prev, u_curr = _initial_pair(sys, initial)
     dt = 1.0 / signal.rate_hz
+    values = _respond(sys, dt, np.asarray(signal.values, dtype=float), dofs,
+                      u_prev, u_curr)
+    return Trajectory(dt=dt, dofs=dofs, values=values)
+
+
+def _respond(sys: SystemMatrices, dt: float, drive: np.ndarray,
+             dofs: tuple[int, ...], u_prev: np.ndarray | None = None,
+             u_curr: np.ndarray | None = None) -> np.ndarray:
+    """leapfrog's result at `dofs`: (T, d) rows for a (T,) drive, (T, d, B)
+    for a (T, B) drive, from (u_prev, u_curr) or from rest.
+
+    The one place an evaluation path is chosen (see the module doc).  A dt
+    past max_stable_dt is refused with InvalidParameterError; a drive that
+    may blow up is stepped, so it raises leapfrog's NumericError at the
+    exact step and batch column.
+    """
     dt_max = max_stable_dt(sys)
     if dt > dt_max:
         raise InvalidParameterError(
             f"dt={dt} exceeds the stability limit {dt_max:.3e}; "
             "reduce dt or the stiffest element values")
-    dofs = _recorded_dofs(sys, record)
-    u_prev, u_curr = _initial_pair(sys, initial)
-    drive = np.asarray(signal.values, dtype=float)
     values = None
-    if len(drive) >= MIN_BLOCKS * BLOCK:
-        values = _run_blocked(sys, dt, drive, u_prev, u_curr, dofs)
+    if drive.ndim == 1 and len(drive) >= MIN_BLOCKS * BLOCK:
+        if dt < _BLOCK_MARGIN * dt_max:
+            values = _run_blocked(sys, dt, drive, u_prev, u_curr, dofs)
     elif not (np.any(u_prev) or np.any(u_curr)):
-        spectrum = _bounded_kernel(sys, dt, drive, dofs)
-        if spectrum is not None:
-            values = _convolve(spectrum, _drive_spectra(drive), len(drive)).T
+        values = _convolve(sys, dt, drive, dofs)
     if values is None:
         values = leapfrog(sys, dt, drive, u_prev, u_curr, np.asarray(dofs, dtype=int))
-    return Trajectory(dt=dt, dofs=dofs, values=values)
+    return values
 
 
-def _initial_pair(sys: SystemMatrices, initial) -> tuple[np.ndarray, np.ndarray]:
-    """run's (u_prev, u_curr) as float (n,) vectors; zeros when initial is None."""
+def _initial_pair(sys: SystemMatrices, initial) -> tuple:
+    """run's (u_prev, u_curr) as float (n,) vectors; (None, None), at rest,
+    when initial is None."""
     n = sys.n_dof
     if initial is None:
-        return np.zeros(n), np.zeros(n)
+        return None, None
     pair = tuple(np.asarray(u, dtype=float) for u in initial)
     if len(pair) != 2 or any(u.shape != (n,) for u in pair):
         raise InvalidParameterError(
@@ -407,12 +418,6 @@ def _fft_size(steps: int) -> int:
     """The FFT length of every convolution over `steps` steps: the power of
     two >= 2 * steps, so the circular product is the linear convolution."""
     return 1 << (2 * steps - 1).bit_length()
-
-
-def _drive_spectra(drive: np.ndarray) -> np.ndarray:
-    """rfft over _fft_size(T) of a (T,) drive, (F,), or of each column of a
-    (T, B) drive, (B, F)."""
-    return np.fft.rfft(drive.T, n=_fft_size(len(drive)))
 
 
 def _kernel(sys: SystemMatrices, dt: float, steps: int, dofs: tuple[int, ...]):
@@ -447,23 +452,28 @@ def _kernel(sys: SystemMatrices, dt: float, steps: int, dofs: tuple[int, ...]):
     return entry
 
 
-def _bounded_kernel(sys: SystemMatrices, dt: float, drive: np.ndarray,
-                    dofs: tuple[int, ...]) -> np.ndarray | None:
-    """The kernel spectrum for a (T,) or (T, B) drive from rest, or None when
-    the caller must step with leapfrog instead: the drive is empty, or
-    max|x| * gain cannot rule out |u| > BLOWUP_LIMIT (or is not finite)."""
-    if not len(drive):
+def _convolve(sys: SystemMatrices, dt: float, drive: np.ndarray,
+              dofs: tuple[int, ...]) -> np.ndarray | None:
+    """leapfrog's result at `dofs` for a (T,) or (T, B) drive from rest, as
+    _respond shapes it, by FFT convolution with the cached kernel,
+    _FFT_COLUMNS drive columns at a time.  None when the caller must step
+    instead: the drive is empty, or max|x| * gain cannot rule out
+    |u| > BLOWUP_LIMIT (or is not finite)."""
+    steps = len(drive)
+    if not steps:
         return None
-    spectrum, gain = _kernel(sys, dt, len(drive), dofs)
-    return spectrum if max(drive.max(), -drive.min()) * gain <= BLOWUP_LIMIT else None
-
-
-def _convolve(spectrum: np.ndarray, x_f: np.ndarray, steps: int) -> np.ndarray:
-    """The first `steps` samples of each drive with spectrum x_f ((F,) or
-    (b, F)) convolved with the kernel `spectrum` (d, F): (d, steps) or
-    (b, d, steps)."""
-    n_fft = 2 * (spectrum.shape[-1] - 1)
-    return np.fft.irfft(x_f[..., None, :] * spectrum, n=n_fft)[..., :steps]
+    spectrum, gain = _kernel(sys, dt, steps, dofs)
+    if not max(drive.max(), -drive.min()) * gain <= BLOWUP_LIMIT:
+        return None
+    n_fft = _fft_size(steps)
+    x = drive.reshape(steps, -1)
+    out = np.empty((x.shape[1], len(dofs), steps))   # (B, d, T) storage
+    for lo in range(0, x.shape[1], _FFT_COLUMNS):
+        x_f = np.fft.rfft(x[:, lo:lo + _FFT_COLUMNS].T, n=n_fft)
+        out[lo:lo + _FFT_COLUMNS] = np.fft.irfft(x_f[:, None, :] * spectrum,
+                                                 n=n_fft)[..., :steps]
+    out = out.transpose(2, 1, 0)
+    return out if drive.ndim == 2 else out[..., 0]
 
 
 def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
@@ -520,7 +530,7 @@ def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
 
 
 def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
-                 u_prev: np.ndarray, u_curr: np.ndarray,
+                 u_prev: np.ndarray | None, u_curr: np.ndarray | None,
                  dofs: tuple[int, ...]) -> np.ndarray | None:
     """leapfrog's result, evaluated BLOCK steps at a time (see module doc).
 
@@ -543,8 +553,9 @@ def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
     # its last block, and the next chunk starts from it.
     lhs = np.empty((_CHUNK_BLOCKS + 1, 2, 2 * n + half))
     states = list(lhs[:, 0, :2 * n])
-    lhs[0, 0, :n] = u_curr
-    np.subtract(u_curr, u_prev, out=lhs[0, 0, n:2 * n])
+    lhs[0, 0, :n] = 0.0 if u_curr is None else u_curr
+    np.subtract(lhs[0, 0, :n], 0.0 if u_prev is None else u_prev,
+                out=lhs[0, 0, n:2 * n])
     for t0 in range(0, steps, _CHUNK_BLOCKS * L):
         m = min(_CHUNK_BLOCKS * L, steps - t0)
         k, full = -(-m // L), m // L

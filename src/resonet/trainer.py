@@ -23,16 +23,16 @@ run on (dof, batch) states.  A trained network converts to circuit values
 with an arbitrary analogy scale (dynamics are scale-invariant) and survives
 E-series quantization of its resistors.
 
-Scoring (``evaluate_system`` and the per-epoch train/val scores) never feeds
-the parameters, so it takes the cheaper route the linear time-invariant
-lattice allows: the output energies of drives from rest come from the
-convolution behind ``simulator.run`` from rest (``simulator._convolve`` with
-the kernel that leapfrog generates and the system caches).  They agree with
-stepping to 1e-12 of the largest channel; a batch whose bound on |u| passes
-the blow-up limit is stepped with leapfrog instead, so a divergence still
-names its step and sample.  Epoch ``loss``, ``train_acc`` and ``val_acc`` are
-therefore within rounding of stepped scoring, not bit for bit; the trained
-parameters, checkpoints and the export are bit for bit.
+Scoring (``evaluate_system``, behind ``evaluate`` and every epoch's train
+and val scores) never feeds the parameters, so it evaluates the batch
+through ``simulator._respond``, the simulator's one choice of evaluation
+path: drives from rest are one FFT convolution with the kernel that
+leapfrog generates and the system caches, within 1e-12 of the largest
+channel of stepping; a batch whose bound on |u| passes the blow-up limit is
+stepped with leapfrog instead, so a divergence still names its step and
+sample.  Epoch ``loss``, ``train_acc`` and ``val_acc`` are therefore within
+rounding of stepped scoring, not bit for bit; the trained parameters,
+checkpoints and the export are bit for bit.
 """
 
 from __future__ import annotations
@@ -347,71 +347,33 @@ def evaluate_system(sys: simulator.SystemMatrices, samples,
                     prob_epsilon: float = 1e-12) -> EvalResult:
     """Run labeled samples through an assembled system (either domain).
 
-    The output energies come from one FFT convolution with the system's
-    impulse response (see ``_score``): within 1e-12 of stepping with
-    ``leapfrog``, not bit for bit.  A drive whose bound on |u| passes the
-    blow-up limit is stepped, so it raises leapfrog's NumericError.
+    The samples are stacked at their own rate and their output histories
+    come from ``simulator._respond``: for drives from rest, one FFT
+    convolution within 1e-12 of stepping with ``leapfrog``, not bit for
+    bit.  A drive whose bound on |u| passes the blow-up limit is stepped, so
+    it raises leapfrog's NumericError; a sample rate past the system's
+    stability limit is an InvalidParameterError, as in ``simulator.run``.
     """
-    dt, drive, labels = _stacked(samples)
-    return _score(sys, dt, drive, labels, None, prob_epsilon)
-
-
-def _stacked(samples) -> tuple[float, np.ndarray, np.ndarray]:
-    """(dt, drive, labels) of labeled signals at their own sample rate."""
-    if not samples:
-        raise InvalidParameterError("empty batch")
-    dt = 1.0 / samples[0].signal.rate_hz
-    return (dt, *stack_batch(samples, dt))
-
-
-_SCORE_COLUMNS = 16   # drive columns per chunk of _score's convolution
-
-
-def _score(sys: simulator.SystemMatrices, dt: float, drive: np.ndarray,
-           labels: np.ndarray, spectra: np.ndarray | None,
-           prob_epsilon: float) -> EvalResult:
-    """Score (T, B) drives from rest on an assembled system.
-
-    The lattice is linear and time-invariant, so each output's history is
-    the drive convolved with the impulse response whose kernel the simulator
-    generates with leapfrog and caches on the system.  The energies are one
-    FFT convolution, _SCORE_COLUMNS drive columns at a time, within 1e-12 of
-    stepping.  `spectra` are the drives' simulator._drive_spectra when the
-    caller keeps them (train scores the same splits every epoch).  When
-    max|x| * gain cannot rule out |u| > BLOWUP_LIMIT, the batch is stepped
-    with leapfrog instead, which raises NumericError at the exact step and
-    batch column.
-    """
-    dt_max = simulator.max_stable_dt(sys)
-    if dt > dt_max:
-        raise NumericError(f"dt={dt} exceeds the stability limit {dt_max:.3e}")
-    t_len, batch = drive.shape
-    out = sys.output_dofs
-    spectrum = simulator._bounded_kernel(sys, dt, drive, out)
-    if spectrum is not None:
-        e = np.empty((batch, len(out)))
-        for lo in range(0, batch, _SCORE_COLUMNS):
-            cols = slice(lo, lo + _SCORE_COLUMNS)
-            x_f = (simulator._drive_spectra(drive[:, cols]) if spectra is None
-                   else spectra[cols])
-            u = simulator._convolve(spectrum, x_f, t_len)
-            e[cols] = np.einsum("bct,bct->bc", u, u)
-        energies = e.T * dt
-    else:
-        u_out = simulator.leapfrog(sys, dt, drive, dofs=np.asarray(out))
-        energies = _energies(u_out, dt)
+    dt = _sample_dt(samples)
+    drive, labels = stack_batch(samples, dt)
+    energies = _energies(simulator._respond(sys, dt, drive, sys.output_dofs), dt)
     probs, loss, _ = _probs_and_loss(energies, labels, prob_epsilon)
     preds = np.argmax(energies, axis=0)
-    accuracy = float(np.mean(preds == labels))
-    return EvalResult(accuracy=accuracy, loss=loss, predictions=preds,
-                      probs=probs, energies=energies)
+    return EvalResult(accuracy=float(np.mean(preds == labels)), loss=loss,
+                      predictions=preds, probs=probs, energies=energies)
+
+
+def _sample_dt(samples) -> float:
+    """dt = 1 / rate of the first labeled signal; an empty list is refused."""
+    if not samples:
+        raise InvalidParameterError("empty batch")
+    return 1.0 / samples[0].signal.rate_hz
 
 
 def evaluate(spec: LatticeSpec, cfg: TrainConfig, params: TrainableParams,
              samples) -> EvalResult:
-    dt, drive, labels = _stacked(samples)
-    return _score(_assemble_checked(spec, cfg, params, dt), dt, drive, labels,
-                  None, cfg.prob_epsilon)
+    sys = _assemble_checked(spec, cfg, params, _sample_dt(samples))
+    return evaluate_system(sys, samples, cfg.prob_epsilon)
 
 
 # --- the training loop ---------------------------------------------------------
@@ -546,13 +508,8 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
     val_samples = dataset.split("test")
     if not train_samples:
         raise InvalidParameterError("dataset has no training split")
-    dt, drive, labels = _stacked(train_samples)
-    # every epoch scores the same two splits: take their spectra once
-    train_set = (dt, drive, labels, simulator._drive_spectra(drive))
-    val_set = None
-    if val_samples:
-        val_dt, val_drive, val_labels = _stacked(val_samples)
-        val_set = (val_dt, val_drive, val_labels, simulator._drive_spectra(val_drive))
+    dt = _sample_dt(train_samples)
+    drive, labels = stack_batch(train_samples, dt)
 
     if resume is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -602,11 +559,12 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
                 params = params.from_packed(vec).project()
             idx = None
             sys = _assemble_checked(spec, cfg, params, dt)
-            train_eval = _score(sys, *train_set, cfg.prob_epsilon)
+            train_eval = evaluate_system(sys, train_samples, cfg.prob_epsilon)
             if not math.isfinite(train_eval.loss):
                 raise NumericError(f"training loss is {train_eval.loss}")
             split = "test"
-            val_eval = _score(sys, *val_set, cfg.prob_epsilon) if val_set else None
+            val_eval = (evaluate_system(sys, val_samples, cfg.prob_epsilon)
+                        if val_samples else None)
         except NumericError as exc:
             # roll back to the last completed epoch, or to where the run began
             divergence = _divergence(epoch, exc, split, idx)

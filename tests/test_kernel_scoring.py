@@ -1,13 +1,13 @@
 """Scoring through the impulse-response kernel against stepping.
 
-``trainer._score`` (behind ``evaluate_system`` and every epoch of ``train``)
-takes the output energies from one FFT convolution with the kernel that
-``simulator._kernel`` caches, and steps with ``leapfrog`` only when the gain
-bound cannot rule out a blow-up.  The stepped scoring it replaced is kept here
-as the oracle: energies must agree to 1e-12 of each sample's largest channel
-(1e-11 on a lattice with a rigid mode, see below), blow-ups must raise
-leapfrog's own NumericError, and training must export the same parameters
-bit for bit.
+``trainer.evaluate_system`` (behind ``evaluate`` and every epoch of
+``train``) takes its output histories from ``simulator._respond``, which
+convolves drives from rest with the kernel ``simulator._kernel`` caches and
+steps with ``leapfrog`` only when the gain bound cannot rule out a blow-up.
+Stepped scoring is kept here as the oracle: energies must agree to 1e-12 of
+each sample's largest channel (1e-11 on a lattice with a rigid mode, see
+below), blow-ups must raise leapfrog's own NumericError, and training must
+export the same parameters bit for bit.
 """
 
 from __future__ import annotations
@@ -20,20 +20,26 @@ import pytest
 from conftest import grounded_corner, make_uniform_plant, random_small_system
 from resonet import simulator, trainer
 from resonet.errors import NumericError
+from resonet.signals import Sample, Signal
 from resonet.trainer import EvalResult, TrainConfig, train
 
 
-def stepped_score(sys, dt, drive, labels, spectra, prob_epsilon):
-    """The scoring train and evaluate_system did before: batched leapfrog."""
-    dt_max = simulator.max_stable_dt(sys)
-    if dt > dt_max:
-        raise NumericError(f"dt={dt} exceeds the stability limit {dt_max:.3e}")
+def stepped_score(sys, samples, prob_epsilon=1e-12):
+    """evaluate_system by stepping the whole batch with leapfrog."""
+    dt = 1.0 / samples[0].signal.rate_hz
+    drive, labels = trainer.stack_batch(samples, dt)
     u_out = simulator.leapfrog(sys, dt, drive, dofs=np.asarray(sys.output_dofs))
     energies = trainer._energies(u_out, dt)
     probs, loss, _ = trainer._probs_and_loss(energies, labels, prob_epsilon)
     preds = np.argmax(energies, axis=0)
     return EvalResult(accuracy=float(np.mean(preds == labels)), loss=loss,
                       predictions=preds, probs=probs, energies=energies)
+
+
+def _samples(rate, drive, labels):
+    """One labeled sample per column of the (T, B) drive."""
+    return [Sample(Signal(rate, drive[:, b]), int(labels[b]), "test", b)
+            for b in range(drive.shape[1])]
 
 
 def _systems():
@@ -75,26 +81,24 @@ def test_kernel_energies_match_stepping(name, sys_m, dt, steps):
     # recurrence by up to ~1e-12 of the energy at 2000 steps (the convolution
     # by about as much), so such lattices are held to 1e-11, the rest to 1e-12.
     tol = 1e-11 if _has_rigid_mode(sys_m) else 1e-12
-    # 20 columns: one full _SCORE_COLUMNS chunk and a ragged one
+    # 20 columns: one full _FFT_COLUMNS chunk and a ragged one
     rng = np.random.default_rng(steps)
-    drive = rng.standard_normal((steps, trainer._SCORE_COLUMNS + 4))
+    drive = rng.standard_normal((steps, simulator._FFT_COLUMNS + 4))
     labels = rng.integers(0, len(sys_m.output_dofs), drive.shape[1])
-    want = stepped_score(sys_m, dt, drive, labels, None, 1e-12).energies
+    samples = _samples(1.0 / dt, drive, labels)
+    want = stepped_score(sys_m, samples).energies
     scale = np.max(want, axis=0)   # each sample's largest channel
     if steps >= 65:
         assert np.all(scale > 0.0)
-    for spectra in (None, simulator._drive_spectra(drive)):
-        got = trainer._score(sys_m, dt, drive, labels, spectra, 1e-12).energies
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= tol * scale)
+    got = trainer.evaluate_system(sys_m, samples).energies
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= tol * scale)
 
 
 @pytest.mark.parametrize("steps", [0, 300])
 def test_zero_or_empty_drive_scores_exactly_zero_energies(steps):
-    _, sys_m, dt = SYSTEMS[-2]
-    drive = np.zeros((steps, 3))
-    result = trainer._score(sys_m, dt, drive, np.array([0, 1, 2]),
-                            simulator._drive_spectra(drive), 1e-12)
+    samples = _samples(2000.0, np.zeros((steps, 3)), [0, 1, 2])
+    result = trainer.evaluate_system(SYSTEMS[-2][1], samples)
     np.testing.assert_array_equal(result.energies, np.zeros((3, 3)))
     np.testing.assert_allclose(result.probs, 1.0 / 3.0, rtol=1e-12)
 
@@ -104,6 +108,7 @@ def test_a_drive_past_the_gain_bound_raises_leapfrogs_error(monkeypatch, loud):
     # max|x| * gain passes the blow-up limit (or is not finite): the batch is
     # stepped, so the error names the step and the column as leapfrog does
     _, sys_m, dt = SYSTEMS[-2]
+    assert dt == 1.0 / 2000.0
     drive = np.random.default_rng(3).standard_normal((200, 5))
     drive[40, 3] = loud
     with pytest.raises(NumericError) as want:
@@ -116,18 +121,23 @@ def test_a_drive_past_the_gain_bound_raises_leapfrogs_error(monkeypatch, loud):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "leapfrog", spy)
-    with pytest.raises(NumericError) as got:
-        trainer._score(sys_m, dt, drive, np.zeros(5, dtype=int), None, 1e-12)
-    assert (str(got.value), got.value.step, got.value.sample) == (
-        str(want.value), want.value.step, want.value.sample)
-    assert got.value.sample == 3 and stepped[-1] == drive.shape
+    scorers = [lambda: simulator._respond(sys_m, dt, drive, sys_m.output_dofs)]
+    if np.isfinite(loud):   # a Signal refuses non-finite samples
+        samples = _samples(2000.0, drive, np.zeros(5, dtype=int))
+        scorers.append(lambda: trainer.evaluate_system(sys_m, samples))
+    for score in scorers:
+        with pytest.raises(NumericError) as got:
+            score()
+        assert (str(got.value), got.value.step, got.value.sample) == (
+            str(want.value), want.value.step, want.value.sample)
+        assert got.value.sample == 3 and stepped[-1] == drive.shape
 
 
 def test_training_exports_what_stepped_scoring_exports(tiny_task, monkeypatch):
     spec, dataset = tiny_task
     cfg = TrainConfig(epochs=3, batch_size=4, lr=0.02, seed=5)
     kernel = train(spec, dataset, cfg)
-    monkeypatch.setattr(trainer, "_score", stepped_score)
+    monkeypatch.setattr(trainer, "evaluate_system", stepped_score)
     stepped = train(spec, dataset, cfg)
     assert kernel.stop_reason == stepped.stop_reason == "epochs"
     assert kernel.params.packed().tobytes() == stepped.params.packed().tobytes()

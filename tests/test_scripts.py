@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from resonet import lattice
+from resonet import acsolver, lattice, signals, trainer
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -19,10 +20,34 @@ def _load(name):
     return module
 
 
-def test_train_pulse_classifier_without_quantization(tmp_path, capsys):
+def _capture(monkeypatch, module, name):
+    """Patch module.name to record each call's result in the returned list."""
+    results, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return results
+
+
+def _repr_csv(header, rows):
+    """The scripts' CSV format: a header line, then rows with every number
+    written by repr."""
+    return "".join(",".join(row) + "\n" for row in [header] + [
+        [c if isinstance(c, str) else repr(c) for c in row] for row in rows])
+
+
+def test_train_pulse_classifier_without_quantization(tmp_path, capsys, monkeypatch):
     main = _load("train_pulse_classifier").main
+    trained = _capture(monkeypatch, trainer, "train")
     assert main(["--out", str(tmp_path), "--epochs", "1", "--series", "none"]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv", "system.json"]
+    history = trained[0].history
+    assert (tmp_path / "metrics.csv").read_text() == _repr_csv(
+        ["epoch", "loss", "train_acc", "val_acc"],
+        [(str(h["epoch"]), h["loss"], h["train_acc"], h["val_acc"]) for h in history])
     spec, _, _ = lattice.load_system(tmp_path / "system.json")
     assert spec == lattice.LatticeSpec.default_grid()
     out = capsys.readouterr().out
@@ -30,18 +55,28 @@ def test_train_pulse_classifier_without_quantization(tmp_path, capsys):
     assert "quantization" not in out
 
 
-def test_frequency_response_writes_both_sweeps(tmp_path, capsys):
+def test_frequency_response_writes_both_sweeps(tmp_path, capsys, monkeypatch):
     # a band where every swept-sine bin lies within 2 Hz of a resonance: the
     # comparison has no bins, and the script still writes both files
     main = _load("frequency_response").main
+    solved = _capture(monkeypatch, acsolver, "transmission")
+    measured = _capture(monkeypatch, signals, "measure_transfer")
     assert main(["--f-start", "20", "--f-end", "30", "--sweep-rate", "2",
                  "--points", "50", "--out", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ac_sweep.csv",
                                                           "swept_sine.csv"]
-    ac = (tmp_path / "ac_sweep.csv").read_text().splitlines()
-    assert ac[0] == "freq_hz,h1,h2,h3,flags" and len(ac) == 51
-    swept = (tmp_path / "swept_sine.csv").read_text().splitlines()
-    assert swept[0] == "freq_hz,h1,h2,h3" and len(swept) > 1
+    ac = (tmp_path / "ac_sweep.csv").read_text()
+    (h_ac, flags), meas = solved[0], measured[0]
+    assert ac == _repr_csv(
+        ["freq_hz", "h1", "h2", "h3", "flags"],
+        [(float(f), *map(float, h_ac[:, i]), flags[i])
+         for i, f in enumerate(np.linspace(20.0, 30.0, 50))])
+    assert ac.count("\n") == 51 and ac.startswith("freq_hz,h1,h2,h3,flags\n")
+    swept = (tmp_path / "swept_sine.csv").read_text()
+    assert swept == _repr_csv(
+        ["freq_hz", "h1", "h2", "h3"],
+        [(float(f), *map(float, meas.h[:, i])) for i, f in enumerate(meas.freqs_hz)])
+    assert swept.count("\n") > 1
     assert f"wrote {tmp_path}/ac_sweep.csv" in capsys.readouterr().out
 
 

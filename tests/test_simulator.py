@@ -444,6 +444,19 @@ def test_runs_off_the_blocked_path_equal_leapfrog_exactly():
                                   leapfrog(sys_m, traj.dt, np.zeros(steps), u0, u0))
 
 
+@pytest.mark.parametrize("system", ["plant", "random"])
+def test_long_run_at_the_stability_limit_steps_with_leapfrog(uniform_plant, system):
+    # at dt_max the composed block map drifts from leapfrog (3e-8 of the
+    # plant's peak over LONG steps, see README), so run steps there instead
+    sys_m = (uniform_plant[2] if system == "plant"
+             else random_small_system(np.random.default_rng(41))[2])
+    sig = Signal(1.0 / max_stable_dt(sys_m),
+                 np.random.default_rng(42).standard_normal(LONG))
+    traj = run(sys_m, sig)
+    np.testing.assert_array_equal(
+        traj.values, leapfrog(sys_m, traj.dt, sig.values, dofs=np.asarray(traj.dofs)))
+
+
 @pytest.mark.parametrize("cause", ["small_limit", "nan_state"])
 def test_long_run_blowup_raises_at_the_leapfrog_step(uniform_plant, cause):
     _, _, sys_m = uniform_plant
@@ -565,12 +578,11 @@ def test_run_from_rest_is_a_column_of_the_batched_convolution():
     sys_m = assemble(*make_uniform_plant())
     dt = 1.0 / 2000.0
     drives = np.random.default_rng(12).standard_normal((700, 3))
-    spectrum, _ = simulator._kernel(sys_m, dt, len(drives), sys_m.output_dofs)
-    batched = simulator._convolve(spectrum, simulator._drive_spectra(drives),
-                                  len(drives))
+    batched = simulator._convolve(sys_m, dt, drives, sys_m.output_dofs)
+    assert batched.shape == (700, len(sys_m.output_dofs), 3)
     for b in range(drives.shape[1]):
         traj = run(sys_m, Signal(1.0 / dt, drives[:, b]))
-        np.testing.assert_array_equal(traj.values, batched[b].T)
+        np.testing.assert_array_equal(traj.values, batched[..., b])
     # the blocked evaluator steps its own block operators and caches no kernel
     cached = dict(sys_m._kernels)
     long = np.random.default_rng(13).standard_normal(LONG)

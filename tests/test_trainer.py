@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from resonet import simulator, trainer
+from resonet import cli, simulator, trainer
 from resonet.errors import (ConfigError, DataFormatError, InvalidParameterError,
                             NumericError)
 from resonet.lattice import LatticeSpec
@@ -159,6 +159,18 @@ def test_evaluate_system_energies_match_per_sample_runs():
         traj = simulator.run(sys_m, s.signal)
         single = simulator.integrate_energy(traj, traj.dofs)
         np.testing.assert_allclose(batched.energies[:, b], single, rtol=1e-12)
+
+
+def test_evaluate_system_refuses_a_rate_past_the_stability_limit_as_run_does():
+    # a data error (exit 2), not a numerical divergence (exit 3)
+    _, _, sys_m = grounded_corner()
+    sig = Signal(0.5 / simulator.max_stable_dt(sys_m), np.ones(50))   # 2 dt_max
+    samples = [Sample(sig, 0, "test", 0)]
+    for score in (lambda _: simulator.run(sys_m, sig),
+                  lambda _: trainer.evaluate_system(sys_m, samples)):
+        with pytest.raises(InvalidParameterError, match="exceeds the stability limit"):
+            score(None)
+        assert cli.exit_code(score, None) == cli.CONFIG_EXIT
 
 
 def fd_gradient_check(n_steps=500, seed=3):
@@ -438,12 +450,12 @@ def test_non_finite_loss_rolls_back_to_the_resumed_checkpoint(tiny_task, monkeyp
     spec, dataset = tiny_task
     cfg = _tiny_cfg(epochs=3)
     ckpt = train(spec, dataset, cfg).checkpoints[0]
-    real_score = trainer._score
+    real_score = trainer.evaluate_system
 
     def nan_loss(*args):
         return replace(real_score(*args), loss=math.nan)
 
-    monkeypatch.setattr(trainer, "_score", nan_loss)
+    monkeypatch.setattr(trainer, "evaluate_system", nan_loss)
     result = train(spec, dataset, cfg, resume=ckpt)
     assert result.aborted and result.stop_reason == "diverged"
     assert result.divergence == {"epoch": 2, "message": "training loss is nan",
