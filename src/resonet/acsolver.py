@@ -8,7 +8,12 @@ At angular frequency w the lossless network reduces to the real symmetric
 solved densely per frequency.  Near a natural frequency the matrix becomes
 singular; solves guard on the condition number, and swept transmission skips
 grid bins inside a guard band around the computed eigenfrequencies (the
-response there is a true pole of the undamped model).
+response there is a true pole of the undamped model).  The matrix is
+symmetric, so its singular values are the absolute values of its eigenvalues
+and the condition number comes from one `eigvalsh`.  `transmission` stacks
+the matrices of up to `_BINS` bins and takes their eigenvalues and solves in
+one batched LAPACK call each; `ac_solve` runs the same helpers on one bin and
+stays the single-frequency reference, bit for bit with every swept bin.
 
 Also provided: per-edge branch currents and per-cell effective-impedance maps,
 the data behind current-routing and impedance-landscape plots.
@@ -27,6 +32,7 @@ from .unitcell import UnitCellParams, resonance_freqs, z_eff
 
 COND_LIMIT = 1e12          # condition number beyond which a solve is rejected
 GUARD_BAND_HZ = 0.25       # default half-width skipped around eigenfrequencies
+_BINS = 16                 # bins per batched solve in transmission
 
 
 @dataclass(frozen=True)
@@ -40,19 +46,40 @@ class AcSolution:
     cond: float
 
 
+def _nodal(sys: SystemMatrices, omegas: np.ndarray) -> np.ndarray:
+    """The nodal matrices Y - w^2 D of k frequencies, stacked (k, n, n)."""
+    mats = np.repeat(sys.stiffness[None], len(omegas), axis=0)
+    diag = np.arange(sys.n_dof)
+    mats[:, diag, diag] -= (omegas * omegas)[:, None] * sys.inertia
+    return mats
+
+
+def _cond(mats: np.ndarray) -> np.ndarray:
+    """2-norm condition number of each symmetric matrix in a (k, n, n) stack.
+
+    The singular values of a symmetric matrix are its absolute eigenvalues;
+    an exactly singular matrix reads inf.
+    """
+    lam = np.abs(np.linalg.eigvalsh(mats))
+    big, small = lam.max(axis=-1), lam.min(axis=-1)
+    return np.divide(big, small, out=np.full(len(mats), np.inf), where=small > 0.0)
+
+
 def ac_solve(sys: SystemMatrices, omega: float, i_in: float = 1.0) -> AcSolution:
     """Solve the nodal system at one frequency.
 
     Raises NearResonanceError when the matrix condition number exceeds
-    COND_LIMIT, i.e. the requested frequency sits numerically on a resonance.
+    COND_LIMIT, i.e. the requested frequency sits numerically on a resonance,
+    and InvalidParameterError for a bad omega or a non-finite i_in.
     """
     if not np.isfinite(omega) or omega <= 0.0:
         raise InvalidParameterError(f"omega must be finite and > 0, got {omega}")
+    if not np.isfinite(i_in):
+        raise InvalidParameterError(f"i_in must be finite, got {i_in}")
     if sys.damping != 0.0:
         raise InvalidParameterError("ac_solve covers the lossless model only (damping=0)")
-    mat = sys.stiffness - (omega * omega) * np.diag(sys.inertia)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0.0 else np.inf
+    mats = _nodal(sys, np.array([omega], dtype=float))
+    cond = float(_cond(mats)[0])
     if cond > COND_LIMIT:
         raise NearResonanceError(
             f"system is within rounding of a resonance at omega={omega} rad/s "
@@ -60,8 +87,8 @@ def ac_solve(sys: SystemMatrices, omega: float, i_in: float = 1.0) -> AcSolution
             omega=omega, cond=cond)
     b = np.zeros(sys.n_dof)
     b[sys.input_dof] = i_in
-    v = np.linalg.solve(mat, b)
-    err = float(np.linalg.norm(mat @ v - b))
+    v = np.linalg.solve(mats, b[None, :, None])[0, :, 0]
+    err = float(np.linalg.norm(mats[0] @ v - b))
     b_norm = float(np.linalg.norm(b))
     residual = err / b_norm if b_norm > 0.0 else err
     return AcSolution(omega=float(omega), i_in=float(i_in), voltages=v,
@@ -157,11 +184,16 @@ def transmission(sys: SystemMatrices, omegas, guard_hz: float = GUARD_BAND_HZ,
     """|v_out / i_in| per output channel over a frequency grid.
 
     Bins within guard_hz of a computed eigenfrequency are skipped (NaN) and
-    flagged "guard"; bins where the solve still turns out near-singular are
-    flagged "singular".  z_ref_ohm divides the raw V/A magnitude (1.0 keeps
-    raw values).  The guard band, the system and every omega are checked
-    before any bin, so a damped system or a bad omega raises even where its
-    bin is guarded.
+    flagged "guard"; bins whose nodal matrix has a condition number past
+    COND_LIMIT are flagged "singular" (NaN).  z_ref_ohm divides the raw V/A
+    magnitude (1.0 keeps raw values).  The guard band, the system and every
+    omega are checked before any bin, so a damped system or a bad omega
+    raises even where its bin is guarded.
+
+    The other bins are worked through in chunks of `_BINS`: one batched
+    `eigvalsh` gives each bin's condition number (the nodal matrix is
+    symmetric) and one batched solve its voltages, so every bin's value and
+    flag equal those of `ac_solve` at its omega, bit for bit.
     """
     om = np.asarray(omegas, dtype=float)
     if om.ndim != 1:
@@ -180,18 +212,24 @@ def transmission(sys: SystemMatrices, omegas, guard_hz: float = GUARD_BAND_HZ,
         raise InvalidParameterError(
             f"transmission: omega {j} is {om[j]}; every omega must be finite and > 0")
     eig_hz = eigenfrequencies_hz(sys)
+    guard = np.any(np.abs(eig_hz[None, :] - (om / (2.0 * np.pi))[:, None]) < guard_hz,
+                   axis=1)
+    flags = ["guard" if g else "" for g in guard]
     h = np.full((len(sys.output_dofs), len(om)), np.nan)
-    flags: list[str] = []
-    for j, w in enumerate(om):
-        f = w / (2.0 * np.pi)
-        if np.any(np.abs(eig_hz - f) < guard_hz):
-            flags.append("guard")
+    out = list(sys.output_dofs)
+    live = np.flatnonzero(~guard)
+    for start in range(0, len(live), _BINS):
+        bins = live[start:start + _BINS]
+        mats = _nodal(sys, om[bins])
+        singular = _cond(mats) > COND_LIMIT
+        for j in bins[singular]:
+            flags[j] = "singular"
+        solved = bins[~singular]
+        if len(solved) == 0:
             continue
-        try:
-            sol = ac_solve(sys, w)
-        except NearResonanceError:
-            flags.append("singular")
-            continue
-        h[:, j] = np.abs(sol.voltages[list(sys.output_dofs)] / sol.i_in) / z_ref_ohm
-        flags.append("")
+        # a (k, n, 1) right-hand side: numpy < 2 reads (n, 1) as a stack of vectors
+        b = np.zeros((len(solved), sys.n_dof, 1))
+        b[:, sys.input_dof] = 1.0
+        v = np.linalg.solve(mats[~singular], b)[:, out, 0]
+        h[:, solved] = np.abs(v.T) / z_ref_ohm
     return h, flags

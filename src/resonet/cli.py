@@ -36,6 +36,8 @@ USAGE_EXIT = 1
 CONFIG_EXIT = 2
 NUMERIC_EXIT = 3
 
+MAX_POINTS = 100_000   # largest --points grid of ac-sweep
+
 _NUMERIC_ERRORS = (NumericError, NearResonanceError, PoleError, UndecidableError)
 
 
@@ -93,6 +95,12 @@ def _sweep_band(args) -> tuple[float, float]:
         return signals.SWEEP_PRESETS[args.preset]
     if args.f_start is None or args.f_stop is None:
         raise ConfigError("need --preset or both --f-start and --f-stop")
+    for flag, value in (("--f-start", args.f_start), ("--f-stop", args.f_stop)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+    if args.f_start > args.f_stop:
+        raise ConfigError(f"--f-start {args.f_start:g} Hz is above "
+                          f"--f-stop {args.f_stop:g} Hz")
     return float(args.f_start), float(args.f_stop)
 
 
@@ -359,6 +367,9 @@ def cmd_ac_sweep(args) -> int:
     if (args.system is None) == (not args.cell):
         raise ConfigError("give exactly one of --system or --cell")
     f_start, f_stop = _sweep_band(args)
+    if not 1 <= args.points <= MAX_POINTS:
+        raise ConfigError(f"--points must be between 1 and {MAX_POINTS}, "
+                          f"got {args.points}")
 
     if args.cell:
         cell = unitcell.UnitCellParams(d_outer=args.d_outer, d_inner=args.d_inner,
@@ -564,7 +575,7 @@ def build_parser() -> _Parser:
     p.add_argument("--f-start", type=float, default=None, help="band start (Hz)")
     p.add_argument("--f-stop", type=float, default=None, help="band end (Hz)")
     p.add_argument("--points", type=int, default=500,
-                   help="grid size for --cell / --method ac")
+                   help=f"grid size for --cell / --method ac (1 to {MAX_POINTS})")
     p.add_argument("--method", choices=["ac", "swept-sine"], default="ac",
                    help="system mode: nodal solve per bin, or virtual "
                         "swept-sine measurement")

@@ -3,11 +3,12 @@ impedance maps, transmission spectra, and agreement with time-domain runs."""
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from resonet import acsolver, simulator, unitcell
+from resonet import acsolver, lattice, simulator, unitcell
 from resonet.acsolver import (ac_solve, branch_currents, cell_input_currents,
                               impedance_map, kcl_residual, transmission)
 from resonet.errors import InvalidParameterError, NearResonanceError
@@ -20,6 +21,7 @@ from resonet.unitcell import UnitCellParams, resonance_freqs, transfer_h
 from conftest import make_uniform_plant, random_small_system
 
 TWO_PI = 2.0 * math.pi
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def grounded_pair(r_n=5e5, r_c=2e5, d_outer=1.307e-11, d_inner=3.530e-11):
@@ -104,6 +106,13 @@ def test_omega_validation(uniform_plant):
     for bad in (0.0, -5.0, math.inf, math.nan):
         with pytest.raises(InvalidParameterError):
             ac_solve(sys_m, bad)
+
+
+@pytest.mark.parametrize("i_in", [math.nan, math.inf, -math.inf])
+def test_non_finite_injection_is_refused(uniform_plant, i_in):
+    _, _, sys_m = uniform_plant
+    with pytest.raises(InvalidParameterError, match=f"i_in must be finite, got {i_in}"):
+        ac_solve(sys_m, TWO_PI * 40.0, i_in=i_in)
 
 
 # --- branch currents -----------------------------------------------------------
@@ -242,6 +251,92 @@ def test_transmission_independent_of_injection_amplitude():
     v1 = np.abs(ac_solve(sys_m, omega, i_in=1.0).voltages[0])
     v9 = np.abs(ac_solve(sys_m, omega, i_in=9.0).voltages[0]) / 9.0
     assert v9 == pytest.approx(v1, rel=1e-12)
+
+
+def per_bin_transmission(sys_m, omegas, guard_hz=acsolver.GUARD_BAND_HZ,
+                         z_ref_ohm=1.0):
+    """transmission as one ac_solve per bin: the reference the batched sweep
+    must equal bit for bit."""
+    eig_hz = eigenfrequencies_hz(sys_m)
+    out = list(sys_m.output_dofs)
+    h = np.full((len(out), len(omegas)), np.nan)
+    flags = []
+    for j, w in enumerate(omegas):
+        if np.any(np.abs(eig_hz - w / TWO_PI) < guard_hz):
+            flags.append("guard")
+            continue
+        try:
+            sol = ac_solve(sys_m, w)
+        except NearResonanceError:
+            flags.append("singular")
+            continue
+        h[:, j] = np.abs(sol.voltages[out] / sol.i_in) / z_ref_ohm
+        flags.append("")
+    return h, flags
+
+
+def sweep_system(name):
+    if name == "reference":
+        spec, circ, _ = lattice.load_system(REFERENCE / "system.json")
+    else:
+        spec, mech, _ = random_small_system(np.random.default_rng(5))
+        circ = mech_to_circuit(mech, choose_scaling(mech, 1e6))
+    return assemble(spec, circ)
+
+
+def sweep_grid(sys_m, case):
+    """(omegas, guard_hz, z_ref_ohm) of one sweep case."""
+    eig_hz = eigenfrequencies_hz(sys_m)
+    grid = np.linspace(1.0, 1.2 * eig_hz.max(), 300)
+    gap = np.min(np.abs(eig_hz[None, :] - grid[:, None]), axis=1)
+    far = grid[gap >= 2.0 * acsolver.GUARD_BAND_HZ]
+    on = eig_hz[eig_hz > 1.0][:4]          # guarded, or singular with guard 0
+    n = acsolver._BINS
+    live = {"live_0": 0, "live_1": 1, "live_bins": n, "live_bins_plus_1": n + 1}
+    if case in live:
+        hz = np.sort(np.concatenate([on, far[:live[case]]]))
+        return TWO_PI * hz, acsolver.GUARD_BAND_HZ, 1.0
+    if case == "empty":
+        return np.array([]), acsolver.GUARD_BAND_HZ, 1.0
+    if case == "grid_z_ref":
+        return TWO_PI * grid, acsolver.GUARD_BAND_HZ, 50.0
+    assert case == "singular"
+    hz = np.sort(np.concatenate([on, far[::3]]))
+    return TWO_PI * hz, 0.0, 1.0
+
+
+@pytest.mark.parametrize("case", ["live_0", "live_1", "live_bins", "live_bins_plus_1",
+                                  "empty", "grid_z_ref", "singular"])
+@pytest.mark.parametrize("system", ["reference", "random"])
+def test_batched_transmission_is_the_per_bin_solve_bit_for_bit(system, case):
+    sys_m = sweep_system(system)
+    omegas, guard_hz, z_ref = sweep_grid(sys_m, case)
+    h, flags = transmission(sys_m, omegas, guard_hz=guard_hz, z_ref_ohm=z_ref)
+    h_ref, flags_ref = per_bin_transmission(sys_m, omegas, guard_hz, z_ref)
+    assert flags == flags_ref
+    assert np.array_equal(h, h_ref, equal_nan=True)
+    assert h.shape == (len(sys_m.output_dofs), len(omegas))
+    n_live = flags.count("")
+    if case.startswith("live_"):
+        assert n_live == {"live_0": 0, "live_1": 1, "live_bins": acsolver._BINS,
+                          "live_bins_plus_1": acsolver._BINS + 1}[case]
+        assert flags.count("guard") == len(flags) - n_live > 0
+    if case == "singular":
+        assert flags.count("singular") >= 1 and "guard" not in flags
+    if case == "grid_z_ref":
+        assert flags.count("guard") > 0 and n_live > 2 * acsolver._BINS
+
+
+@pytest.mark.parametrize("system", ["reference", "random"])
+def test_condition_number_from_eigenvalues_matches_the_svd(system):
+    sys_m = sweep_system(system)
+    omegas, _, _ = sweep_grid(sys_m, "grid_z_ref")
+    mats = acsolver._nodal(sys_m, omegas)
+    svals = np.linalg.svd(mats, compute_uv=False)
+    cond_svd = svals[:, 0] / svals[:, -1]
+    well = cond_svd < 1e8
+    assert well.sum() > 100
+    np.testing.assert_allclose(acsolver._cond(mats)[well], cond_svd[well], rtol=1e-8)
 
 
 def test_time_domain_tone_matches_ac_solve(uniform_plant):

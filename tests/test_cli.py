@@ -511,6 +511,38 @@ def test_ac_sweep_target_validation(workspace, tmp_path):
                     "--f-start", "5", "--out", out]) == 2       # both bands
 
 
+@pytest.mark.parametrize("target", ["cell", "ac"])
+@pytest.mark.parametrize("points", ["-3", "0", str(cli.MAX_POINTS + 1)])
+def test_points_outside_the_grid_bounds_exit_2(workspace, tmp_path, capsys,
+                                               target, points):
+    out = tmp_path / "o.csv"
+    source = ["--cell"] if target == "cell" else ["--system", workspace["system"]]
+    assert run_cli(["ac-sweep", *source, "--preset", "1-100",
+                    f"--points={points}", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"resonet: error: --points must be between 1 and "
+                   f"{cli.MAX_POINTS}, got {points}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["cell", "ac", "swept-sine"])
+@pytest.mark.parametrize("band, message", [
+    (("inf", "10"), "--f-start must be finite, got inf"),
+    (("1", "-inf"), "--f-stop must be finite, got -inf"),
+    (("nan", "10"), "--f-start must be finite, got nan"),
+    (("20", "10"), "--f-start 20 Hz is above --f-stop 10 Hz"),
+], ids=["start_inf", "stop_minus_inf", "start_nan", "reversed"])
+def test_bad_sweep_band_exits_2_naming_the_flag(workspace, tmp_path, capsys,
+                                                target, band, message):
+    out = tmp_path / "o.csv"
+    source = (["--cell"] if target == "cell" else
+              ["--system", workspace["system"], "--method", target])
+    assert run_cli(["ac-sweep", *source, f"--f-start={band[0]}",
+                    f"--f-stop={band[1]}", "--out", out]) == 2
+    assert capsys.readouterr().err == f"resonet: error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--sweep-rate", "nan"), ("--window", "nan"), ("--rate", "nan"),
     ("--f-start", "nan"), ("--f-stop", "nan"), ("--f-start", "-inf"),
@@ -614,6 +646,15 @@ def test_landscape_counts_on_the_trained_grid(trained, tmp_path):
     assert len(edges) == 41    # all 40 couplings
     signs = {row.split(",")[3] for row in edges[1:]}
     assert signs <= {"1", "-1"}
+
+
+@pytest.mark.parametrize("i_in", ["nan", "inf", "-inf"])
+def test_landscape_refuses_a_non_finite_drive_current(workspace, tmp_path, capsys, i_in):
+    out = tmp_path / "ls"
+    assert run_cli(["landscape", "--system", workspace["system"], "--freq", "40",
+                    f"--i-in={i_in}", "--out", out]) == 2
+    assert capsys.readouterr().err == f"resonet: error: i_in must be finite, got {i_in}\n"
+    assert not out.exists()
 
 
 # --- export-netlist ----------------------------------------------------------------
