@@ -101,6 +101,13 @@ def _sweep_band(args) -> tuple[float, float]:
     if args.f_start > args.f_stop:
         raise ConfigError(f"--f-start {args.f_start:g} Hz is above "
                           f"--f-stop {args.f_stop:g} Hz")
+    # a swept sine pads its band down to 0 Hz anyway; a grid of bins needs omega > 0
+    if args.cell or args.method == "ac":
+        if args.f_start <= 0.0:
+            raise ConfigError(f"--f-start must be > 0 Hz for --cell and --method ac, "
+                              f"got {args.f_start:g}")
+    elif args.f_start < 0.0:
+        raise ConfigError(f"--f-start must be >= 0 Hz, got {args.f_start:g}")
     return float(args.f_start), float(args.f_stop)
 
 

@@ -46,7 +46,14 @@ SWEEP_PRESETS = {
 
 @dataclass(frozen=True)
 class Signal:
-    """Uniformly sampled waveform with a unit tag ("V" or "A")."""
+    """Uniformly sampled waveform with a unit tag ("V" or "A").
+
+    ``values`` is stored as a read-only 1-D float64 array of finite samples.
+    It is a copy of what the caller passed, unless that is already a 1-D
+    float64 ndarray that is read-only and owns its data: such an array is
+    kept without a copy, and the caller must not write to it through a view
+    made before it was marked read-only.
+    """
 
     rate_hz: float
     values: np.ndarray
@@ -55,7 +62,10 @@ class Signal:
     def __post_init__(self):
         if not math.isfinite(self.rate_hz) or self.rate_hz <= 0.0:
             raise InvalidParameterError(f"rate_hz must be finite and > 0, got {self.rate_hz}")
-        arr = np.asarray(self.values, dtype=float).copy()
+        arr = self.values
+        if not (type(arr) is np.ndarray and not arr.flags.writeable and arr.flags.owndata
+                and arr.dtype == np.float64 and arr.ndim == 1):
+            arr = np.asarray(arr, dtype=float).copy()
         if arr.ndim != 1:
             raise InvalidParameterError("signal values must be 1-D")
         finite = np.isfinite(arr)
@@ -516,7 +526,9 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
     The drive level cancels out of that ratio, so ``amplitude`` only matters
     for numerical headroom.
     The chirp is padded by one window length on both sides so every reported
-    frequency comes from a full analysis window.
+    frequency comes from a full analysis window.  The drive is built once,
+    marked read-only, and handed to ``Signal`` and ``simulator.run`` without
+    a copy.
 
     Two instrument defaults differ from the rest of the package and both
     exist to keep this virtual measurement faithful to the continuous-time
@@ -545,6 +557,9 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
         raise InvalidParameterError("need f_start < f_end")
     if amplitude <= 0.0:
         raise InvalidParameterError("amplitude must be finite and > 0")
+    if not math.isfinite(amplitude * g_m):
+        raise InvalidParameterError(
+            f"the drive current amplitude * g_m overflows: amplitude={amplitude:g}, g_m={g_m:g}")
 
     pad_hz = sweep_rate_hz_per_s * window_s
     f_lo = max(f_start_hz - pad_hz, 0.0)
@@ -555,6 +570,7 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
         values = _chirp(f_lo, f_hi, duration, rate_hz, amplitude)
     # the drive current, g_m times gen_sweep's chirp, also gives the input ridge
     values *= g_m
+    values.setflags(write=False)   # so that Signal keeps the chirp without a copy
     drive = Signal(rate_hz, values, unit="A")
     del values
 

@@ -33,11 +33,16 @@ scores alike.  It refuses a dt past the stability limit, then:
   _BLOCK_MARGIN * dt_max, is evaluated BLOCK steps at a time: each block is
   the free response to the state entering it plus its drive times the
   Toeplitz matrix of the impulse response, while a scan over blocks carries
-  the state.  Drive in a block's second half never reaches its first half,
-  so each block is written as two half-blocks of BLOCK // 2 steps: one
-  small GEMM steps each block's state to mid-block, and one GEMM per chunk
-  of _CHUNK_BLOCKS blocks writes all its half-blocks.  Closer to dt_max the
-  composed block map drifts from stepping, so such drives step.
+  the state.  The scan is grouped, _GROUP_BLOCKS blocks to a group: GEMMs
+  scan every group of a chunk at once from a zero state, a product with
+  the group's block map carries the state from group to group, and one
+  GEMM against the stacked powers of the block map adds each group's entry
+  state to the states inside it.  Drive in a block's second half never
+  reaches its first half, so each block is written as two half-blocks of
+  BLOCK // 2 steps: one small GEMM steps each block's state to mid-block,
+  and one GEMM per chunk of _CHUNK_BLOCKS blocks writes all its
+  half-blocks.  Closer to dt_max the composed block map drifts from
+  stepping, so such drives step.
 * A shorter (T,) drive or a (T, B) drive of any length, from rest (no
   initial state, or an all-zero one), is one FFT convolution
   (``_convolve``); ``_kernel`` generates its impulse response with
@@ -76,6 +81,7 @@ CHUNK = 64           # leapfrog steps between two checks of the blow-up limit
 BLOCK = 256          # steps per block of run's blocked evaluation
 MIN_BLOCKS = 64      # drives shorter than this many blocks are not evaluated blockwise
 _CHUNK_BLOCKS = 256  # blocks per GEMM of the blocked evaluation
+_GROUP_BLOCKS = 16   # blocks per group of its state scan, about sqrt(_CHUNK_BLOCKS)
 _BLOCK_MARGIN = 0.999  # blocks only below this share of dt_max: at it they drift ~3e-8
 KERNELS = 4          # impulse-response kernels cached per system
 _FFT_COLUMNS = 16    # drive columns per FFT of _convolve
@@ -534,41 +540,65 @@ def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
                  dofs: tuple[int, ...]) -> np.ndarray | None:
     """leapfrog's result, evaluated BLOCK steps at a time (see module doc).
 
-    Each chunk of _CHUNK_BLOCKS blocks scans the state entering its blocks,
-    bounds |u| per block, steps each block's state to mid-block with one
-    GEMM, [state | first half of the drive] @ mid, and writes its rows as
-    2 * _CHUNK_BLOCKS half-blocks with one GEMM, [state | half-block drive]
-    @ ops.  Returns None once a chunk's bound exceeds BLOWUP_LIMIT or is
-    not finite; the caller then steps with leapfrog.
+    Each chunk of _CHUNK_BLOCKS blocks scans the state entering its blocks
+    in groups of G = _GROUP_BLOCKS: G - 1 GEMMs scan every group at once
+    from a zero state, a product with trans^G per group carries the state
+    entering the group to the next one, and one GEMM of those group entry
+    states against [trans^1 ... trans^G] adds the part each block's state
+    owes to its group's entry state.  The chunk then bounds |u| per block,
+    steps each block's state to mid-block with one GEMM, [state | first
+    half of the drive] @ mid, and writes its rows as 2 * _CHUNK_BLOCKS
+    half-blocks with one GEMM, [state | half-block drive] @ ops.  Returns
+    None once a chunk's bound exceeds BLOWUP_LIMIT or is not finite; the
+    caller then steps with leapfrog.
     """
-    n, L, d = sys.n_dof, BLOCK, len(dofs)
+    n, L, d, G = sys.n_dof, BLOCK, len(dofs), _GROUP_BLOCKS
     half = L // 2
     ops, mid, o_max, trans, h_sum, ends = _block_operators(
         sys, dt, np.asarray(dofs, dtype=int))
+    # powers[:, j] = (trans^(j+1)).T, so that a row state s @ powers[:, j]
+    # is the state j + 1 blocks on from s with no drive
+    powers = np.empty((2 * n, G, 2 * n))
+    powers[:, 0] = trans.T
+    for j in range(1, G):
+        np.matmul(powers[:, j - 1], powers[:, 0], out=powers[:, j])
     steps = len(drive)
     out = np.empty((-(-steps // L) * L, d))   # whole blocks; steps rows returned
     # lhs[b, 0] and lhs[b, 1] are block b's two [state | half-block drive]
-    # rows.  The scan writes the state entering each block in place through
-    # row views made once; the state leaving a chunk lands in the row after
-    # its last block, and the next chunk starts from it.
+    # rows.  The scan writes the state entering block b + 1 to lhs[b + 1, 0]
+    # for every block of the chunk, through views of whole groups (G divides
+    # _CHUNK_BLOCKS); the state leaving a chunk lands in the row after its
+    # last block, and the next chunk starts from it.
     lhs = np.empty((_CHUNK_BLOCKS + 1, 2, 2 * n + half))
-    states = list(lhs[:, 0, :2 * n])
+    z = np.zeros((_CHUNK_BLOCKS, 2 * n))   # the state each block's drive leaves, from rest
+    entry = np.empty((_CHUNK_BLOCKS // G, 2 * n))   # the state entering each group
     lhs[0, 0, :n] = 0.0 if u_curr is None else u_curr
     np.subtract(lhs[0, 0, :n], 0.0 if u_prev is None else u_prev,
                 out=lhs[0, 0, n:2 * n])
     for t0 in range(0, steps, _CHUNK_BLOCKS * L):
         m = min(_CHUNK_BLOCKS * L, steps - t0)
         k, full = -(-m // L), m // L
+        groups = -(-k // G)
         s, x = lhs[:k, 0, :2 * n], lhs[:k, :, 2 * n:]
         x[:full] = drive[t0:t0 + full * L].reshape(full, 2, half)
         if full < k:   # the drive's last block is partial: pad it with zeros
             x[full] = np.append(drive[t0 + full * L:t0 + m],
                                 np.zeros(k * L - m)).reshape(2, half)
-        z = x[:, 0] @ ends[:half]
-        z += x[:, 1] @ ends[half:]
-        for s_in, s_out, z_b in zip(states, states[1:], z):
-            np.dot(trans, s_in, out=s_out)
-            s_out += z_b
+        np.matmul(x[:, 0], ends[:half], out=z[:k])
+        z[:k] += x[:, 1] @ ends[half:]
+        z[k:] = 0.0   # blocks past the drive's end in its last group
+        zg = z[:groups * G].reshape(groups, G, 2 * n)
+        scan = lhs[1:groups * G + 1, 0, :2 * n].reshape(groups, G, 2 * n)
+        scan[:, 0] = zg[:, 0]
+        for j in range(1, G):
+            np.matmul(scan[:, j - 1], powers[:, 0], out=scan[:, j])
+            scan[:, j] += zg[:, j]
+        entry[0] = lhs[0, 0, :2 * n]
+        for g in range(1, groups):
+            np.matmul(entry[g - 1], powers[:, -1], out=entry[g])
+            entry[g] += scan[g - 1, -1]
+        scan += (entry[:groups] @ powers.reshape(2 * n, G * 2 * n)).reshape(
+            groups, G, 2 * n)
         # |u| in a block is at most |s| @ o_max.T + max|x| * sum_t |h[t]|.
         x_max = np.maximum(x.max(axis=(1, 2)), -x.min(axis=(1, 2)))
         if not np.max(np.abs(s) @ o_max.T + x_max[:, None] * h_sum) <= BLOWUP_LIMIT:

@@ -543,6 +543,33 @@ def test_bad_sweep_band_exits_2_naming_the_flag(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target, start, message", [
+    ("cell", "0", "--f-start must be > 0 Hz for --cell and --method ac, got 0"),
+    ("cell", "-2", "--f-start must be > 0 Hz for --cell and --method ac, got -2"),
+    ("ac", "0", "--f-start must be > 0 Hz for --cell and --method ac, got 0"),
+    ("ac", "-2", "--f-start must be > 0 Hz for --cell and --method ac, got -2"),
+    ("swept-sine", "-2", "--f-start must be >= 0 Hz, got -2"),
+])
+def test_sweep_start_below_the_band_exits_2_naming_the_flag(workspace, tmp_path, capsys,
+                                                           target, start, message):
+    out = tmp_path / "o.csv"
+    source = (["--cell"] if target == "cell" else
+              ["--system", workspace["system"], "--method", target])
+    assert run_cli(["ac-sweep", *source, f"--f-start={start}", "--f-stop=30",
+                    "--out", out]) == 2
+    assert capsys.readouterr().err == f"resonet: error: {message}\n"
+    assert not out.exists()
+
+
+def test_swept_sine_accepts_a_start_of_zero(workspace, tmp_path):
+    # the measurement pads its band down to 0 Hz anyway
+    out = tmp_path / "ss.csv"
+    assert run_cli(["ac-sweep", "--system", workspace["system"], "--method", "swept-sine",
+                    "--f-start", "0", "--f-stop", "30", "--sweep-rate", "5",
+                    "--out", out]) == 0
+    assert out.read_text().startswith("freq_hz,")
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--sweep-rate", "nan"), ("--window", "nan"), ("--rate", "nan"),
     ("--f-start", "nan"), ("--f-stop", "nan"), ("--f-start", "-inf"),

@@ -662,6 +662,43 @@ def test_measurement_rejects_non_finite_parameters(key, bad):
         measure_transfer(small_plant(), **kw)
 
 
+def test_overflowing_drive_current_is_refused_before_the_chirp():
+    # amplitude * g_m past the float range is a parameter error naming both
+    # values, not an overflow warning and a refused (or diverging) drive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError,
+                           match=r"amplitude \* g_m overflows: amplitude=1e\+10, g_m=1e\+300"):
+            measure_transfer(small_plant(), 20.0, 21.0, g_m=1e300, amplitude=1e10)
+
+
+def test_measurement_hands_its_chirp_to_run_without_a_copy(monkeypatch):
+    seen = []
+    real_run = simulator.run
+
+    def spy(sys_, signal, *args, **kwargs):
+        seen.append(signal.values)
+        return real_run(sys_, signal, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run", spy)
+    measure_transfer(small_plant(), 15.0, 45.0, sweep_rate_hz_per_s=5.0, window_s=0.5)
+    (drive,) = seen
+    assert drive.flags.owndata and not drive.flags.writeable
+
+
+def test_signal_copies_unless_handed_an_owned_read_only_array():
+    owned = np.arange(8.0) / 4.0 - 1.0
+    owned.setflags(write=False)
+    assert Signal(100.0, owned).values is owned
+    writable = np.arange(8.0) / 4.0 - 1.0
+    for values in (writable, owned[::2], owned.astype(np.float32), list(owned)):
+        kept = Signal(100.0, values).values
+        assert kept is not values and kept.flags.owndata and not kept.flags.writeable
+    sig = Signal(100.0, writable)
+    writable[0] = 5.0   # the caller's array can still change; the signal's cannot
+    assert sig.values[0] == -1.0
+
+
 def test_measured_transfer_matches_ac_solution(uniform_plant,
                                                uniform_measurement):
     """The virtual instrument reproduces nodal-analysis transmission to 5%

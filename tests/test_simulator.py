@@ -27,6 +27,7 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 LONG = simulator.MIN_BLOCKS * simulator.BLOCK   # shortest drive run evaluates blockwise
 CHUNK_LEN = simulator._CHUNK_BLOCKS * simulator.BLOCK   # steps per chunk of blocks
 HALF = simulator.BLOCK // 2
+GROUP = simulator._GROUP_BLOCKS   # blocks per group of the blocked state scan
 
 
 def single_cell(mass_outer=1.307e-3, mass_inner=3.530e-3, k=100.0):
@@ -352,12 +353,19 @@ def test_blocked_run_matches_leapfrog():
 
 @pytest.mark.parametrize("steps", [LONG, LONG + 1, LONG + simulator.BLOCK - 1,
                                    LONG + HALF, LONG + HALF + 1,
-                                   CHUNK_LEN, CHUNK_LEN + 1])
+                                   CHUNK_LEN, CHUNK_LEN + 1,
+                                   CHUNK_LEN + simulator.BLOCK,
+                                   CHUNK_LEN + (GROUP - 1) * simulator.BLOCK,
+                                   CHUNK_LEN + GROUP * simulator.BLOCK,
+                                   CHUNK_LEN + GROUP * simulator.BLOCK + 1])
 def test_blocked_run_at_block_and_chunk_edges_matches_leapfrog(steps):
     # LONG is whole blocks; one step more ends in a one-step block, BLOCK - 1
     # more fills all but one of its steps.  LONG + HALF ends on the last
     # block's first half, one step more puts one step in its second half.
     # CHUNK_LEN is exactly one chunk; one step more starts a second chunk.
+    # The second chunk's state scan runs in groups of GROUP blocks: a last
+    # chunk of 1, GROUP - 1, GROUP and GROUP + 1 blocks (the last of them a
+    # one-step block) ends inside, on and just past a group.
     rng = np.random.default_rng(steps)
     sys_m = dataclasses.replace(random_small_system(rng)[2], damping=0.5)
     dt = 0.9 * max_stable_dt(sys_m)
@@ -368,6 +376,19 @@ def test_blocked_run_at_block_and_chunk_edges_matches_leapfrog(steps):
         ref = leapfrog(sys_m, dt, x, *(initial or ()))
         assert traj.values.shape == ref.shape == (steps, sys_m.n_dof)
         assert np.max(np.abs(traj.values - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_blocked_run_bounds_the_rigid_mode_drift():
+    # A free lattice drifts blockwise even far from dt_max, and the drift
+    # grows with the drive's length (about 1e-9 of the peak here, 1e-8 at
+    # 262 144 steps).  This bound at 65 536 steps keeps a scan built from
+    # powers of the block map from making it worse unnoticed.
+    sys_m = _free_square()
+    dt = 0.5 * max_stable_dt(sys_m)
+    x = np.random.default_rng(43).standard_normal(65_536)
+    traj = run(sys_m, Signal(1.0 / dt, x))
+    ref = leapfrog(sys_m, dt, x, dofs=np.asarray(traj.dofs))
+    assert np.max(np.abs(traj.values - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("system", ["random", "grounded_corner", "free"])
