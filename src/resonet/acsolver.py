@@ -119,33 +119,6 @@ def branch_currents(sys: SystemMatrices, circ: CircuitParams, sol: AcSolution) -
                           node_shunt=shunt, internal_current=current[:spec.n_cells])
 
 
-def _inflow(size: int, ends: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """Net current into each of `size` nodes from branches flowing ends[:,0] -> ends[:,1]."""
-    inflow = np.zeros(size)
-    np.add.at(inflow, ends.ravel(), np.stack([-current, current], axis=1).ravel())
-    return inflow
-
-
-def cell_input_currents(sys: SystemMatrices, bc: BranchCurrents) -> np.ndarray:
-    """Net current each active cell absorbs from the lattice (edge inflow).
-
-    For an output cell this is the branch current feeding its effective
-    impedance; the injection cell additionally receives the source current.
-    """
-    spec = sys.spec
-    return _inflow(spec.n_cells, np.asarray(spec.edges, dtype=int).reshape(-1, 2),
-                   bc.edge_current)
-
-
-def kcl_residual(sys: SystemMatrices, sol: AcSolution, bc: BranchCurrents) -> float:
-    """Worst per-node current imbalance, relative to the injection."""
-    current = np.concatenate([bc.internal_current, bc.edge_current])
-    balance = _inflow(sys.n_dof + 1, sys.branches, current)[:-1]
-    balance[sys.input_dof] += sol.i_in
-    balance -= bc.node_shunt
-    return float(np.max(np.abs(balance)) / abs(sol.i_in))
-
-
 # --- per-cell impedance landscape -------------------------------------------
 
 def impedance_map(circ: CircuitParams, omega: float,

@@ -47,6 +47,8 @@ scores alike.  It refuses a dt past the stability limit, then:
   initial state, or an all-zero one), is one FFT convolution
   (``_convolve``); ``_kernel`` generates its impulse response with
   ``leapfrog`` and caches it on ``SystemMatrices`` (at most KERNELS).
+  ``_respond_groups`` hands a (T, B) drive's result over in groups of
+  _FFT_COLUMNS columns, so a scorer never holds all of it.
 * The rest steps with ``leapfrog`` and equals it bit for bit, and so does a
   drive whose bound on |u| over all DOFs (max|x| times the gain, plus the
   free response's bound for blocks, checked chunk by chunk) cannot rule
@@ -85,6 +87,7 @@ _GROUP_BLOCKS = 16   # blocks per group of its state scan, about sqrt(_CHUNK_BLO
 _BLOCK_MARGIN = 0.999  # blocks only below this share of dt_max: at it they drift ~3e-8
 KERNELS = 4          # impulse-response kernels cached per system
 _FFT_COLUMNS = 16    # drive columns per FFT of _convolve
+_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"   # np.fft takes out=
 
 
 @dataclass(frozen=True)
@@ -256,7 +259,7 @@ def _step_coeffs(sys: SystemMatrices, dt: float):
 def leapfrog(sys: SystemMatrices, dt: float, drive: np.ndarray,
              u_prev: np.ndarray | None = None, u_curr: np.ndarray | None = None,
              dofs: np.ndarray | None = None,
-             limit: float = BLOWUP_LIMIT) -> np.ndarray:
+             limit: float = BLOWUP_LIMIT, out: np.ndarray | None = None) -> np.ndarray:
     """The central-difference stepper: one step per row of `drive`.
 
     A (T,) drive steps state vectors of shape (n,); a (T, B) drive steps B
@@ -268,6 +271,10 @@ def leapfrog(sys: SystemMatrices, dt: float, drive: np.ndarray,
 
     With dofs None the result is a (T, n, ...) view of DOF-major storage, not
     C-contiguous, so the gradient GEMM reads the history as an (n, T B) view.
+    As with numpy's `out=`, a given `out` of the result's shape receives the
+    rows and is returned; a transposed view of a caller's (n, T, ...) store
+    keeps the history DOF-major without allocating it.  After a NumericError
+    its rows are partly written.
 
     Each step runs in a ring of CHUNK preallocated rows, copied out after each
     chunk, with the same floating-point operations, in the same order, as
@@ -281,8 +288,12 @@ def leapfrog(sys: SystemMatrices, dt: float, drive: np.ndarray,
     in_dof = sys.input_dof
     b_in = b[in_dof]
     shape = (sys.n_dof,) + drive.shape[1:]
-    out = (np.moveaxis(np.empty((sys.n_dof, len(drive)) + drive.shape[1:]), 0, 1)
-           if dofs is None else np.empty((len(drive), len(dofs)) + drive.shape[1:]))
+    want = (len(drive), sys.n_dof if dofs is None else len(dofs)) + drive.shape[1:]
+    if out is None:
+        out = (np.moveaxis(np.empty((sys.n_dof, len(drive)) + drive.shape[1:]), 0, 1)
+               if dofs is None else np.empty(want))
+    elif out.shape != want:
+        raise InvalidParameterError(f"out has shape {out.shape}, the result {want}")
     ring = np.empty((min(CHUNK, len(drive)),) + shape)
     head = np.empty((2,) + shape)
     head[0] = 0.0 if u_prev is None else u_prev
@@ -391,20 +402,47 @@ def _respond(sys: SystemMatrices, dt: float, drive: np.ndarray,
     may blow up is stepped, so it raises leapfrog's NumericError at the
     exact step and batch column.
     """
+    dt_max = _checked_dt_max(sys, dt)
+    values = None
+    if drive.ndim == 1 and len(drive) >= MIN_BLOCKS * BLOCK:
+        if dt < _BLOCK_MARGIN * dt_max:
+            values = _run_blocked(sys, dt, drive, u_prev, u_curr, dofs)
+    elif not (np.any(u_prev) or np.any(u_curr)) and _convolvable(sys, dt, drive, dofs):
+        values = _convolve(sys, dt, drive, dofs)
+    if values is None:
+        values = leapfrog(sys, dt, drive, u_prev, u_curr, np.asarray(dofs, dtype=int))
+    return values
+
+
+def _respond_groups(sys: SystemMatrices, dt: float, drive: np.ndarray,
+                    dofs: tuple[int, ...], work: np.ndarray | None = None):
+    """_respond for a (T, B) drive from rest, a column group at a time.
+
+    Yields (lo, values), values the (T, d, g) rows of columns lo .. lo + g - 1,
+    each equal to the same columns of _respond's result.  The bound on |u|
+    is checked on the whole batch first: a batch that may blow up is stepped
+    whole, in one group, so its NumericError names the step and the batch
+    column as _respond's does; any other batch is convolved _FFT_COLUMNS
+    columns at a time in scratch taken from `work` (see _convolved_groups),
+    so no (T, d, B) result is ever held.  The values are scratch: the caller
+    may overwrite them, and the next group does.
+    """
+    _checked_dt_max(sys, dt)
+    if not _convolvable(sys, dt, drive, dofs):
+        yield 0, leapfrog(sys, dt, drive, dofs=np.asarray(dofs, dtype=int))
+        return
+    for lo, rows in _convolved_groups(sys, dt, drive, dofs, work):
+        yield lo, rows.transpose(2, 1, 0)
+
+
+def _checked_dt_max(sys: SystemMatrices, dt: float) -> float:
+    """max_stable_dt(sys), refusing a dt past it with InvalidParameterError."""
     dt_max = max_stable_dt(sys)
     if dt > dt_max:
         raise InvalidParameterError(
             f"dt={dt} exceeds the stability limit {dt_max:.3e}; "
             "reduce dt or the stiffest element values")
-    values = None
-    if drive.ndim == 1 and len(drive) >= MIN_BLOCKS * BLOCK:
-        if dt < _BLOCK_MARGIN * dt_max:
-            values = _run_blocked(sys, dt, drive, u_prev, u_curr, dofs)
-    elif not (np.any(u_prev) or np.any(u_curr)):
-        values = _convolve(sys, dt, drive, dofs)
-    if values is None:
-        values = leapfrog(sys, dt, drive, u_prev, u_curr, np.asarray(dofs, dtype=int))
-    return values
+    return dt_max
 
 
 def _initial_pair(sys: SystemMatrices, initial) -> tuple:
@@ -458,28 +496,84 @@ def _kernel(sys: SystemMatrices, dt: float, steps: int, dofs: tuple[int, ...]):
     return entry
 
 
+def _convolvable(sys: SystemMatrices, dt: float, drive: np.ndarray,
+                 dofs: tuple[int, ...]) -> bool:
+    """Whether _convolve may evaluate a drive from rest: it is not empty and
+    max|x| * gain rules out |u| > BLOWUP_LIMIT (a non-finite bound does not)."""
+    if not len(drive):
+        return False
+    gain = _kernel(sys, dt, len(drive), dofs)[1]
+    return bool(max(drive.max(), -drive.min()) * gain <= BLOWUP_LIMIT)
+
+
 def _convolve(sys: SystemMatrices, dt: float, drive: np.ndarray,
-              dofs: tuple[int, ...]) -> np.ndarray | None:
-    """leapfrog's result at `dofs` for a (T,) or (T, B) drive from rest, as
-    _respond shapes it, by FFT convolution with the cached kernel,
-    _FFT_COLUMNS drive columns at a time.  None when the caller must step
-    instead: the drive is empty, or max|x| * gain cannot rule out
-    |u| > BLOWUP_LIMIT (or is not finite)."""
-    steps = len(drive)
-    if not steps:
-        return None
-    spectrum, gain = _kernel(sys, dt, steps, dofs)
-    if not max(drive.max(), -drive.min()) * gain <= BLOWUP_LIMIT:
-        return None
-    n_fft = _fft_size(steps)
-    x = drive.reshape(steps, -1)
-    out = np.empty((x.shape[1], len(dofs), steps))   # (B, d, T) storage
-    for lo in range(0, x.shape[1], _FFT_COLUMNS):
-        x_f = np.fft.rfft(x[:, lo:lo + _FFT_COLUMNS].T, n=n_fft)
-        out[lo:lo + _FFT_COLUMNS] = np.fft.irfft(x_f[:, None, :] * spectrum,
-                                                 n=n_fft)[..., :steps]
+              dofs: tuple[int, ...]) -> np.ndarray:
+    """leapfrog's result at `dofs` for a (T,) or (T, B) drive from rest that
+    is _convolvable, as _respond shapes it, by FFT convolution with the
+    cached kernel, _FFT_COLUMNS drive columns at a time."""
+    x = drive.reshape(len(drive), -1)
+    out = np.empty((x.shape[1], len(dofs), len(drive)))   # (B, d, T) storage
+    for lo, rows in _convolved_groups(sys, dt, x, dofs):
+        out[lo:lo + len(rows)] = rows
     out = out.transpose(2, 1, 0)
     return out if drive.ndim == 2 else out[..., 0]
+
+
+def _group_floats(steps: int, d: int, columns: int) -> int:
+    """Floats of scratch _convolved_groups takes for `columns` drive columns
+    of `steps` steps recorded at d DOFs."""
+    n_fft = _fft_size(steps)
+    return min(columns, _FFT_COLUMNS) * (2 * (n_fft // 2 + 1) * (1 + d) + d * n_fft)
+
+
+def _convolved_groups(sys: SystemMatrices, dt: float, x: np.ndarray,
+                      dofs: tuple[int, ...], work: np.ndarray | None = None):
+    """Yields (lo, rows): rows (g, d, T) is the response at `dofs` of the
+    columns lo .. lo + g - 1 of the (T, B) drive x, _FFT_COLUMNS at a time.
+
+    The spectra and the inverse FFT live in the first _group_floats floats
+    of `work`, or in three new arrays when it is None or smaller (a run of
+    one short signal then takes them from the heap, as numpy's FFTs would),
+    and each group overwrites them, rows included.
+    """
+    steps, batch = x.shape
+    spectrum = _kernel(sys, dt, steps, dofs)[0]
+    d, f = spectrum.shape
+    n_fft = _fft_size(steps)
+    g = min(batch, _FFT_COLUMNS)
+    shapes = (g, 2 * f), (g, d, 2 * f), (g, d, n_fft)
+    if work is None or work.size < _group_floats(steps, d, batch):
+        x_f, prod, res = (np.empty(shape) for shape in shapes)
+    else:
+        x_f, prod, res = _carve(work, *shapes)
+    x_f, prod = x_f.view(complex), prod.view(complex)
+    for lo in range(0, batch, _FFT_COLUMNS):
+        k = min(_FFT_COLUMNS, batch - lo)
+        _fft_into(np.fft.rfft, x[:, lo:lo + k].T, n_fft, x_f[:k])
+        np.multiply(x_f[:k, None, :], spectrum, out=prod[:k])
+        _fft_into(np.fft.irfft, prod[:k], n_fft, res[:k])
+        yield lo, res[:k, :, :steps]
+
+
+def _fft_into(fft, a: np.ndarray, n: int, out: np.ndarray) -> None:
+    """out[...] = fft(a, n=n), with no new array where np.fft takes out=."""
+    if _FFT_OUT:
+        fft(a, n=n, out=out)
+    else:
+        out[...] = fft(a, n=n)
+
+
+def _carve(flat: np.ndarray, *shapes) -> list[np.ndarray]:
+    """C-contiguous views of `shapes`, laid one after another from flat[0]."""
+    views, at = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        if at + size > flat.size:
+            raise InvalidParameterError(
+                f"a workspace of {flat.size} floats is too small for this batch")
+        views.append(flat[at:at + size].reshape(shape))
+        at += size
+    return views
 
 
 def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):

@@ -23,16 +23,28 @@ run on (dof, batch) states.  A trained network converts to circuit values
 with an arbitrary analogy scale (dynamics are scale-invariant) and survives
 E-series quantization of its resistors.
 
-Scoring (``evaluate_system``, behind ``evaluate`` and every epoch's train
-and val scores) never feeds the parameters, so it evaluates the batch
-through ``simulator._respond``, the simulator's one choice of evaluation
-path: drives from rest are one FFT convolution with the kernel that
-leapfrog generates and the system caches, within 1e-12 of the largest
-channel of stepping; a batch whose bound on |u| passes the blow-up limit is
-stepped with leapfrog instead, so a divergence still names its step and
-sample.  Epoch ``loss``, ``train_acc`` and ``val_acc`` are therefore within
-rounding of stepped scoring, not bit for bit; the trained parameters,
-checkpoints and the export are bit for bit.
+One ``train`` run steps every minibatch in one workspace (``make_workspace``)
+that it allocates once and drops when it returns: flat storage for the
+widest batch's DOF-major history, adjoint state and output arrays, of which
+a narrower batch takes a contiguous prefix.  It holds what one
+``loss_and_grad`` call used to allocate and free (43 MB on the stock 5x5
+task), so the run no longer pages that memory in afresh for every
+minibatch; ``loss_and_grad`` gives the same results, bit for bit, with a
+workspace or without one.
+
+Scoring (``evaluate_system``, behind ``evaluate``, and ``_evaluate_drive``,
+behind it and every epoch's train and val scores) never feeds the
+parameters, so it evaluates the batch through
+``simulator._respond_groups``, which makes the simulator's one choice of
+evaluation path for the whole batch: drives from rest are FFT convolutions
+with the kernel that leapfrog generates and the system caches, within
+1e-12 of the largest channel of stepping, taken _FFT_COLUMNS columns at a
+time in the run's workspace so that only the (C, B) energies are kept; a
+batch whose bound on |u| passes the blow-up limit is stepped whole with
+leapfrog instead, so a divergence still names its step and sample.  Epoch
+``loss``, ``train_acc`` and ``val_acc`` are therefore within rounding of
+stepped scoring, not bit for bit; the trained parameters, checkpoints and
+the export are bit for bit.
 """
 
 from __future__ import annotations
@@ -234,9 +246,11 @@ def _assemble_checked(spec: LatticeSpec, cfg: TrainConfig, params: TrainablePara
     return sys
 
 
-def _energies(u_out: np.ndarray, dt: float) -> np.ndarray:
-    """(C, B) output energies from the (T, C, B) output history."""
-    return np.sum(u_out * u_out, axis=0) * dt
+def _energies(u_out: np.ndarray, dt: float,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+    """(C, B) output energies from the (T, C, B) output history; the squares
+    go to `scratch` if given (u_out itself may be it)."""
+    return np.sum(np.multiply(u_out, u_out, out=scratch), axis=0) * dt
 
 
 def _probs_and_loss(energies: np.ndarray, labels: np.ndarray,
@@ -256,12 +270,14 @@ def _probs_and_loss(energies: np.ndarray, labels: np.ndarray,
 
 
 def _adjoint_grad(sys: simulator.SystemMatrices, dt: float, src: np.ndarray,
-                  u_flat: np.ndarray) -> np.ndarray:
+                  u_flat: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
     """Adjoint sweep; returns dL/dY (dense, n_dof x n_dof).
 
     src (T, C, B) is dL/du[s] at the output DOFs for every step; u_flat is the
     DOF-major (n, (T-1) B) matrix of the forward history's rows u[1..T-1],
     which loss_and_grad takes as a view of leapfrog's DOF-major storage.
+    lam, if given, is the C-contiguous (n, T-1, B) store the sweep writes
+    lambda[1..T-1] to; otherwise one is allocated.
     """
     if sys.damping != 0.0:
         raise InvalidParameterError("gradients are defined for undamped systems only")
@@ -274,7 +290,8 @@ def _adjoint_grad(sys: simulator.SystemMatrices, dt: float, src: np.ndarray,
     # so the GEMM below takes its (n, (T-1) B) flattening as a view: no
     # (T, n, B) lambda and no transposed copy of it
     chunk = simulator.CHUNK
-    lam = np.empty((n, max(t_len - 1, 0), batch))   # a zero-length drive has none
+    if lam is None:
+        lam = np.empty((n, max(t_len - 1, 0), batch))   # a zero-length drive has none
     ring = np.zeros((chunk + 2, n, batch))
     a_lam = np.empty((n, batch))
     # a chunk of src, zero off the outputs: one add per step (+0.0 can flip a -0.0)
@@ -309,24 +326,54 @@ def _project_grad(sys: simulator.SystemMatrices, g_y: np.ndarray) -> np.ndarray:
     return g[p, p] + g[q, q] - g[p, q] - g[q, p]
 
 
+def make_workspace(spec: LatticeSpec, steps: int, batch: int) -> np.ndarray:
+    """Flat storage for loss_and_grad on batches of up to `batch` columns of
+    `steps` steps: the DOF-major forward history, the adjoint state and two
+    DOF-major output arrays.  A narrower batch uses a contiguous prefix of
+    each, so its history and adjoint state stay (n, (T-1) B) views.  The
+    same floats hold the FFT scratch of scoring `steps`-step drives."""
+    n, c = 2 * len(spec.active_cells), len(spec.outputs)
+    grad = batch * (n * steps + n * max(steps - 1, 0) + 2 * c * steps)
+    return np.empty(max(grad, simulator._group_floats(steps, c, simulator._FFT_COLUMNS)))
+
+
 def loss_and_grad(spec: LatticeSpec, cfg: TrainConfig, params: TrainableParams,
-                  drive: np.ndarray, labels: np.ndarray,
-                  dt: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """(loss, probs, grad on packed theta, energies) for one labeled batch."""
+                  drive: np.ndarray, labels: np.ndarray, dt: float,
+                  workspace: np.ndarray | None = None,
+                  ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(loss, probs, grad on packed theta, energies) for one labeled batch.
+
+    `workspace`, from ``make_workspace`` for at least the batch's width and
+    length, holds the call's large arrays; its contents on entry do not
+    matter.  Without one the call allocates its own.  Either way the results
+    are the same, bit for bit.
+    """
     sys = _assemble_checked(spec, cfg, params, dt)
-    hist = simulator.leapfrog(sys, dt, drive)
-    u_out = hist[:, list(sys.output_dofs), :]
-    energies = _energies(u_out, dt)
+    steps, batch = drive.shape
+    n, c = sys.n_dof, len(sys.output_dofs)
+    if workspace is None:
+        workspace = make_workspace(spec, steps, batch)
+    # every store is DOF-major, (n or C, T, B), as leapfrog lays out hist;
+    # the sums over T below then add in the same order as on a new array
+    store, lam, out_store, src_store = simulator._carve(
+        workspace, (n, steps, batch), (n, max(steps - 1, 0), batch),
+        (c, steps, batch), (c, steps, batch))
+    hist = simulator.leapfrog(sys, dt, drive, out=store.transpose(1, 0, 2))
+    for j, dof in enumerate(sys.output_dofs):
+        out_store[j] = store[dof]
+    u_out, src = out_store.transpose(1, 0, 2), src_store.transpose(1, 0, 2)
+    energies = _energies(u_out, dt, src)
     probs, loss, dl_de = _probs_and_loss(energies, labels, cfg.prob_epsilon)
     # dL/du[s] at the output DOFs for every step, and the history as the
-    # (n, (T-1) B) matrix the gradient GEMM reads: a view of leapfrog's
-    # DOF-major storage, not a copy
-    src = dl_de * ((2.0 * dt) * u_out)
-    u_flat = hist[:-1].transpose(1, 0, 2).reshape(sys.n_dof, -1)
-    if drive.shape[1] == 1:
+    # (n, (T-1) B) matrix the gradient GEMM reads: a view of the DOF-major
+    # store, not a copy
+    np.multiply(u_out, 2.0 * dt, out=src)
+    src *= dl_de
+    u_flat = store[:, :-1].reshape(n, -1)
+    if batch == 1:
         # one column, T-major as before: OpenBLAS's small NN and NT GEMMs round apart
         u_flat = np.ascontiguousarray(u_flat.T).T
-    g_y = _adjoint_grad(sys, dt, src, u_flat)
+    g_y = _adjoint_grad(sys, dt, src, u_flat, lam)
     # d k / d theta = k for the log parameterization
     grad = _project_grad(sys, g_y) * np.concatenate(params.realize())
     return loss, probs, grad, energies
@@ -355,8 +402,20 @@ def evaluate_system(sys: simulator.SystemMatrices, samples,
     stability limit is an InvalidParameterError, as in ``simulator.run``.
     """
     dt = _sample_dt(samples)
-    drive, labels = stack_batch(samples, dt)
-    energies = _energies(simulator._respond(sys, dt, drive, sys.output_dofs), dt)
+    return _evaluate_drive(sys, dt, *stack_batch(samples, dt), prob_epsilon)
+
+
+def _evaluate_drive(sys: simulator.SystemMatrices, dt: float, drive: np.ndarray,
+                    labels: np.ndarray, prob_epsilon: float,
+                    workspace: np.ndarray | None = None) -> EvalResult:
+    """evaluate_system on a stacked (T, B) drive: the output histories come
+    from ``simulator._respond_groups`` a column group at a time, with its
+    scratch in `workspace` if that is large enough, and only their (C, B)
+    energies are kept."""
+    energies = np.empty((len(sys.output_dofs), drive.shape[1]))
+    groups = simulator._respond_groups(sys, dt, drive, sys.output_dofs, workspace)
+    for lo, values in groups:
+        energies[:, lo:lo + values.shape[2]] = _energies(values, dt, values)
     probs, loss, _ = _probs_and_loss(energies, labels, prob_epsilon)
     preds = np.argmax(energies, axis=0)
     return EvalResult(accuracy=float(np.mean(preds == labels)), loss=loss,
@@ -510,6 +569,10 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
         raise InvalidParameterError("dataset has no training split")
     dt = _sample_dt(train_samples)
     drive, labels = stack_batch(train_samples, dt)
+    val = None
+    if val_samples:
+        val_dt = _sample_dt(val_samples)
+        val = (val_dt,) + stack_batch(val_samples, val_dt)
 
     if resume is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -544,6 +607,8 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
     aborted = False
     divergence = None
     n_train = len(train_samples)
+    # every minibatch's large arrays, allocated once for the run
+    work = make_workspace(spec, len(drive), min(cfg.batch_size, n_train))
 
     for epoch in range(start_epoch, cfg.epochs + 1):
         order = rng.permutation(n_train)
@@ -553,18 +618,19 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
         try:
             for lo in range(0, n_train, cfg.batch_size):
                 idx = order[lo:lo + cfg.batch_size]
-                _, _, grad, _ = loss_and_grad(spec, cfg, params,
-                                              drive[:, idx], labels[idx], dt)
+                _, _, grad, _ = loss_and_grad(spec, cfg, params, drive[:, idx],
+                                              labels[idx], dt, work)
                 vec, adam = adam_step(params.packed(), grad, adam)
                 params = params.from_packed(vec).project()
             idx = None
             sys = _assemble_checked(spec, cfg, params, dt)
-            train_eval = evaluate_system(sys, train_samples, cfg.prob_epsilon)
+            train_eval = _evaluate_drive(sys, dt, drive, labels,
+                                         cfg.prob_epsilon, work)
             if not math.isfinite(train_eval.loss):
                 raise NumericError(f"training loss is {train_eval.loss}")
             split = "test"
-            val_eval = (evaluate_system(sys, val_samples, cfg.prob_epsilon)
-                        if val_samples else None)
+            val_eval = (_evaluate_drive(sys, *val, cfg.prob_epsilon, work)
+                        if val is not None else None)
         except NumericError as exc:
             # roll back to the last completed epoch, or to where the run began
             divergence = _divergence(epoch, exc, split, idx)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resonet import cli, lattice, simulator
+from resonet import acsolver, cli, lattice, simulator
 from resonet.errors import NumericError
 
 
@@ -715,6 +715,67 @@ def test_netlist_counts_on_default_grid(uniform_plant, tmp_path):
     lines = (out / "netlist.csv").read_text().splitlines()
     assert len(lines) - 1 == 21 * 3 + 40   # 103 components on the default grid
     assert not (out / "quantization.json").exists()   # series=none: no snapping
+
+
+def _netlist_transmission(path, spec, omegas):
+    """|v_out / i_in| per output channel of the circuit netlist.csv lists,
+    stamped by textbook nodal rules, independent of simulator.assemble:
+    1/R between the two nodes of a resistor, s^2 D from an FDNR's node to
+    ground, unit current into the input cell's outer node."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    nodes = sorted({name for row in rows for name in row[4:6]} - {"0"})
+    index = {name: k for k, name in enumerate(nodes)}
+    ground = len(nodes)   # a padded last row and column, dropped below
+    g = np.zeros((ground + 1, ground + 1))
+    d = np.zeros(ground + 1)
+    for _, kind, value, _, a, b in rows:
+        i, j = index.get(a, ground), index.get(b, ground)
+        if kind == "resistor":
+            y = 1.0 / float(value)
+            g[[i, j], [i, j]] += y
+            g[[i, j], [j, i]] -= y
+        else:
+            assert (kind, b) == ("fdnr", "0")
+            d[i] += float(value)
+    g, d = g[:ground, :ground], d[:ground]
+    rhs = np.zeros(ground)
+    rhs[index[f"c{spec.input_cell}o"]] = 1.0
+    outs = [index[f"c{c}i"] for c in spec.outputs]
+    # s = jw: an FDNR's admittance s^2 D is -w^2 D
+    return np.array([np.abs(np.linalg.solve(g - w * w * np.diag(d), rhs)[outs])
+                     for w in omegas]).T
+
+
+@pytest.mark.parametrize("source", ["model", "grounded_grid"])
+@pytest.mark.parametrize("series", ["none", "E96"])
+def test_netlist_round_trip_reproduces_the_transmission(workspace, tmp_path,
+                                                        source, series):
+    if source == "model":
+        args = ["--model", workspace["run1"] / "model.json"]
+    else:   # the default grid, whose four corner cells are grounded
+        spec = lattice.LatticeSpec.default_grid()
+        assert spec.grounded
+        rng = np.random.default_rng(5)
+        jitter = lambda n: np.exp(rng.normal(0.0, 0.2, n))
+        mech = lattice.MechanicalParams(
+            mass_outer=1.307e-3 * jitter(spec.n_cells),
+            mass_inner=3.530e-3 * jitter(spec.n_cells),
+            k_internal=100.0 * jitter(spec.n_cells),
+            k_coupling=600.0 * jitter(spec.n_edges))
+        scaling = lattice.choose_scaling(mech, 1e6)
+        lattice.save_system(tmp_path / "grid.json", spec,
+                            lattice.mech_to_circuit(mech, scaling), scaling)
+        args = ["--system", tmp_path / "grid.json"]
+    out = tmp_path / "nl"
+    assert run_cli(["export-netlist", *args, "--series", series, "--out", out]) == 0
+    built = "system.json" if series == "none" else "system_quantized.json"
+    spec, circ, _ = lattice.load_system(out / built)
+    omegas = 2.0 * np.pi * np.linspace(1.0, 100.0, 500)
+    want, flags = acsolver.transmission(simulator.assemble(spec, circ), omegas)
+    live = [f == "" for f in flags]
+    assert sum(live) >= 400
+    got = _netlist_transmission(out / "netlist.csv", spec, omegas[live])
+    assert np.max(np.abs(got - want[:, live]) / want[:, live]) <= 1e-9
 
 
 def test_netlist_requires_exactly_one_source(workspace, tmp_path):

@@ -1,9 +1,10 @@
 """Scoring through the impulse-response kernel against stepping.
 
-``trainer.evaluate_system`` (behind ``evaluate`` and every epoch of
-``train``) takes its output histories from ``simulator._respond``, which
-convolves drives from rest with the kernel ``simulator._kernel`` caches and
-steps with ``leapfrog`` only when the gain bound cannot rule out a blow-up.
+``trainer.evaluate_system`` (behind ``evaluate``) and ``_evaluate_drive``
+(behind it and every epoch of ``train``) take their output histories from
+``simulator._respond_groups``, which convolves drives from rest a column
+group at a time with the kernel ``simulator._kernel`` caches and steps with
+``leapfrog`` only when the gain bound cannot rule out a blow-up.
 Stepped scoring is kept here as the oracle: energies must agree to 1e-12 of
 each sample's largest channel (1e-11 on a lattice with a rigid mode, see
 below), blow-ups must raise leapfrog's own NumericError, and training must
@@ -27,7 +28,11 @@ from resonet.trainer import EvalResult, TrainConfig, train
 def stepped_score(sys, samples, prob_epsilon=1e-12):
     """evaluate_system by stepping the whole batch with leapfrog."""
     dt = 1.0 / samples[0].signal.rate_hz
-    drive, labels = trainer.stack_batch(samples, dt)
+    return stepped_drive_score(sys, dt, *trainer.stack_batch(samples, dt), prob_epsilon)
+
+
+def stepped_drive_score(sys, dt, drive, labels, prob_epsilon=1e-12, workspace=None):
+    """trainer._evaluate_drive by stepping the whole batch with leapfrog."""
     u_out = simulator.leapfrog(sys, dt, drive, dofs=np.asarray(sys.output_dofs))
     energies = trainer._energies(u_out, dt)
     probs, loss, _ = trainer._probs_and_loss(energies, labels, prob_epsilon)
@@ -95,6 +100,30 @@ def test_kernel_energies_match_stepping(name, sys_m, dt, steps):
     assert np.all(np.abs(got - want) <= tol * scale)
 
 
+@pytest.mark.parametrize("batch", [1, simulator._FFT_COLUMNS,
+                                   2 * simulator._FFT_COLUMNS + 3])
+def test_grouped_scoring_equals_the_whole_batch_convolution(monkeypatch, batch):
+    # Column groups, their scratch in a workspace or not, and numpy's FFTs
+    # with or without out= (numpy < 2 has none) all give the energies of one
+    # FFT convolution of the whole batch, bit for bit.
+    _, sys_m, dt = SYSTEMS[-2]
+    steps = 700
+    drive = np.random.default_rng(batch).standard_normal((steps, batch))
+    labels = np.zeros(batch, dtype=int)
+    spectrum = simulator._kernel(sys_m, dt, steps, sys_m.output_dofs)[0]
+    n_fft = simulator._fft_size(steps)
+    rows = np.fft.irfft(np.fft.rfft(drive.T, n=n_fft)[:, None, :] * spectrum,
+                        n=n_fft)[..., :steps]
+    # (B, d, T) storage, as _convolve lays out its (T, d, B) result
+    want = trainer._energies(np.ascontiguousarray(rows).transpose(2, 1, 0), dt)
+    work = trainer.make_workspace(sys_m.spec, steps, 4)
+    for fft_out in (True, False):
+        monkeypatch.setattr(simulator, "_FFT_OUT", fft_out and simulator._FFT_OUT)
+        for workspace in (None, work):
+            got = trainer._evaluate_drive(sys_m, dt, drive, labels, 1e-12, workspace)
+            assert got.energies.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("steps", [0, 300])
 def test_zero_or_empty_drive_scores_exactly_zero_energies(steps):
     samples = _samples(2000.0, np.zeros((steps, 3)), [0, 1, 2])
@@ -137,7 +166,7 @@ def test_training_exports_what_stepped_scoring_exports(tiny_task, monkeypatch):
     spec, dataset = tiny_task
     cfg = TrainConfig(epochs=3, batch_size=4, lr=0.02, seed=5)
     kernel = train(spec, dataset, cfg)
-    monkeypatch.setattr(trainer, "evaluate_system", stepped_score)
+    monkeypatch.setattr(trainer, "_evaluate_drive", stepped_drive_score)
     stepped = train(spec, dataset, cfg)
     assert kernel.stop_reason == stepped.stop_reason == "epochs"
     assert kernel.params.packed().tobytes() == stepped.params.packed().tobytes()

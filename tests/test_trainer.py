@@ -211,6 +211,101 @@ def test_adjoint_gradient_matches_finite_differences():
     assert rel < 1e-4
 
 
+# --- the run's workspace -----------------------------------------------------------
+
+def _workspace_case(steps, batch, seed):
+    """(spec, cfg, params, drive, labels) of a random batch on the grounded corner."""
+    spec = grounded_corner()[0]
+    cfg = TrainConfig()
+    rng = np.random.default_rng(seed)
+    params = init_params(spec, cfg, (40.0, 60.0), rng)
+    drive = rng.standard_normal((steps, batch))
+    labels = rng.integers(0, len(spec.outputs), batch)
+    return spec, cfg, params, drive, labels
+
+
+def _assert_same_bytes(got, want):
+    """loss_and_grad results equal bit for bit, signed zeros included."""
+    assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0]))
+    for g, w in zip(got[1:], want[1:]):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("steps, batch, width", [
+    (300, 5, 5),   # a full batch
+    (300, 3, 5),   # a narrower last batch: a prefix of every store
+    (300, 1, 5),   # one column, which keeps its T-major copy
+    (300, 1, 1),
+    (0, 4, 5), (1, 4, 5), (1, 1, 1), (2, 2, 3)])
+def test_loss_and_grad_in_a_workspace_equals_a_call_without_one(steps, batch, width):
+    spec, cfg, params, drive, labels = _workspace_case(steps, batch, 10 * steps + batch)
+    dt = 1.0 / 2000.0
+    want = loss_and_grad(spec, cfg, params, drive, labels, dt)
+    work = trainer.make_workspace(spec, steps, width)
+    work[:] = np.nan   # what a workspace holds on entry must not matter
+    got = loss_and_grad(spec, cfg, params, drive, labels, dt, work)
+    _assert_same_bytes(got, want)
+    _assert_same_bytes(loss_and_grad(spec, cfg, params, drive, labels, dt, work), want)
+
+
+def test_a_workspace_left_half_written_by_a_numeric_error_gives_the_same_result():
+    spec, cfg, params, drive, labels = _workspace_case(300, 4, 8)
+    dt = 1.0 / 2000.0
+    work = trainer.make_workspace(spec, 300, 4)
+    loud = drive.copy()
+    loud[150, 2] = 1e20
+    for batch in (4, 3):
+        with pytest.raises(NumericError):   # the forward stops mid-history
+            loss_and_grad(spec, cfg, params, loud, labels, dt, work)
+        want = loss_and_grad(spec, cfg, params, drive[:, :batch], labels[:batch], dt)
+        got = loss_and_grad(spec, cfg, params, drive[:, :batch], labels[:batch], dt,
+                            work)
+        _assert_same_bytes(got, want)
+
+
+def test_a_workspace_too_small_for_the_batch_is_refused():
+    spec, cfg, params, drive, labels = _workspace_case(300, 4, 9)
+    work = trainer.make_workspace(spec, 30, 4)   # for 30 steps
+    with pytest.raises(InvalidParameterError, match="too small"):
+        loss_and_grad(spec, cfg, params, drive, labels, 1.0 / 2000.0, work)
+
+
+def test_a_training_run_steps_every_minibatch_in_one_store(tiny_task, monkeypatch):
+    # Six training samples in batches of 4: every epoch has a narrower last
+    # batch.  Every minibatch history, and every column group the epoch
+    # scores go through, lands in the run's one workspace.
+    spec, dataset = tiny_task
+    cfg = _tiny_cfg(batch_size=4)
+    works, histories, scored = [], [], []
+    real_work = trainer.make_workspace
+    real_leapfrog, real_groups = simulator.leapfrog, simulator._respond_groups
+
+    def work_spy(*args):
+        works.append(real_work(*args))
+        return works[-1]
+
+    def leapfrog_spy(sys_m, dt, drive, *args, **kwargs):
+        result = real_leapfrog(sys_m, dt, drive, *args, **kwargs)
+        if drive.ndim == 2 and result.shape[1] == sys_m.n_dof:
+            histories.append(result)
+        return result
+
+    def groups_spy(*args, **kwargs):
+        for lo, values in real_groups(*args, **kwargs):
+            scored.append(values)
+            yield lo, values
+
+    monkeypatch.setattr(trainer, "make_workspace", work_spy)
+    monkeypatch.setattr(simulator, "leapfrog", leapfrog_spy)
+    monkeypatch.setattr(simulator, "_respond_groups", groups_spy)
+    result = train(spec, dataset, cfg)
+    assert result.stop_reason == "epochs" and len(works) == 1
+    assert [h.shape[2] for h in histories] == [4, 2] * cfg.epochs
+    assert all(np.shares_memory(h, histories[0]) for h in histories)
+    assert len(scored) == 2 * cfg.epochs   # the train and the test split
+    assert all(np.shares_memory(a, works[0]) for a in histories + scored)
+
+
 # --- Adam ---------------------------------------------------------------------------
 
 def test_adam_first_step_moves_by_lr():
@@ -366,9 +461,9 @@ def test_checkpoint_survives_json_and_still_resumes(tiny_task):
     np.testing.assert_array_equal(resumed.params.theta_kn, full.params.theta_kn)
 
 
-def _with_loud_sample(dataset, split):
-    """(dataset with the first `split` sample scaled by 1e20, its split index 0)."""
-    loud = next(i for i, s in enumerate(dataset.samples) if s.split == split)
+def _with_loud_sample(dataset, split, index=0):
+    """The dataset with sample `index` of `split` scaled by 1e20."""
+    loud = [i for i, s in enumerate(dataset.samples) if s.split == split][index]
     samples = list(dataset.samples)
     big = samples[loud]
     samples[loud] = Sample(Signal(big.signal.rate_hz, 1e20 * big.signal.values),
@@ -414,6 +509,14 @@ def test_divergence_in_the_held_out_split_names_its_index(tiny_task):
     d = result.divergence
     assert (d["epoch"], d["sample"], d["split"]) == (1, 0, "test")
     assert d["message"].endswith("in batch sample 0: unstable or diverging")
+    # Past the first column group of the scoring: a split that may blow up
+    # is stepped whole, so the sample is still its index in the split.
+    index = simulator._FFT_COLUMNS + 1
+    wider = gen_dataset(replace(dataset.spec, test_per_class=index // 2 + 1))
+    result = train(spec, _with_loud_sample(wider, "test", index), _tiny_cfg())
+    d = result.divergence
+    assert (d["epoch"], d["sample"], d["split"]) == (1, index, "test")
+    assert d["message"].endswith(f"in batch sample {index}: unstable or diverging")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -450,12 +553,12 @@ def test_non_finite_loss_rolls_back_to_the_resumed_checkpoint(tiny_task, monkeyp
     spec, dataset = tiny_task
     cfg = _tiny_cfg(epochs=3)
     ckpt = train(spec, dataset, cfg).checkpoints[0]
-    real_score = trainer.evaluate_system
+    real_score = trainer._evaluate_drive   # each epoch's scores
 
     def nan_loss(*args):
         return replace(real_score(*args), loss=math.nan)
 
-    monkeypatch.setattr(trainer, "evaluate_system", nan_loss)
+    monkeypatch.setattr(trainer, "_evaluate_drive", nan_loss)
     result = train(spec, dataset, cfg, resume=ckpt)
     assert result.aborted and result.stop_reason == "diverged"
     assert result.divergence == {"epoch": 2, "message": "training loss is nan",
