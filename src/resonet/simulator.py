@@ -25,9 +25,10 @@ is it rescanned row by row, so the error names the first step (and batch
 sample) past the limit exactly as a per-step check would.
 
 The recurrence is linear and time-invariant, so the response from rest is
-the drive convolved with the impulse response.  ``_respond`` is the one
-place that picks how to evaluate it, for ``run`` and for ``trainer``'s
-scores alike.  It refuses a dt past the stability limit, then:
+the drive convolved with the impulse response.  ``_respond`` picks how to
+evaluate ``run``'s (T,) drive and ``_respond_groups`` how to evaluate a
+(T, B) batch from rest for ``trainer``'s scores.  Both refuse a dt past the
+stability limit, then:
 
 * A (T,) drive of at least MIN_BLOCKS * BLOCK steps, with dt below
   _BLOCK_MARGIN * dt_max, is evaluated BLOCK steps at a time: each block is
@@ -44,11 +45,11 @@ scores alike.  It refuses a dt past the stability limit, then:
   half-blocks.  Closer to dt_max the composed block map drifts from
   stepping, so such drives step.
 * A shorter (T,) drive or a (T, B) drive of any length, from rest (no
-  initial state, or an all-zero one), is one FFT convolution
-  (``_convolve``); ``_kernel`` generates its impulse response with
-  ``leapfrog`` and caches it on ``SystemMatrices`` (at most KERNELS).
-  ``_respond_groups`` hands a (T, B) drive's result over in groups of
-  _FFT_COLUMNS columns, so a scorer never holds all of it.
+  initial state, or an all-zero one), is an FFT convolution
+  (``_convolved_groups``, _FFT_COLUMNS columns at a time); ``_kernel``
+  generates its impulse response with ``leapfrog`` and caches it on
+  ``SystemMatrices`` (at most KERNELS).  ``_respond_groups`` hands a batch
+  over a column group at a time, so a scorer never holds all of it.
 * The rest steps with ``leapfrog`` and equals it bit for bit, and so does a
   drive whose bound on |u| over all DOFs (max|x| times the gain, plus the
   free response's bound for blocks, checked chunk by chunk) cannot rule
@@ -86,8 +87,7 @@ _CHUNK_BLOCKS = 256  # blocks per GEMM of the blocked evaluation
 _GROUP_BLOCKS = 16   # blocks per group of its state scan, about sqrt(_CHUNK_BLOCKS)
 _BLOCK_MARGIN = 0.999  # blocks only below this share of dt_max: at it they drift ~3e-8
 KERNELS = 4          # impulse-response kernels cached per system
-_FFT_COLUMNS = 16    # drive columns per FFT of _convolve
-_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"   # np.fft takes out=
+_FFT_COLUMNS = 16    # drive columns per FFT of _convolved_groups
 
 
 @dataclass(frozen=True)
@@ -394,17 +394,15 @@ def run(sys: SystemMatrices, signal: "Signal", record: str = "outputs",
 def _respond(sys: SystemMatrices, dt: float, drive: np.ndarray,
              dofs: tuple[int, ...], u_prev: np.ndarray | None = None,
              u_curr: np.ndarray | None = None) -> np.ndarray:
-    """leapfrog's result at `dofs`: (T, d) rows for a (T,) drive, (T, d, B)
-    for a (T, B) drive, from (u_prev, u_curr) or from rest.
-
-    The one place an evaluation path is chosen (see the module doc).  A dt
-    past max_stable_dt is refused with InvalidParameterError; a drive that
-    may blow up is stepped, so it raises leapfrog's NumericError at the
-    exact step and batch column.
+    """leapfrog's (T, d) result at `dofs` for a (T,) drive, from (u_prev,
+    u_curr) or from rest: run's choice of evaluation path (see the module
+    doc).  A dt past max_stable_dt is refused with InvalidParameterError; a
+    drive that may blow up is stepped, so it raises leapfrog's NumericError
+    at the exact step.
     """
     dt_max = _checked_dt_max(sys, dt)
     values = None
-    if drive.ndim == 1 and len(drive) >= MIN_BLOCKS * BLOCK:
+    if len(drive) >= MIN_BLOCKS * BLOCK:
         if dt < _BLOCK_MARGIN * dt_max:
             values = _run_blocked(sys, dt, drive, u_prev, u_curr, dofs)
     elif not (np.any(u_prev) or np.any(u_curr)) and _convolvable(sys, dt, drive, dofs):
@@ -416,16 +414,17 @@ def _respond(sys: SystemMatrices, dt: float, drive: np.ndarray,
 
 def _respond_groups(sys: SystemMatrices, dt: float, drive: np.ndarray,
                     dofs: tuple[int, ...], work: np.ndarray | None = None):
-    """_respond for a (T, B) drive from rest, a column group at a time.
+    """leapfrog's result at `dofs` for a (T, B) drive from rest, a column
+    group at a time: the batch scorers' choice of evaluation path.
 
-    Yields (lo, values), values the (T, d, g) rows of columns lo .. lo + g - 1,
-    each equal to the same columns of _respond's result.  The bound on |u|
-    is checked on the whole batch first: a batch that may blow up is stepped
-    whole, in one group, so its NumericError names the step and the batch
-    column as _respond's does; any other batch is convolved _FFT_COLUMNS
-    columns at a time in scratch taken from `work` (see _convolved_groups),
-    so no (T, d, B) result is ever held.  The values are scratch: the caller
-    may overwrite them, and the next group does.
+    Yields (lo, values), values the (T, d, g) rows of columns lo .. lo + g - 1.
+    A dt past max_stable_dt is refused with InvalidParameterError.  The bound
+    on |u| is checked on the whole batch first: a batch that may blow up is
+    stepped whole, in one group, so its NumericError names the step and the
+    batch column as leapfrog's does; any other batch is convolved
+    _FFT_COLUMNS columns at a time in scratch taken from `work` (see
+    _convolved_groups), so no (T, d, B) result is ever held.  The values
+    are scratch: the caller may overwrite them, and the next group does.
     """
     _checked_dt_max(sys, dt)
     if not _convolvable(sys, dt, drive, dofs):
@@ -508,22 +507,19 @@ def _convolvable(sys: SystemMatrices, dt: float, drive: np.ndarray,
 
 def _convolve(sys: SystemMatrices, dt: float, drive: np.ndarray,
               dofs: tuple[int, ...]) -> np.ndarray:
-    """leapfrog's result at `dofs` for a (T,) or (T, B) drive from rest that
-    is _convolvable, as _respond shapes it, by FFT convolution with the
-    cached kernel, _FFT_COLUMNS drive columns at a time."""
-    x = drive.reshape(len(drive), -1)
-    out = np.empty((x.shape[1], len(dofs), len(drive)))   # (B, d, T) storage
-    for lo, rows in _convolved_groups(sys, dt, x, dofs):
-        out[lo:lo + len(rows)] = rows
-    out = out.transpose(2, 1, 0)
-    return out if drive.ndim == 2 else out[..., 0]
+    """leapfrog's (T, d) result at `dofs` for a (T,) drive from rest that is
+    _convolvable, by FFT convolution with the cached kernel."""
+    (_, rows), = _convolved_groups(sys, dt, drive[:, None], dofs)
+    out = np.empty((len(dofs), len(drive)))   # (d, T) storage: each DOF's samples contiguous
+    out[...] = rows[0]
+    return out.T
 
 
 def _group_floats(steps: int, d: int, columns: int) -> int:
     """Floats of scratch _convolved_groups takes for `columns` drive columns
     of `steps` steps recorded at d DOFs."""
     n_fft = _fft_size(steps)
-    return min(columns, _FFT_COLUMNS) * (2 * (n_fft // 2 + 1) * (1 + d) + d * n_fft)
+    return min(columns, _FFT_COLUMNS) * d * (2 * (n_fft // 2 + 1) + n_fft)
 
 
 def _convolved_groups(sys: SystemMatrices, dt: float, x: np.ndarray,
@@ -531,36 +527,29 @@ def _convolved_groups(sys: SystemMatrices, dt: float, x: np.ndarray,
     """Yields (lo, rows): rows (g, d, T) is the response at `dofs` of the
     columns lo .. lo + g - 1 of the (T, B) drive x, _FFT_COLUMNS at a time.
 
-    The spectra and the inverse FFT live in the first _group_floats floats
-    of `work`, or in three new arrays when it is None or smaller (a run of
-    one short signal then takes them from the heap, as numpy's FFTs would),
-    and each group overwrites them, rows included.
+    The spectra's products and the inverse FFTs live in the first
+    _group_floats floats of `work`, or in two new arrays when it is None or
+    smaller, and each group overwrites them, rows included; numpy's FFTs
+    return a new array for each group, which is copied in.
     """
     steps, batch = x.shape
     spectrum = _kernel(sys, dt, steps, dofs)[0]
     d, f = spectrum.shape
     n_fft = _fft_size(steps)
     g = min(batch, _FFT_COLUMNS)
-    shapes = (g, 2 * f), (g, d, 2 * f), (g, d, n_fft)
+    shapes = (g, d, 2 * f), (g, d, n_fft)
     if work is None or work.size < _group_floats(steps, d, batch):
-        x_f, prod, res = (np.empty(shape) for shape in shapes)
+        prod, res = (np.empty(shape) for shape in shapes)
     else:
-        x_f, prod, res = _carve(work, *shapes)
-    x_f, prod = x_f.view(complex), prod.view(complex)
+        prod, res = _carve(work, *shapes)
+    prod = prod.view(complex)
     for lo in range(0, batch, _FFT_COLUMNS):
         k = min(_FFT_COLUMNS, batch - lo)
-        _fft_into(np.fft.rfft, x[:, lo:lo + k].T, n_fft, x_f[:k])
-        np.multiply(x_f[:k, None, :], spectrum, out=prod[:k])
-        _fft_into(np.fft.irfft, prod[:k], n_fft, res[:k])
+        # the drive's spectrum is freed before irfft allocates its result
+        np.multiply(np.fft.rfft(x[:, lo:lo + k].T, n=n_fft)[:, None, :], spectrum,
+                    out=prod[:k])
+        res[:k] = np.fft.irfft(prod[:k], n=n_fft)
         yield lo, res[:k, :, :steps]
-
-
-def _fft_into(fft, a: np.ndarray, n: int, out: np.ndarray) -> None:
-    """out[...] = fft(a, n=n), with no new array where np.fft takes out=."""
-    if _FFT_OUT:
-        fft(a, n=n, out=out)
-    else:
-        out[...] = fft(a, n=n)
 
 
 def _carve(flat: np.ndarray, *shapes) -> list[np.ndarray]:

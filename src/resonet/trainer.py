@@ -35,11 +35,11 @@ workspace or without one.
 Scoring (``evaluate_system``, behind ``evaluate``, and ``_evaluate_drive``,
 behind it and every epoch's train and val scores) never feeds the
 parameters, so it evaluates the batch through
-``simulator._respond_groups``, which makes the simulator's one choice of
-evaluation path for the whole batch: drives from rest are FFT convolutions
-with the kernel that leapfrog generates and the system caches, within
-1e-12 of the largest channel of stepping, taken _FFT_COLUMNS columns at a
-time in the run's workspace so that only the (C, B) energies are kept; a
+``simulator._respond_groups``, which chooses one evaluation path for the
+whole batch: drives from rest are FFT convolutions with the kernel that
+leapfrog generates and the system caches, within 1e-12 of the largest
+channel of stepping, taken _FFT_COLUMNS columns at a time in the run's
+workspace so that only the (C, B) energies are kept; a
 batch whose bound on |u| passes the blow-up limit is stepped whole with
 leapfrog instead, so a divergence still names its step and sample.  Epoch
 ``loss``, ``train_acc`` and ``val_acc`` are therefore within rounding of
@@ -353,12 +353,12 @@ def loss_and_grad(spec: LatticeSpec, cfg: TrainConfig, params: TrainableParams,
     n, c = sys.n_dof, len(sys.output_dofs)
     if workspace is None:
         workspace = make_workspace(spec, steps, batch)
-    # every store is DOF-major, (n or C, T, B), as leapfrog lays out hist;
-    # the sums over T below then add in the same order as on a new array
+    # every store is DOF-major, (n or C, T, B), as leapfrog lays out a new
+    # history; the sums over T below then add in the same order as on one
     store, lam, out_store, src_store = simulator._carve(
         workspace, (n, steps, batch), (n, max(steps - 1, 0), batch),
         (c, steps, batch), (c, steps, batch))
-    hist = simulator.leapfrog(sys, dt, drive, out=store.transpose(1, 0, 2))
+    simulator.leapfrog(sys, dt, drive, out=store.transpose(1, 0, 2))
     for j, dof in enumerate(sys.output_dofs):
         out_store[j] = store[dof]
     u_out, src = out_store.transpose(1, 0, 2), src_store.transpose(1, 0, 2)
@@ -395,11 +395,11 @@ def evaluate_system(sys: simulator.SystemMatrices, samples,
     """Run labeled samples through an assembled system (either domain).
 
     The samples are stacked at their own rate and their output histories
-    come from ``simulator._respond``: for drives from rest, one FFT
-    convolution within 1e-12 of stepping with ``leapfrog``, not bit for
-    bit.  A drive whose bound on |u| passes the blow-up limit is stepped, so
-    it raises leapfrog's NumericError; a sample rate past the system's
-    stability limit is an InvalidParameterError, as in ``simulator.run``.
+    come from ``simulator._respond_groups``: FFT convolutions from rest
+    within 1e-12 of stepping with ``leapfrog``, not bit for bit.  A batch
+    whose bound on |u| passes the blow-up limit is stepped, so it raises
+    leapfrog's NumericError; a sample rate past the system's stability
+    limit is an InvalidParameterError, as in ``simulator.run``.
     """
     dt = _sample_dt(samples)
     return _evaluate_drive(sys, dt, *stack_batch(samples, dt), prob_epsilon)

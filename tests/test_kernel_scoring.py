@@ -102,10 +102,9 @@ def test_kernel_energies_match_stepping(name, sys_m, dt, steps):
 
 @pytest.mark.parametrize("batch", [1, simulator._FFT_COLUMNS,
                                    2 * simulator._FFT_COLUMNS + 3])
-def test_grouped_scoring_equals_the_whole_batch_convolution(monkeypatch, batch):
-    # Column groups, their scratch in a workspace or not, and numpy's FFTs
-    # with or without out= (numpy < 2 has none) all give the energies of one
-    # FFT convolution of the whole batch, bit for bit.
+def test_grouped_scoring_equals_the_whole_batch_convolution(batch):
+    # Column groups, with their scratch in a workspace or not, give the
+    # energies of one FFT convolution of the whole batch, bit for bit.
     _, sys_m, dt = SYSTEMS[-2]
     steps = 700
     drive = np.random.default_rng(batch).standard_normal((steps, batch))
@@ -114,14 +113,12 @@ def test_grouped_scoring_equals_the_whole_batch_convolution(monkeypatch, batch):
     n_fft = simulator._fft_size(steps)
     rows = np.fft.irfft(np.fft.rfft(drive.T, n=n_fft)[:, None, :] * spectrum,
                         n=n_fft)[..., :steps]
-    # (B, d, T) storage, as _convolve lays out its (T, d, B) result
+    # the whole batch's rows in (B, d, T) storage, read as (T, d, B)
     want = trainer._energies(np.ascontiguousarray(rows).transpose(2, 1, 0), dt)
     work = trainer.make_workspace(sys_m.spec, steps, 4)
-    for fft_out in (True, False):
-        monkeypatch.setattr(simulator, "_FFT_OUT", fft_out and simulator._FFT_OUT)
-        for workspace in (None, work):
-            got = trainer._evaluate_drive(sys_m, dt, drive, labels, 1e-12, workspace)
-            assert got.energies.tobytes() == want.tobytes()
+    for workspace in (None, work):
+        got = trainer._evaluate_drive(sys_m, dt, drive, labels, 1e-12, workspace)
+        assert got.energies.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("steps", [0, 300])
@@ -150,7 +147,8 @@ def test_a_drive_past_the_gain_bound_raises_leapfrogs_error(monkeypatch, loud):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "leapfrog", spy)
-    scorers = [lambda: simulator._respond(sys_m, dt, drive, sys_m.output_dofs)]
+    scorers = [lambda: list(simulator._respond_groups(sys_m, dt, drive,
+                                                      sys_m.output_dofs))]
     if np.isfinite(loud):   # a Signal refuses non-finite samples
         samples = _samples(2000.0, drive, np.zeros(5, dtype=int))
         scorers.append(lambda: trainer.evaluate_system(sys_m, samples))

@@ -599,8 +599,8 @@ def test_run_from_rest_is_a_column_of_the_batched_convolution():
     sys_m = assemble(*make_uniform_plant())
     dt = 1.0 / 2000.0
     drives = np.random.default_rng(12).standard_normal((700, 3))
-    batched = simulator._convolve(sys_m, dt, drives, sys_m.output_dofs)
-    assert batched.shape == (700, len(sys_m.output_dofs), 3)
+    (lo, batched), = simulator._respond_groups(sys_m, dt, drives, sys_m.output_dofs)
+    assert lo == 0 and batched.shape == (700, len(sys_m.output_dofs), 3)
     for b in range(drives.shape[1]):
         traj = run(sys_m, Signal(1.0 / dt, drives[:, b]))
         np.testing.assert_array_equal(traj.values, batched[..., b])

@@ -231,21 +231,54 @@ def _assert_same_bytes(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+def _allocating_loss_and_grad(spec, cfg, params, drive, labels, dt):
+    """loss_and_grad with no store of its own: leapfrog's new history, the
+    output rows taken from it by fancy indexing, new squares and src, and
+    the adjoint sweep's own lambda."""
+    sys = trainer._assemble_checked(spec, cfg, params, dt)
+    hist = simulator.leapfrog(sys, dt, drive)
+    u_out = hist[:, list(sys.output_dofs), :]
+    energies = trainer._energies(u_out, dt)
+    probs, loss, dl_de = trainer._probs_and_loss(energies, labels, cfg.prob_epsilon)
+    src = dl_de * ((2.0 * dt) * u_out)
+    u_flat = hist[:-1].transpose(1, 0, 2).reshape(sys.n_dof, -1)
+    if drive.shape[1] == 1:
+        u_flat = np.ascontiguousarray(u_flat.T).T
+    g_y = trainer._adjoint_grad(sys, dt, src, u_flat)
+    grad = trainer._project_grad(sys, g_y) * np.concatenate(params.realize())
+    return loss, probs, grad, energies
+
+
 @pytest.mark.parametrize("steps, batch, width", [
     (300, 5, 5),   # a full batch
     (300, 3, 5),   # a narrower last batch: a prefix of every store
     (300, 1, 5),   # one column, which keeps its T-major copy
     (300, 1, 1),
     (0, 4, 5), (1, 4, 5), (1, 1, 1), (2, 2, 3)])
-def test_loss_and_grad_in_a_workspace_equals_a_call_without_one(steps, batch, width):
+def test_loss_and_grad_in_a_workspace_equals_a_call_without_one(monkeypatch, steps,
+                                                                batch, width):
+    # The reference allocates every array afresh, as numpy lays it out, so a
+    # workspace layout that moves a sum's rounding shows here; src, the
+    # adjoint's source, is compared too.
     spec, cfg, params, drive, labels = _workspace_case(steps, batch, 10 * steps + batch)
     dt = 1.0 / 2000.0
-    want = loss_and_grad(spec, cfg, params, drive, labels, dt)
+    sources = []
+    real_adjoint = trainer._adjoint_grad
+
+    def spy(sys, dt, src, *args):
+        sources.append(src.copy())
+        return real_adjoint(sys, dt, src, *args)
+
+    monkeypatch.setattr(trainer, "_adjoint_grad", spy)
+    want = _allocating_loss_and_grad(spec, cfg, params, drive, labels, dt)
     work = trainer.make_workspace(spec, steps, width)
     work[:] = np.nan   # what a workspace holds on entry must not matter
-    got = loss_and_grad(spec, cfg, params, drive, labels, dt, work)
-    _assert_same_bytes(got, want)
-    _assert_same_bytes(loss_and_grad(spec, cfg, params, drive, labels, dt, work), want)
+    for workspace in (None, work, work):
+        got = loss_and_grad(spec, cfg, params, drive, labels, dt, workspace)
+        _assert_same_bytes(got, want)
+    assert len(sources) == 4
+    assert all(src.shape == sources[0].shape and src.tobytes() == sources[0].tobytes()
+               for src in sources[1:])
 
 
 def test_a_workspace_left_half_written_by_a_numeric_error_gives_the_same_result():
