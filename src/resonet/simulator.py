@@ -18,11 +18,8 @@ Stacking h[t] = (u[t+1], u[t]) turns one step into a linear recurrence
 i.e. the lattice is a recurrent network whose weights are circuit element
 values; ``run`` and ``run_rnn`` implement both forms and agree to rounding.
 
-``leapfrog`` is the one stepper and the reference for everything else.  It
-steps in place through a ring of CHUNK + 2 state rows and checks the blow-up
-bound max|u| <= limit once per CHUNK steps; only when a chunk fails the check
-is it rescanned row by row, so the error names the first step (and batch
-sample) past the limit exactly as a per-step check would.
+``leapfrog`` is the one stepper and the reference for everything else; it
+checks the blow-up bound once per CHUNK steps, yet names the exact step.
 
 The recurrence is linear and time-invariant, so the response from rest is
 the drive convolved with the impulse response.  ``_respond`` picks how to
@@ -31,30 +28,27 @@ evaluate ``run``'s (T,) drive and ``_respond_groups`` how to evaluate a
 stability limit, then:
 
 * A (T,) drive of at least MIN_BLOCKS * BLOCK steps, with dt below
-  _BLOCK_MARGIN * dt_max, is evaluated BLOCK steps at a time: each block is
-  the free response to the state entering it plus its drive times the
-  Toeplitz matrix of the impulse response, while a scan over blocks carries
-  the state.  The scan is grouped, _GROUP_BLOCKS blocks to a group: GEMMs
-  scan every group of a chunk at once from a zero state, a product with
-  the group's block map carries the state from group to group, and one
-  GEMM against the stacked powers of the block map adds each group's entry
-  state to the states inside it.  Drive in a block's second half never
-  reaches its first half, so each block is written as two half-blocks of
-  BLOCK // 2 steps: one small GEMM steps each block's state to mid-block,
-  and one GEMM per chunk of _CHUNK_BLOCKS blocks writes all its
-  half-blocks.  Closer to dt_max the composed block map drifts from
-  stepping, so such drives step.
+  _BLOCK_MARGIN * dt_max, is evaluated BLOCK steps at a time
+  (``_run_blocked``): each block is the free response to the state
+  entering it plus its drive times the Toeplitz matrix of the impulse
+  response, while a grouped scan over blocks carries the state.  Closer to
+  dt_max the composed block map drifts from stepping, so such drives step.
 * A shorter (T,) drive or a (T, B) drive of any length, from rest (no
   initial state, or an all-zero one), is an FFT convolution
-  (``_convolved_groups``, _FFT_COLUMNS columns at a time); ``_kernel``
-  generates its impulse response with ``leapfrog`` and caches it on
-  ``SystemMatrices`` (at most KERNELS).  ``_respond_groups`` hands a batch
-  over a column group at a time, so a scorer never holds all of it.
+  (``_convolved_groups``, _FFT_COLUMNS columns at a time) with the impulse
+  response ``_kernel`` caches on ``SystemMatrices`` (at most KERNELS).
+  ``_respond_groups`` hands a batch over a column group at a time, so a
+  scorer never holds all of it.
 * The rest steps with ``leapfrog`` and equals it bit for bit, and so does a
-  drive whose bound on |u| over all DOFs (max|x| times the gain, plus the
-  free response's bound for blocks, checked chunk by chunk) cannot rule
-  out |u| > BLOWUP_LIMIT: stepping then raises at the exact step or
+  drive whose bound on |u| over all DOFs (max|x| times the gain, plus a
+  bound on the free response for blocks, checked chunk by chunk) cannot
+  rule out |u| > BLOWUP_LIMIT: stepping then raises at the exact step or
   returns its own result.
+
+The block operators and the kernels come from one generator,
+``_free_response``: one stride of the 2n unit states' free responses, a scan
+by the stride map they give, and GEMMs against the scanned states.  Like
+blocks, a kernel at dt >= _BLOCK_MARGIN * dt_max is stepped instead.
 
 The natural frequencies behind the stability limit come from one eigensolve
 per system, cached on ``SystemMatrices``.
@@ -88,6 +82,7 @@ _GROUP_BLOCKS = 16   # blocks per group of its state scan, about sqrt(_CHUNK_BLO
 _BLOCK_MARGIN = 0.999  # blocks only below this share of dt_max: at it they drift ~3e-8
 KERNELS = 4          # impulse-response kernels cached per system
 _FFT_COLUMNS = 16    # drive columns per FFT of _convolved_groups
+_STRIDE = 16         # steps per stride of _free_response's scan
 
 
 @dataclass(frozen=True)
@@ -406,7 +401,8 @@ def _respond(sys: SystemMatrices, dt: float, drive: np.ndarray,
         if dt < _BLOCK_MARGIN * dt_max:
             values = _run_blocked(sys, dt, drive, u_prev, u_curr, dofs)
     elif not (np.any(u_prev) or np.any(u_curr)) and _convolvable(sys, dt, drive, dofs):
-        values = _convolve(sys, dt, drive, dofs)
+        (_, rows), = _convolved_groups(sys, dt, drive[:, None], dofs)
+        values = rows[0].T.copy(order="F")   # (d, T) storage: each DOF's samples contiguous
     if values is None:
         values = leapfrog(sys, dt, drive, u_prev, u_curr, np.asarray(dofs, dtype=int))
     return values
@@ -464,55 +460,79 @@ def _fft_size(steps: int) -> int:
 
 
 def _kernel(sys: SystemMatrices, dt: float, steps: int, dofs: tuple[int, ...]):
-    """(spectrum, gain) for drives of `steps` steps from rest.
-
-    spectrum (d, F) is the rfft over _fft_size(steps) of the impulse
-    response at `dofs`, which leapfrog generates BLOCK rows at a time;
-    gain = max_i sum_t |h_i[t]| over every DOF, so max|u| <= gain * max|x|.
-    Cached on the system; past KERNELS entries the least recently used one
-    is dropped.
-    """
+    """(spectrum, gain) for drives of `steps` steps from rest: the rfft (d, F)
+    over _fft_size(steps) of _impulse's response at `dofs`, and max_i sum_t
+    |h_i[t]| over every DOF, so max|u| <= gain * max|x|.  Cached on the
+    system; past KERNELS entries the least recently used one is dropped."""
     cache = sys._kernels
     key = (dt, steps, dofs)
     entry = cache.pop(key, None)
     if entry is None:
-        cols = np.asarray(dofs, dtype=int)
-        h_rec = np.empty((len(cols), steps))
-        gain = np.zeros(sys.n_dof)
-        pulse = np.zeros(min(BLOCK, steps))
-        pulse[0] = 1.0
-        h = leapfrog(sys, dt, pulse, limit=np.inf)
-        pulse[0] = 0.0
-        for t0 in range(0, steps, BLOCK):
-            if t0:   # each piece continues from the last two rows of the one before
-                h = leapfrog(sys, dt, pulse[:steps - t0], h[-2], h[-1], limit=np.inf)
-            h_rec[:, t0:t0 + len(h)] = h[:, cols].T
-            gain += np.sum(np.abs(h), axis=0)
-        entry = (np.fft.rfft(h_rec, n=_fft_size(steps)), float(np.max(gain)))
+        h = _impulse(sys, dt, steps)
+        entry = (np.fft.rfft(h[:, list(dofs)].T, n=_fft_size(steps)),
+                 float(np.max(np.sum(np.abs(h), axis=0))))
         if len(cache) >= KERNELS:
             del cache[next(iter(cache))]
     cache[key] = entry
     return entry
 
 
+def _impulse(sys: SystemMatrices, dt: float, steps: int,
+             o: np.ndarray | None = None) -> np.ndarray:
+    """(steps, n) response to a unit drive at step 0 from rest, u[t+1] in row
+    t: the kick u[1], then _free_response from (u[1], u[1]) (`o` as there);
+    at _BLOCK_MARGIN * dt_max and past it, leapfrog's own result."""
+    if dt >= _BLOCK_MARGIN * max_stable_dt(sys):
+        return leapfrog(sys, dt, np.eye(1, steps)[0], limit=np.inf)
+    _, b, c_plus, _ = _step_coeffs(sys, dt)
+    free = _free_response(sys, dt, np.tile(b / c_plus, (1, 2)), steps - 1, o=o)[0]
+    return np.vstack([b / c_plus, free[0]])
+
+
+def _free_response(sys: SystemMatrices, dt: float, start: np.ndarray, steps: int,
+                   dofs: np.ndarray | None = None, o: np.ndarray | None = None):
+    """(rows, states, o): the free response from each row state (u_curr,
+    u_curr - u_prev) of start (m, 2n), _STRIDE steps at a time.
+
+    o (_STRIDE, n, 2n), leapfrog's free response to the 2n unit states over
+    one stride, is stepped unless given; its last two rows make the stride
+    map.  A scan by that map gives states (K + 1, m, 2n), the state entering
+    each of the K = ceil(steps / _STRIDE) strides and the one after, and
+    GEMMs of o at `dofs` (every DOF when None) against them rows (m, steps,
+    d), u[t+1] in row t.  A GEMM takes as many strides as fit in 2^18
+    multiply-adds, at least one: OpenBLAS keeps that on one thread, where
+    woken threads stall later short runs ~4 ms at a time on 2 loaded vCPUs.
+    """
+    n, S = sys.n_dof, _STRIDE
+    if o is None:   # unit states: u_curr = [I 0], u_prev = [I -I]
+        u_curr = np.eye(n, 2 * n)
+        o = leapfrog(sys, dt, np.zeros((S, 2 * n)), u_curr - np.eye(n, 2 * n, n),
+                     u_curr, limit=np.inf)
+    # s -> s @ stride; C order gives the same bits at 1 and 2 BLAS threads
+    stride = np.vstack([o[-1], o[-1] - o[-2]]).T.copy()
+    k = -(-steps // S)
+    states = np.empty((k + 1,) + start.shape)
+    states[0] = start
+    for j in range(k):
+        np.matmul(states[j], stride, out=states[j + 1])
+    f = (o if dofs is None else o[:, dofs]).reshape(-1, 2 * n)   # (S * d, 2n)
+    m, d = len(start), len(f) // S
+    rows = np.empty((k, m, S, d))
+    c = max(1, (1 << 18) // (m * f.size))   # strides per GEMM
+    for j in range(0, k, c):
+        np.matmul(states[j:min(j + c, k)].reshape(-1, 2 * n), f.T,
+                  out=rows[j:j + c].reshape(-1, S * d))
+    return rows.swapaxes(0, 1).reshape(m, k * S, d)[:, :steps], states, o
+
+
 def _convolvable(sys: SystemMatrices, dt: float, drive: np.ndarray,
                  dofs: tuple[int, ...]) -> bool:
-    """Whether _convolve may evaluate a drive from rest: it is not empty and
+    """Whether a drive from rest may be convolved: it is not empty and
     max|x| * gain rules out |u| > BLOWUP_LIMIT (a non-finite bound does not)."""
     if not len(drive):
         return False
     gain = _kernel(sys, dt, len(drive), dofs)[1]
     return bool(max(drive.max(), -drive.min()) * gain <= BLOWUP_LIMIT)
-
-
-def _convolve(sys: SystemMatrices, dt: float, drive: np.ndarray,
-              dofs: tuple[int, ...]) -> np.ndarray:
-    """leapfrog's (T, d) result at `dofs` for a (T,) drive from rest that is
-    _convolvable, by FFT convolution with the cached kernel."""
-    (_, rows), = _convolved_groups(sys, dt, drive[:, None], dofs)
-    out = np.empty((len(dofs), len(drive)))   # (d, T) storage: each DOF's samples contiguous
-    out[...] = rows[0]
-    return out.T
 
 
 def _group_floats(steps: int, d: int, columns: int) -> int:
@@ -566,56 +586,41 @@ def _carve(flat: np.ndarray, *shapes) -> list[np.ndarray]:
 
 
 def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
-    """One block's operators, generated by leapfrog: (ops, mid, o_max, trans,
+    """One block's operators, from _free_response: (ops, mid, o_max, trans,
     h_sum, ends).
 
     The state entering a block is (u_curr, u_curr - u_prev) as a 2n-vector:
     carrying the step difference rather than u_prev keeps a large rigid
     displacement (free lattice) from swamping the velocity in rounding.
-    With h (L, n) the response to a unit drive at the block's first step
-    from rest and H = L // 2 the half-block: ops (2n + H, H * d) maps
-    [state | half-block drive] to the half-block's (H, d) rows at `dofs`,
-    flattened; its first 2n rows are the free response to each unit state,
-    its last H the lower-triangular Toeplitz matrix of h[:H].  mid (2n + H,
-    2n) maps [state | first half of the drive] to the state at mid-block.
-    o_max (n, 2n) is the largest |free response| over the whole block and
-    h_sum (n,) = sum_t |h[t]|, the two parts of the block's bound on |u|.
-    trans (2n, 2n) maps the state entering a block to the state entering
-    the next; ends (L, 2n) maps a block's drive to the state it leaves from
-    rest, and its last H rows are those of mid's drive part.
+    With h (L, n) the impulse response and H = L // 2 the half-block: ops
+    (2n + H, H * d) maps [state | half-block drive] to the half-block's
+    (H, d) rows at `dofs`, flattened: the free response to each unit state
+    over the Toeplitz matrix of h[:H].  mid (2n + H, 2n) maps [state | first
+    half of the drive] to the state at mid-block.  o_max (n, 2n) = max_k
+    (max_j |F_j|) @ |X^k|, X the stride map and F_j the free response j + 1
+    steps into a stride, bounds |free response| over the block from above,
+    and h_sum (n,) = sum_t |h[t]|: the two parts of the block's bound on
+    |u|.  trans (2n, 2n) maps the state entering a block to the state
+    entering the next; ends (L, 2n) maps a block's drive to the state it
+    leaves from rest, and its last H rows are those of mid's drive part.
     """
     n, L, d = sys.n_dof, BLOCK, len(dofs)
     half = L // 2
-    pulse = np.zeros(L)
-    pulse[0] = 1.0
-    h = leapfrog(sys, dt, pulse, limit=np.inf)
-    ops = np.zeros((2 * n + half, half, d))
-    h_rec = h[:half, dofs]
+    free, x, o = _free_response(sys, dt, np.eye(2 * n), half, dofs)
+    h = _impulse(sys, dt, L, o)
+    toeplitz = np.zeros((half, half, d))
     for j in range(half):   # the response to a unit drive at step j
-        ops[2 * n + j, j:] = h_rec[:half - j]
+        toeplitz[j, j:] = h[:half - j, dofs]
     # The state a block's drive alone leaves it in, from rest, is the drive
     # weighted by the reversed impulse response (and by its step difference).
-    ends = np.empty((L, 2 * n))
-    ends[:, :n] = h[::-1]
-    ends[:, n:] = h[::-1]
-    ends[:-1, n:] -= h[-2::-1]
-    mid = np.empty((2 * n + half, 2 * n))
-    mid[2 * n:] = ends[half:]
-    eye = np.eye(n)
-    u_prev, u_curr = np.hstack([eye, -eye]), np.hstack([eye, np.zeros((n, n))])
-    o_max = np.zeros((n, 2 * n))
-    piece = 32    # keeps each (piece, n, 2n) free response under 1 MB
-    for t0 in range(0, L, piece):
-        o = leapfrog(sys, dt, np.zeros((piece, 2 * n)), u_prev, u_curr,
-                     limit=np.inf)
-        np.maximum(o_max, np.max(np.abs(o), axis=0), out=o_max)
-        u_prev, u_curr = o[-2], o[-1]
-        if t0 < half:
-            ops[:2 * n, t0:t0 + piece] = o[:, dofs].transpose(2, 0, 1)
-        if t0 + piece == half:
-            mid[:2 * n] = np.vstack([u_curr, u_curr - u_prev]).T
-    return (ops.reshape(2 * n + half, half * d), mid, o_max,
-            np.vstack([u_curr, u_curr - u_prev]), np.sum(np.abs(h), axis=0), ends)
+    ends = np.hstack([h, np.diff(h, axis=0, prepend=0.0)])[::-1].copy()
+    # x[k] = (X^k).T up to mid-block and x[k] @ x[8] = (X^(k + 8)).T: k
+    # strides and j + 1 steps in, |free response| <= max_j |F_j| @ |X^k|
+    f_max = np.max(np.abs(o), axis=0).T
+    bound = np.max([np.abs(p) @ f_max for xk in x[:-1] for p in (xk, xk @ x[-1])], axis=0)
+    return (np.concatenate([free, toeplitz]).reshape(2 * n + half, half * d),
+            np.vstack([x[-1], ends[half:]]), bound.T, (x[-1] @ x[-1]).T,
+            np.sum(np.abs(h), axis=0), ends)
 
 
 def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,

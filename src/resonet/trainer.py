@@ -35,16 +35,14 @@ workspace or without one.
 Scoring (``evaluate_system``, behind ``evaluate``, and ``_evaluate_drive``,
 behind it and every epoch's train and val scores) never feeds the
 parameters, so it evaluates the batch through
-``simulator._respond_groups``, which chooses one evaluation path for the
-whole batch: drives from rest are FFT convolutions with the kernel that
-leapfrog generates and the system caches, within 1e-12 of the largest
-channel of stepping, taken _FFT_COLUMNS columns at a time in the run's
-workspace so that only the (C, B) energies are kept; a
-batch whose bound on |u| passes the blow-up limit is stepped whole with
-leapfrog instead, so a divergence still names its step and sample.  Epoch
-``loss``, ``train_acc`` and ``val_acc`` are therefore within rounding of
-stepped scoring, not bit for bit; the trained parameters, checkpoints and
-the export are bit for bit.
+``simulator._respond_groups``: drives from rest are FFT convolutions with
+the system's cached kernel, within 1e-12 of the largest channel of
+stepping, _FFT_COLUMNS columns at a time in the run's workspace so that
+only the (C, B) energies are kept; a batch whose bound on |u| passes the
+blow-up limit is stepped whole with leapfrog, so a divergence still names
+its step and sample.  Epoch ``loss``, ``train_acc`` and ``val_acc`` are
+therefore within rounding of stepped scoring, not bit for bit; the trained
+parameters, checkpoints and the export are bit for bit.
 """
 
 from __future__ import annotations

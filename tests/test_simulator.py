@@ -453,6 +453,29 @@ def test_blocked_run_falls_back_when_a_later_chunk_breaks_the_bound(uniform_plan
     assert str(exc.value) == str(ref.value)
 
 
+def test_the_swept_sine_stays_on_the_blocked_path(uniform_plant, monkeypatch):
+    # The block bound on |u| is tight enough that the 1-100 Hz sweep of the
+    # uniform plant never falls back to stepping it whole: at the sweep's
+    # 4 kHz its largest entry reads 1.15x the exact one.
+    _, _, sys_m = uniform_plant
+    n, dt = sys_m.n_dof, 1.0 / 4000.0
+    o_max = simulator._block_operators(sys_m, dt, np.arange(n))[2]
+    eye = np.eye(n)
+    free = leapfrog(sys_m, dt, np.zeros((simulator.BLOCK, 2 * n)), np.hstack([eye, -eye]),
+                    np.hstack([eye, np.zeros((n, n))]))
+    assert np.max(o_max) <= 1.2 * np.max(np.abs(free))
+    calls = []
+    real_leapfrog = simulator.leapfrog
+
+    def spy(sys_, dt_, drive, *args, **kwargs):
+        calls.append(len(drive))
+        return real_leapfrog(sys_, dt_, drive, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "leapfrog", spy)
+    signals.measure_transfer(sys_m, 1.0, 100.0)
+    assert calls and max(calls) < LONG
+
+
 def test_runs_off_the_blocked_path_equal_leapfrog_exactly():
     # one step short of the blocked path, and not from rest: run steps
     sys_m = _free_square()
@@ -576,13 +599,13 @@ def test_kernel_is_generated_once_and_reused(monkeypatch):
     real_leapfrog = simulator.leapfrog
 
     def spy(sys_, dt_, drive, *args, **kwargs):
-        steps.append(len(drive))
+        steps.append(drive.shape)
         return real_leapfrog(sys_, dt_, drive, *args, **kwargs)
 
     monkeypatch.setattr(simulator, "leapfrog", spy)
     first = run(sys_m, Signal(1.0 / dt, x)).values
-    # the impulse response, stepped in pieces of at most BLOCK steps
-    assert sum(steps) == 1500 and max(steps) <= simulator.BLOCK
+    # the impulse response, generated from one stride of the 2n unit states
+    assert steps == [(simulator._STRIDE, 2 * sys_m.n_dof)]
     pieces = list(steps)
     again = run(sys_m, Signal(1.0 / dt, x)).values
     run(sys_m, Signal(1.0 / dt, -x))
@@ -626,6 +649,108 @@ def test_kernel_cache_stays_at_its_cap():
     run(sys_m, Signal(1.0 / dt, x[:kept[0]]))
     run(sys_m, Signal(1.0 / dt, x[:99]))
     assert [key[1] for key in sys_m._kernels] == kept[2:] + [kept[0], 99]
+
+
+# --- the strided free-response generator -------------------------------------
+
+def _generator_systems():
+    """(name, system): the trained reference system, a random lattice damped
+    at 0.5 and 5, the grounded corner and the free 2x2 lattice."""
+    spec, circ, _ = lattice.load_system(REFERENCE / "system.json")
+    rand = random_small_system(np.random.default_rng(21))[2]
+    return [("reference", assemble(spec, circ)),
+            ("random-d0.5", dataclasses.replace(rand, damping=0.5)),
+            ("random-d5", dataclasses.replace(rand, damping=5.0)),
+            ("grounded_corner", grounded_corner()[2]),
+            ("free", _free_square())]
+
+
+GENERATOR_SYSTEMS = _generator_systems()
+GENERATOR_LENGTHS = [1, 2, 15, 16, 17, 65, 2000]
+
+
+def _generator_tol(sys_m) -> float:
+    # A rigid mode (no grounded path) makes both float64 recurrences drift
+    # from the exact one by ~T^2 eps: over dt in [0.02, 0.95] dt_max and
+    # damping 0, 0.5 and 5 the free 2x2 lattice's strided responses read up
+    # to 2.5e-11 of the peak from leapfrog at T = 2000, and leapfrog itself
+    # reads 2.5e-11 from a long-double recurrence at 0.9 dt_max.
+    w = sys_m.natural_frequencies
+    return 1e-10 if w[0] <= 1e-6 * w[-1] else 1e-12
+
+
+@pytest.mark.parametrize("name, sys_m", GENERATOR_SYSTEMS,
+                         ids=[s[0] for s in GENERATOR_SYSTEMS])
+@pytest.mark.parametrize("dt_frac", [0.3, 0.95])
+@pytest.mark.parametrize("steps", GENERATOR_LENGTHS)
+def test_impulse_response_matches_leapfrog(name, sys_m, dt_frac, steps):
+    dt = dt_frac * max_stable_dt(sys_m)
+    pulse = np.zeros(steps)
+    pulse[0] = 1.0
+    ref = leapfrog(sys_m, dt, pulse, limit=np.inf)
+    got = simulator._impulse(sys_m, dt, steps)
+    assert got.shape == ref.shape == (steps, sys_m.n_dof)
+    assert np.max(np.abs(got - ref)) <= _generator_tol(sys_m) * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name, sys_m", GENERATOR_SYSTEMS,
+                         ids=[s[0] for s in GENERATOR_SYSTEMS])
+@pytest.mark.parametrize("dt_frac", [0.3, 0.95])
+@pytest.mark.parametrize("steps", GENERATOR_LENGTHS)
+def test_free_response_and_its_stride_states_match_leapfrog(name, sys_m, dt_frac, steps):
+    # rows at a subset of the DOFs from three random states, and the state
+    # entering every stride, against leapfrog over the whole strides
+    n, stride = sys_m.n_dof, simulator._STRIDE
+    dt = dt_frac * max_stable_dt(sys_m)
+    start = np.random.default_rng(steps).standard_normal((3, 2 * n))
+    dofs = np.asarray(sys_m.output_dofs)
+    rows, states, _ = simulator._free_response(sys_m, dt, start, steps, dofs)
+    strides = -(-steps // stride)
+    assert rows.shape == (3, steps, len(dofs)) and states.shape == (strides + 1, 3, 2 * n)
+    u = leapfrog(sys_m, dt, np.zeros((strides * stride, 3)),
+                 (start[:, :n] - start[:, n:]).T, start[:, :n].T)
+    tol = _generator_tol(sys_m) * np.max(np.abs(u))
+    assert np.max(np.abs(rows - u[:steps, dofs].transpose(2, 0, 1))) <= tol
+    ends = u[stride - 1::stride]   # u at the end of every stride
+    before = u[stride - 2::stride]
+    want = np.concatenate([ends, ends - before], axis=1).transpose(0, 2, 1)
+    np.testing.assert_array_equal(states[0], start)
+    assert np.max(np.abs(states[1:] - want)) <= tol
+
+
+@pytest.mark.parametrize("name, sys_m", GENERATOR_SYSTEMS,
+                         ids=[s[0] for s in GENERATOR_SYSTEMS])
+@pytest.mark.parametrize("dt_frac", [simulator._BLOCK_MARGIN, 1.0])
+@pytest.mark.parametrize("steps", [1, 2, 17, 2000])
+def test_kernel_steps_near_the_stability_limit(name, sys_m, dt_frac, steps):
+    # From _BLOCK_MARGIN * dt_max on, the kernel is leapfrog's own impulse
+    # response, bit for bit
+    dt = dt_frac * max_stable_dt(sys_m)
+    sys_m._kernels.clear()
+    spectrum, gain = simulator._kernel(sys_m, dt, steps, sys_m.output_dofs)
+    pulse = np.zeros(steps)
+    pulse[0] = 1.0
+    h = leapfrog(sys_m, dt, pulse, limit=np.inf)
+    want = np.fft.rfft(np.ascontiguousarray(h[:, list(sys_m.output_dofs)].T),
+                       n=simulator._fft_size(steps))
+    assert spectrum.tobytes() == want.tobytes()
+    assert gain == float(np.max(np.sum(np.abs(h), axis=0)))
+
+
+@pytest.mark.parametrize("name, sys_m", GENERATOR_SYSTEMS,
+                         ids=[s[0] for s in GENERATOR_SYSTEMS])
+@pytest.mark.parametrize("dt_frac", [0.3, 0.95])
+def test_block_bound_covers_every_unit_states_free_response(name, sys_m, dt_frac):
+    # o_max bounds |free response| over a block from above for every unit
+    # state, so the blocked path's bound on |u| stays a bound
+    n = sys_m.n_dof
+    dt = dt_frac * max_stable_dt(sys_m)
+    o_max = simulator._block_operators(sys_m, dt, np.arange(n))[2]
+    eye = np.eye(n)
+    free = leapfrog(sys_m, dt, np.zeros((simulator.BLOCK, 2 * n)), np.hstack([eye, -eye]),
+                    np.hstack([eye, np.zeros((n, n))]), limit=np.inf)
+    assert o_max.shape == (n, 2 * n)
+    assert np.all(o_max >= np.max(np.abs(free), axis=0))
 
 
 # --- public surface ---------------------------------------------------------------

@@ -306,9 +306,12 @@ def test_a_workspace_too_small_for_the_batch_is_refused():
 def test_a_training_run_steps_every_minibatch_in_one_store(tiny_task, monkeypatch):
     # Six training samples in batches of 4: every epoch has a narrower last
     # batch.  Every minibatch history, and every column group the epoch
-    # scores go through, lands in the run's one workspace.
+    # scores go through, lands in the run's one workspace.  A history is a
+    # call over the samples' length that records every DOF; the scoring
+    # kernel's one stride of 2n unit states is not one.
     spec, dataset = tiny_task
     cfg = _tiny_cfg(batch_size=4)
+    steps = len(dataset.samples[0].signal.values)
     works, histories, scored = [], [], []
     real_work = trainer.make_workspace
     real_leapfrog, real_groups = simulator.leapfrog, simulator._respond_groups
@@ -319,7 +322,7 @@ def test_a_training_run_steps_every_minibatch_in_one_store(tiny_task, monkeypatc
 
     def leapfrog_spy(sys_m, dt, drive, *args, **kwargs):
         result = real_leapfrog(sys_m, dt, drive, *args, **kwargs)
-        if drive.ndim == 2 and result.shape[1] == sys_m.n_dof:
+        if len(drive) == steps and drive.ndim == 2 and result.shape[1] == sys_m.n_dof:
             histories.append(result)
         return result
 
