@@ -325,6 +325,15 @@ def _free_square():
     return assemble(spec, MechanicalParams.uniform(spec, 1e-3, 2e-3, 40.0, 90.0))
 
 
+def _unit_state_block(sys_m, dt):
+    """leapfrog's (BLOCK, n, 2n) free response to the 2n unit states
+    (u_curr, u_curr - u_prev)."""
+    n = sys_m.n_dof
+    eye = np.eye(n)
+    return leapfrog(sys_m, dt, np.zeros((simulator.BLOCK, 2 * n)), np.hstack([eye, -eye]),
+                    np.hstack([eye, np.zeros((n, n))]), limit=np.inf)
+
+
 def test_blocked_run_matches_leapfrog():
     # Long drives are evaluated blockwise; leapfrog stepping is the reference.
     # The cases cover grounded cells, a free lattice (rigid mode), damping,
@@ -458,12 +467,9 @@ def test_the_swept_sine_stays_on_the_blocked_path(uniform_plant, monkeypatch):
     # uniform plant never falls back to stepping it whole: at the sweep's
     # 4 kHz its largest entry reads 1.15x the exact one.
     _, _, sys_m = uniform_plant
-    n, dt = sys_m.n_dof, 1.0 / 4000.0
-    o_max = simulator._block_operators(sys_m, dt, np.arange(n))[2]
-    eye = np.eye(n)
-    free = leapfrog(sys_m, dt, np.zeros((simulator.BLOCK, 2 * n)), np.hstack([eye, -eye]),
-                    np.hstack([eye, np.zeros((n, n))]))
-    assert np.max(o_max) <= 1.2 * np.max(np.abs(free))
+    dt = 1.0 / 4000.0
+    o_max = simulator._block_operators(sys_m, dt, np.arange(sys_m.n_dof))[2]
+    assert np.max(o_max) <= 1.2 * np.max(np.abs(_unit_state_block(sys_m, dt)))
     calls = []
     real_leapfrog = simulator.leapfrog
 
@@ -746,11 +752,8 @@ def test_block_bound_covers_every_unit_states_free_response(name, sys_m, dt_frac
     n = sys_m.n_dof
     dt = dt_frac * max_stable_dt(sys_m)
     o_max = simulator._block_operators(sys_m, dt, np.arange(n))[2]
-    eye = np.eye(n)
-    free = leapfrog(sys_m, dt, np.zeros((simulator.BLOCK, 2 * n)), np.hstack([eye, -eye]),
-                    np.hstack([eye, np.zeros((n, n))]), limit=np.inf)
     assert o_max.shape == (n, 2 * n)
-    assert np.all(o_max >= np.max(np.abs(free), axis=0))
+    assert np.all(o_max >= np.max(np.abs(_unit_state_block(sys_m, dt)), axis=0))
 
 
 # --- public surface ---------------------------------------------------------------
