@@ -27,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import acsolver, lattice, signals, simulator, trainer, unitcell
-from .errors import (ConfigError, NearResonanceError, NumericError, PoleError,
-                     ResonetError, UndecidableError, check_fields,
-                     is_json_number, json_text, read_json, refuse_overwrite,
-                     write_json)
+from .errors import (ConfigError, DataFormatError, NearResonanceError,
+                     NumericError, PoleError, ResonetError, UndecidableError,
+                     check_fields, is_json_number, json_text, read_json,
+                     refuse_overwrite, write_json)
 
 USAGE_EXIT = 1
 CONFIG_EXIT = 2
@@ -272,8 +272,12 @@ def cmd_classify(args) -> int:
     n_correct = 0
     n_labeled = 0
     if args.manifest is not None:
-        items = [(str(s.source), s.label, s.signal)
-                 for s in signals.load_dataset(args.manifest).samples]
+        dataset = signals.load_dataset(args.manifest)
+        rate = dataset.spec.rate_hz
+        if args.rate is not None and abs(args.rate - rate) > 1e-6 * rate:
+            raise DataFormatError(f"{args.manifest}: --rate {args.rate} contradicts "
+                                  f"the manifest's rate ({rate:.6g})")
+        items = [(str(s.source), s.label, s.signal) for s in dataset.samples]
     else:
         items = [(str(p), None, signals.load_csv(p, rate=args.rate))
                  for p in args.input]
@@ -323,9 +327,22 @@ def cmd_classify(args) -> int:
 
 # --- simulate ---------------------------------------------------------------------
 
+def _check_logic(args, n_out: int, dt: float) -> None:
+    """Refuse, naming the flag, what simulator.comparator would refuse."""
+    if n_out < 2:
+        raise ConfigError(f"--logic needs at least two outputs, the system has {n_out}")
+    if not (math.isfinite(args.tau) and args.tau > 0.0 and dt / args.tau <= 1.0):
+        raise ConfigError(f"--tau must be finite and at least the sample period "
+                          f"{dt:.6g} s, got {args.tau}")
+    if not (math.isfinite(args.hysteresis) and args.hysteresis >= 0.0):
+        raise ConfigError(f"--hysteresis must be finite and >= 0, got {args.hysteresis}")
+
+
 def cmd_simulate(args) -> int:
     spec, circ, scaling, sys_m = _load_system(args.system)
     sig = signals.load_csv(args.input, rate=args.rate)
+    if args.logic:
+        _check_logic(args, len(spec.outputs), 1.0 / sig.rate_hz)
     traj = simulator.run(sys_m, sig, args.record)
 
     out = Path(args.out)
@@ -544,7 +561,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", default=None,
                    help="dataset manifest to classify instead of files")
     p.add_argument("--rate", type=float, default=None,
-                   help="sample rate for single-column input CSVs (Hz)")
+                   help="sample rate of single-column --input CSVs, or the manifest's (Hz)")
     p.add_argument("--out", default=None,
                    help="verdicts JSON path (default: print to stdout)")
     p.set_defaults(func=cmd_classify)

@@ -22,33 +22,28 @@ values; ``run`` and ``run_rnn`` implement both forms and agree to rounding.
 checks the blow-up bound once per CHUNK steps, yet names the exact step.
 
 The recurrence is linear and time-invariant, so the response from rest is
-the drive convolved with the impulse response.  ``_respond`` picks how to
-evaluate ``run``'s (T,) drive and ``_respond_groups`` how to evaluate a
-(T, B) batch from rest for ``trainer``'s scores.  Both refuse a dt past the
-stability limit, then:
+the drive convolved with the impulse response.  ``run`` picks how to
+evaluate its (T,) drive and ``_respond_groups`` how to evaluate a (T, B)
+batch from rest for ``trainer``'s scores.  Each asks
+``_below_margin`` once: a dt past the stability limit is refused, and only
+a dt below _BLOCK_MARGIN * dt_max may use blocks or kernels (closer to
+dt_max their composed maps drift from stepping).  Below the margin:
 
-* A (T,) drive of at least MIN_BLOCKS * BLOCK steps, with dt below
-  _BLOCK_MARGIN * dt_max, is evaluated BLOCK steps at a time
-  (``_run_blocked``): each block is the free response to the state
-  entering it plus its drive times the Toeplitz matrix of the impulse
-  response, while a grouped scan over blocks carries the state.  Closer to
-  dt_max the composed block map drifts from stepping, so such drives step.
+* A (T,) drive of at least MIN_BLOCKS * BLOCK steps is evaluated BLOCK
+  steps at a time (``_run_blocked``): each block is the free response to
+  the state entering it plus its drive times the Toeplitz matrix of the
+  impulse response, while a grouped scan over blocks carries the state.
 * A shorter (T,) drive or a (T, B) drive of any length, from rest (no
-  initial state, or an all-zero one), is an FFT convolution
-  (``_convolved_groups``, _FFT_COLUMNS columns at a time) with the impulse
-  response ``_kernel`` caches on ``SystemMatrices`` (at most KERNELS).
-  ``_respond_groups`` hands a batch over a column group at a time, so a
-  scorer never holds all of it.
-* The rest steps with ``leapfrog`` and equals it bit for bit, and so does a
-  drive whose bound on |u| over all DOFs (max|x| times the gain, plus a
-  bound on the free response for blocks, checked chunk by chunk) cannot
-  rule out |u| > BLOWUP_LIMIT: stepping then raises at the exact step or
-  returns its own result.
+  initial state, or an all-zero one), is an FFT convolution with the one
+  kernel ``SystemMatrices`` keeps, if ``_convolution`` allows it.
 
-The block operators and the kernels come from one generator,
+The rest steps with ``leapfrog`` and equals it bit for bit, and so does a
+drive whose bound on |u| over all DOFs (max|x| times the gain, plus a bound
+on the free response for blocks, checked chunk by chunk) cannot rule out
+|u| > BLOWUP_LIMIT: stepping then raises at the exact step or returns its
+own result.  The block operators and the kernels come from one generator,
 ``_free_response``: one stride of the 2n unit states' free responses, a scan
-by the stride map they give, and GEMMs against the scanned states.  Like
-blocks, a kernel at dt >= _BLOCK_MARGIN * dt_max is stepped instead.
+by the stride map they give, and GEMMs against the scanned states.
 
 The natural frequencies behind the stability limit come from one eigensolve
 per system, cached on ``SystemMatrices``.
@@ -79,9 +74,8 @@ BLOCK = 256          # steps per block of run's blocked evaluation
 MIN_BLOCKS = 64      # drives shorter than this many blocks are not evaluated blockwise
 _CHUNK_BLOCKS = 256  # blocks per GEMM of the blocked evaluation
 _GROUP_BLOCKS = 16   # blocks per group of its state scan, about sqrt(_CHUNK_BLOCKS)
-_BLOCK_MARGIN = 0.999  # blocks only below this share of dt_max: at it they drift ~3e-8
-KERNELS = 4          # impulse-response kernels cached per system
-_FFT_COLUMNS = 16    # drive columns per FFT of _convolved_groups
+_BLOCK_MARGIN = 0.999  # blocks and kernels only below this share of dt_max
+_FFT_COLUMNS = 16    # drive columns per FFT of _convolution
 _STRIDE = 16         # steps per stride of _free_response's scan
 
 
@@ -126,8 +120,8 @@ class SystemMatrices:
         return w
 
     @cached_property
-    def _kernels(self) -> dict:
-        """(dt, steps, recorded DOFs) -> (spectrum, gain); see _kernel."""
+    def _kernel_slot(self) -> dict:
+        """{(dt, steps, recorded DOFs): (spectrum, gain)} of _kernel's last kernel."""
         return {}
 
 
@@ -264,12 +258,11 @@ def leapfrog(sys: SystemMatrices, dt: float, drive: np.ndarray,
     NumericError citing the step (and batch column) once any |u| exceeds
     `limit`.
 
-    With dofs None the result is a (T, n, ...) view of DOF-major storage, not
-    C-contiguous, so the gradient GEMM reads the history as an (n, T B) view.
-    As with numpy's `out=`, a given `out` of the result's shape receives the
-    rows and is returned; a transposed view of a caller's (n, T, ...) store
-    keeps the history DOF-major without allocating it.  After a NumericError
-    its rows are partly written.
+    The result is a new C-order array unless `out` is given: as with numpy's
+    `out=`, an `out` of the result's shape receives the rows and is
+    returned, so a transposed view of a caller's (n, T, ...) store keeps the
+    history DOF-major without allocating it.  After a NumericError its rows
+    are partly written.
 
     Each step runs in a ring of CHUNK preallocated rows, copied out after each
     chunk, with the same floating-point operations, in the same order, as
@@ -285,8 +278,7 @@ def leapfrog(sys: SystemMatrices, dt: float, drive: np.ndarray,
     shape = (sys.n_dof,) + drive.shape[1:]
     want = (len(drive), sys.n_dof if dofs is None else len(dofs)) + drive.shape[1:]
     if out is None:
-        out = (np.moveaxis(np.empty((sys.n_dof, len(drive)) + drive.shape[1:]), 0, 1)
-               if dofs is None else np.empty(want))
+        out = np.empty(want)
     elif out.shape != want:
         raise InvalidParameterError(f"out has shape {out.shape}, the result {want}")
     ring = np.empty((min(CHUNK, len(drive)),) + shape)
@@ -375,69 +367,48 @@ def run(sys: SystemMatrices, signal: "Signal", record: str = "outputs",
     row per drive sample.  The state starts at rest unless `initial` gives
     the pair (u_prev, u_curr) = (u[-1], u[0]) of (n,) vectors.  A dt past
     max_stable_dt is refused with InvalidParameterError; NumericError cites
-    the step index if any |u| exceeds BLOWUP_LIMIT.  ``_respond`` picks how
-    the recurrence is evaluated (see the module doc).
+    the step index if any |u| exceeds BLOWUP_LIMIT, as leapfrog's would.
+    The module doc says how the recurrence is evaluated.
     """
     dofs = _recorded_dofs(sys, record)
     u_prev, u_curr = _initial_pair(sys, initial)
     dt = 1.0 / signal.rate_hz
-    values = _respond(sys, dt, np.asarray(signal.values, dtype=float), dofs,
-                      u_prev, u_curr)
-    return Trajectory(dt=dt, dofs=dofs, values=values)
-
-
-def _respond(sys: SystemMatrices, dt: float, drive: np.ndarray,
-             dofs: tuple[int, ...], u_prev: np.ndarray | None = None,
-             u_curr: np.ndarray | None = None) -> np.ndarray:
-    """leapfrog's (T, d) result at `dofs` for a (T,) drive, from (u_prev,
-    u_curr) or from rest: run's choice of evaluation path (see the module
-    doc).  A dt past max_stable_dt is refused with InvalidParameterError; a
-    drive that may blow up is stepped, so it raises leapfrog's NumericError
-    at the exact step.
-    """
-    dt_max = _checked_dt_max(sys, dt)
-    values = None
-    if len(drive) >= MIN_BLOCKS * BLOCK:
-        if dt < _BLOCK_MARGIN * dt_max:
-            values = _run_blocked(sys, dt, drive, u_prev, u_curr, dofs)
-    elif not (np.any(u_prev) or np.any(u_curr)) and _convolvable(sys, dt, drive, dofs):
-        (_, rows), = _convolved_groups(sys, dt, drive[:, None], dofs)
-        values = rows[0].T.copy(order="F")   # (d, T) storage: each DOF's samples contiguous
+    drive = np.asarray(signal.values, dtype=float)
+    values, short = None, len(drive) < MIN_BLOCKS * BLOCK
+    # each branch checks dt once, through _below_margin
+    if short and not (np.any(u_prev) or np.any(u_curr)):
+        groups = _convolution(sys, dt, drive[:, None], dofs)
+        if groups is not None:   # one group; (d, T) storage: each DOF's samples contiguous
+            values = next(groups)[1][..., 0].copy(order="F")
+    elif _below_margin(sys, dt) and not short:
+        values = _run_blocked(sys, dt, drive, u_prev, u_curr, dofs)
     if values is None:
         values = leapfrog(sys, dt, drive, u_prev, u_curr, np.asarray(dofs, dtype=int))
-    return values
+    return Trajectory(dt=dt, dofs=dofs, values=values)
 
 
 def _respond_groups(sys: SystemMatrices, dt: float, drive: np.ndarray,
                     dofs: tuple[int, ...], work: np.ndarray | None = None):
-    """leapfrog's result at `dofs` for a (T, B) drive from rest, a column
-    group at a time: the batch scorers' choice of evaluation path.
-
-    Yields (lo, values), values the (T, d, g) rows of columns lo .. lo + g - 1.
-    A dt past max_stable_dt is refused with InvalidParameterError.  The bound
-    on |u| is checked on the whole batch first: a batch that may blow up is
-    stepped whole, in one group, so its NumericError names the step and the
-    batch column as leapfrog's does; any other batch is convolved
-    _FFT_COLUMNS columns at a time in scratch taken from `work` (see
-    _convolved_groups), so no (T, d, B) result is ever held.  The values
-    are scratch: the caller may overwrite them, and the next group does.
-    """
-    _checked_dt_max(sys, dt)
-    if not _convolvable(sys, dt, drive, dofs):
-        yield 0, leapfrog(sys, dt, drive, dofs=np.asarray(dofs, dtype=int))
-        return
-    for lo, rows in _convolved_groups(sys, dt, drive, dofs, work):
-        yield lo, rows.transpose(2, 1, 0)
+    """leapfrog's result at `dofs` for a (T, B) drive from rest, for the
+    batch scorers: (lo, values) pairs as ``_convolution`` yields them, or,
+    when it refuses the batch, one pair of the batch stepped whole, so a
+    NumericError names the step and the batch column as leapfrog's does.
+    The values are scratch: the caller may overwrite them, and the next
+    group does."""
+    return _convolution(sys, dt, drive, dofs, work) or [
+        (0, leapfrog(sys, dt, drive, dofs=np.asarray(dofs, dtype=int)))]
 
 
-def _checked_dt_max(sys: SystemMatrices, dt: float) -> float:
-    """max_stable_dt(sys), refusing a dt past it with InvalidParameterError."""
+def _below_margin(sys: SystemMatrices, dt: float) -> bool:
+    """Whether dt < _BLOCK_MARGIN * max_stable_dt(sys), where blocks and
+    kernels may stand in for stepping; a dt past max_stable_dt is refused
+    with InvalidParameterError."""
     dt_max = max_stable_dt(sys)
     if dt > dt_max:
         raise InvalidParameterError(
             f"dt={dt} exceeds the stability limit {dt_max:.3e}; "
             "reduce dt or the stiffest element values")
-    return dt_max
+    return dt < _BLOCK_MARGIN * dt_max
 
 
 def _initial_pair(sys: SystemMatrices, initial) -> tuple:
@@ -462,28 +433,23 @@ def _fft_size(steps: int) -> int:
 def _kernel(sys: SystemMatrices, dt: float, steps: int, dofs: tuple[int, ...]):
     """(spectrum, gain) for drives of `steps` steps from rest: the rfft (d, F)
     over _fft_size(steps) of _impulse's response at `dofs`, and max_i sum_t
-    |h_i[t]| over every DOF, so max|u| <= gain * max|x|.  Cached on the
-    system; past KERNELS entries the least recently used one is dropped."""
-    cache = sys._kernels
+    |h_i[t]| over every DOF, so max|u| <= gain * max|x|.  The system keeps
+    the last kernel made; one for another key replaces it."""
+    slot = sys._kernel_slot
     key = (dt, steps, dofs)
-    entry = cache.pop(key, None)
-    if entry is None:
+    if key not in slot:
+        slot.clear()
         h = _impulse(sys, dt, steps)
-        entry = (np.fft.rfft(h[:, list(dofs)].T, n=_fft_size(steps)),
-                 float(np.max(np.sum(np.abs(h), axis=0))))
-        if len(cache) >= KERNELS:
-            del cache[next(iter(cache))]
-    cache[key] = entry
-    return entry
+        slot[key] = (np.fft.rfft(h[:, list(dofs)].T, n=_fft_size(steps)),
+                     float(np.max(np.sum(np.abs(h), axis=0))))
+    return slot[key]
 
 
 def _impulse(sys: SystemMatrices, dt: float, steps: int,
              o: np.ndarray | None = None) -> np.ndarray:
     """(steps, n) response to a unit drive at step 0 from rest, u[t+1] in row
-    t: the kick u[1], then _free_response from (u[1], u[1]) (`o` as there);
-    at _BLOCK_MARGIN * dt_max and past it, leapfrog's own result."""
-    if dt >= _BLOCK_MARGIN * max_stable_dt(sys):
-        return leapfrog(sys, dt, np.eye(1, steps)[0], limit=np.inf)
+    t: the kick u[1], then _free_response from (u[1], u[1]) (`o` as there),
+    at a dt ``_below_margin`` allows."""
     _, b, c_plus, _ = _step_coeffs(sys, dt)
     free = _free_response(sys, dt, np.tile(b / c_plus, (1, 2)), steps - 1, o=o)[0]
     return np.vstack([b / c_plus, free[0]])
@@ -525,35 +491,31 @@ def _free_response(sys: SystemMatrices, dt: float, start: np.ndarray, steps: int
     return rows.swapaxes(0, 1).reshape(m, k * S, d)[:, :steps], states, o
 
 
-def _convolvable(sys: SystemMatrices, dt: float, drive: np.ndarray,
-                 dofs: tuple[int, ...]) -> bool:
-    """Whether a drive from rest may be convolved: it is not empty and
-    max|x| * gain rules out |u| > BLOWUP_LIMIT (a non-finite bound does not)."""
-    if not len(drive):
-        return False
-    gain = _kernel(sys, dt, len(drive), dofs)[1]
-    return bool(max(drive.max(), -drive.min()) * gain <= BLOWUP_LIMIT)
-
-
 def _group_floats(steps: int, d: int, columns: int) -> int:
-    """Floats of scratch _convolved_groups takes for `columns` drive columns
-    of `steps` steps recorded at d DOFs."""
+    """Floats of scratch _convolution takes for `columns` drive columns of
+    `steps` steps recorded at d DOFs."""
     n_fft = _fft_size(steps)
     return min(columns, _FFT_COLUMNS) * d * (2 * (n_fft // 2 + 1) + n_fft)
 
 
-def _convolved_groups(sys: SystemMatrices, dt: float, x: np.ndarray,
-                      dofs: tuple[int, ...], work: np.ndarray | None = None):
-    """Yields (lo, rows): rows (g, d, T) is the response at `dofs` of the
-    columns lo .. lo + g - 1 of the (T, B) drive x, _FFT_COLUMNS at a time.
+def _convolution(sys: SystemMatrices, dt: float, x: np.ndarray,
+                 dofs: tuple[int, ...], work: np.ndarray | None = None):
+    """The one convolve-or-step decision: None when the (T, B) drive x from
+    rest must step, else its response at `dofs` by FFT convolution.
 
-    The spectra's products and the inverse FFTs live in the first
-    _group_floats floats of `work`, or in two new arrays when it is None or
-    smaller, and each group overwrites them, rows included; numpy's FFTs
-    return a new array for each group, which is copied in.
+    x is convolved when ``_below_margin`` allows dt, x is not empty and
+    max|x| * gain rules out |u| > BLOWUP_LIMIT (a non-finite bound does
+    not).  The result yields (lo, rows), rows the (T, d, g) response of
+    columns lo .. lo + g - 1, _FFT_COLUMNS at a time, in scratch that each
+    group overwrites: the first _group_floats floats of `work`, or two new
+    arrays when it is None or smaller.
     """
+    if not (_below_margin(sys, dt) and len(x)):
+        return None
+    spectrum, gain = _kernel(sys, dt, len(x), dofs)
+    if not max(x.max(), -x.min()) * gain <= BLOWUP_LIMIT:
+        return None
     steps, batch = x.shape
-    spectrum = _kernel(sys, dt, steps, dofs)[0]
     d, f = spectrum.shape
     n_fft = _fft_size(steps)
     g = min(batch, _FFT_COLUMNS)
@@ -563,13 +525,16 @@ def _convolved_groups(sys: SystemMatrices, dt: float, x: np.ndarray,
     else:
         prod, res = _carve(work, *shapes)
     prod = prod.view(complex)
-    for lo in range(0, batch, _FFT_COLUMNS):
-        k = min(_FFT_COLUMNS, batch - lo)
-        # the drive's spectrum is freed before irfft allocates its result
-        np.multiply(np.fft.rfft(x[:, lo:lo + k].T, n=n_fft)[:, None, :], spectrum,
-                    out=prod[:k])
-        res[:k] = np.fft.irfft(prod[:k], n=n_fft)
-        yield lo, res[:k, :, :steps]
+
+    def groups():
+        for lo in range(0, batch, _FFT_COLUMNS):
+            k = min(_FFT_COLUMNS, batch - lo)
+            # the drive's spectrum is freed before irfft allocates its result
+            np.multiply(np.fft.rfft(x[:, lo:lo + k].T, n=n_fft)[:, None, :], spectrum,
+                        out=prod[:k])
+            res[:k] = np.fft.irfft(prod[:k], n=n_fft)
+            yield lo, res[:k, :, :steps].transpose(2, 1, 0)
+    return groups()
 
 
 def _carve(flat: np.ndarray, *shapes) -> list[np.ndarray]:
@@ -782,8 +747,8 @@ def comparator(values: np.ndarray, dt: float, tau_s: float = 0.05,
     x = np.abs(np.asarray(values, dtype=float))
     if x.ndim != 2 or x.shape[1] < 2:
         raise InvalidParameterError("comparator needs a (T, C>=2) array")
-    if tau_s <= 0.0 or hysteresis < 0.0:
-        raise InvalidParameterError("tau_s must be > 0 and hysteresis >= 0")
+    if not (0.0 < tau_s < np.inf and 0.0 <= hysteresis < np.inf):
+        raise InvalidParameterError("tau_s must be finite and > 0, hysteresis finite and >= 0")
     alpha = dt / tau_s
     if alpha > 1.0:
         raise InvalidParameterError("dt must not exceed tau_s")

@@ -36,13 +36,13 @@ Scoring (``evaluate_system``, behind ``evaluate``, and ``_evaluate_drive``,
 behind it and every epoch's train and val scores) never feeds the
 parameters, so it evaluates the batch through
 ``simulator._respond_groups``: drives from rest are FFT convolutions with
-the system's cached kernel, within 1e-12 of the largest channel of
-stepping, _FFT_COLUMNS columns at a time in the run's workspace so that
-only the (C, B) energies are kept; a batch whose bound on |u| passes the
-blow-up limit is stepped whole with leapfrog, so a divergence still names
-its step and sample.  Epoch ``loss``, ``train_acc`` and ``val_acc`` are
-therefore within rounding of stepped scoring, not bit for bit; the trained
-parameters, checkpoints and the export are bit for bit.
+the system's one kernel, within 1e-12 of the largest channel of stepping,
+_FFT_COLUMNS columns at a time in the run's workspace so that only the
+(C, B) energies are kept; a batch at 0.999 dt_max or above, or whose bound
+on |u| passes the blow-up limit, is stepped whole with leapfrog, so a
+divergence still names its step and sample.  Epoch ``loss``, ``train_acc``
+and ``val_acc`` are therefore within rounding of stepped scoring, not bit
+for bit; the trained parameters, checkpoints and the export are bit for bit.
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ def _adjoint_grad(sys: simulator.SystemMatrices, dt: float, src: np.ndarray,
 
     src (T, C, B) is dL/du[s] at the output DOFs for every step; u_flat is the
     DOF-major (n, (T-1) B) matrix of the forward history's rows u[1..T-1],
-    which loss_and_grad takes as a view of leapfrog's DOF-major storage.
+    a view of the DOF-major store loss_and_grad hands leapfrog as `out`.
     lam, if given, is the C-contiguous (n, T-1, B) store the sweep writes
     lambda[1..T-1] to; otherwise one is allocated.
     """
@@ -351,8 +351,8 @@ def loss_and_grad(spec: LatticeSpec, cfg: TrainConfig, params: TrainableParams,
     n, c = sys.n_dof, len(sys.output_dofs)
     if workspace is None:
         workspace = make_workspace(spec, steps, batch)
-    # every store is DOF-major, (n or C, T, B), as leapfrog lays out a new
-    # history; the sums over T below then add in the same order as on one
+    # every store is DOF-major, (n or C, T, B); leapfrog writes the history
+    # through a transposed view, so the gradient GEMM below reads a view
     store, lam, out_store, src_store = simulator._carve(
         workspace, (n, steps, batch), (n, max(steps - 1, 0), batch),
         (c, steps, batch), (c, steps, batch))
@@ -395,9 +395,9 @@ def evaluate_system(sys: simulator.SystemMatrices, samples,
     The samples are stacked at their own rate and their output histories
     come from ``simulator._respond_groups``: FFT convolutions from rest
     within 1e-12 of stepping with ``leapfrog``, not bit for bit.  A batch
-    whose bound on |u| passes the blow-up limit is stepped, so it raises
-    leapfrog's NumericError; a sample rate past the system's stability
-    limit is an InvalidParameterError, as in ``simulator.run``.
+    at 0.999 dt_max or above, or whose bound on |u| passes the blow-up
+    limit, is stepped, so it equals leapfrog or raises its NumericError; a
+    sample rate past the stability limit is an InvalidParameterError.
     """
     dt = _sample_dt(samples)
     return _evaluate_drive(sys, dt, *stack_batch(samples, dt), prob_epsilon)

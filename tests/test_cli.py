@@ -343,6 +343,17 @@ def test_classify_manifest_writes_verdicts_and_confusion(workspace, tmp_path,
     np.testing.assert_array_equal(confusion.sum(axis=1), [5, 5])
 
 
+@pytest.mark.parametrize("rate, code", [("2000", 0), ("4000", 2)])
+def test_classify_manifest_refuses_a_contradictory_rate(workspace, capsys, rate, code):
+    # the manifest's rate is 2000 Hz: a --rate that agrees is accepted, one
+    # that contradicts it is a data error, as load_csv refuses a time column's
+    rc = run_cli(["classify", "--system", workspace["system"],
+                  "--manifest", workspace["ds"] / "manifest.json", "--rate", rate])
+    assert rc == code
+    if code:
+        assert "--rate 4000.0 contradicts the manifest's rate (2000)" in capsys.readouterr().err
+
+
 def test_classify_unlabeled_files_print_json(workspace, capsys):
     files = sorted(workspace["ds"].glob("class0_test_*.csv"))[:2]
     rc = run_cli(["classify", "--system", workspace["system"],
@@ -447,6 +458,38 @@ def test_simulate_artifacts(workspace, tmp_path, capsys):
     assert logic[0] == "t,out1,out2"
     assert len(logic) == 1001
     assert set("".join(r.split(",")[1] for r in logic[1:])) <= {"0", "1"}
+
+
+@pytest.mark.parametrize("flag, value", [("--tau", "1e-5"), ("--tau", "nan"),
+                                         ("--tau", "0"), ("--hysteresis", "nan"),
+                                         ("--hysteresis", "-0.5")])
+def test_simulate_refuses_bad_logic_settings_before_writing(workspace, tmp_path, capsys,
+                                                           flag, value):
+    # --tau below the 0.5 ms sample period, or a non-finite or negative
+    # setting: exit 2 naming the flag, and no trajectory or energies written
+    out = tmp_path / "sim"
+    rc = run_cli(["simulate", "--system", workspace["system"],
+                  "--input", workspace["ds"] / "class0_train_0000.csv",
+                  "--rate", "2000", "--out", out, "--logic", flag, value])
+    assert rc == 2
+    assert f"error: {flag} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_logic_on_one_output_is_refused_before_writing(workspace, tmp_path,
+                                                               capsys):
+    spec = lattice.LatticeSpec(rows=1, cols=2, grounded=(), input_cell=0, outputs=(1,))
+    mech = lattice.MechanicalParams.uniform(spec, 1.307e-3, 3.530e-3, 40.0, 90.0)
+    scaling = lattice.choose_scaling(mech, 1e6)
+    sys_path = tmp_path / "one_output.json"
+    lattice.save_system(sys_path, spec, lattice.mech_to_circuit(mech, scaling), scaling)
+    argv = ["simulate", "--system", sys_path,
+            "--input", workspace["ds"] / "class0_train_0000.csv", "--rate", "2000"]
+    out = tmp_path / "sim"
+    assert run_cli(argv + ["--out", out, "--logic"]) == 2
+    assert "--logic needs at least two outputs, the system has 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(argv + ["--out", out]) == 0   # without --logic it runs
 
 
 def test_simulate_record_all_writes_every_dof(workspace, tmp_path):

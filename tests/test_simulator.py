@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resonet import lattice, signals, simulator
+from resonet import lattice, signals, simulator, trainer
 from resonet.errors import (InvalidParameterError, NumericError,
                             UndecidableError)
 from resonet.lattice import (CircuitParams, LatticeSpec, MechanicalParams,
                              ScalingFactor, mech_to_circuit)
-from resonet.signals import Signal
+from resonet.signals import Sample, Signal
 from resonet.simulator import (SystemMatrices, Trajectory, assemble,
                                build_rnn_weights, classify, comparator,
                                discrete_energy, integrate_energy, leapfrog,
@@ -589,12 +589,15 @@ def test_kernel_run_past_the_gain_bound_steps_with_leapfrog(uniform_plant):
     assert exc.value.step == ref.value.step
     assert str(exc.value) == str(ref.value)
     # the limit between the peak and the bound: run steps and returns
-    # leapfrog's result
+    # leapfrog's result, and so does the batch path, by the same decision
     x_near = x * (simulator.BLOWUP_LIMIT / (1.01 * peak))
     _, gain = simulator._kernel(sys_m, dt, len(x), sys_m.output_dofs)
     assert gain * np.max(np.abs(x_near)) > simulator.BLOWUP_LIMIT
     traj = run(sys_m, Signal(1.0 / dt, x_near), "all")
     np.testing.assert_array_equal(traj.values, leapfrog(sys_m, dt, x_near))
+    (lo, batched), = simulator._respond_groups(sys_m, dt, x_near[:, None], sys_m.output_dofs)
+    assert lo == 0
+    np.testing.assert_array_equal(batched[..., 0], traj.values[:, list(sys_m.output_dofs)])
 
 
 def test_kernel_is_generated_once_and_reused(monkeypatch):
@@ -633,28 +636,39 @@ def test_run_from_rest_is_a_column_of_the_batched_convolution():
     for b in range(drives.shape[1]):
         traj = run(sys_m, Signal(1.0 / dt, drives[:, b]))
         np.testing.assert_array_equal(traj.values, batched[..., b])
-    # the blocked evaluator steps its own block operators and caches no kernel
-    cached = dict(sys_m._kernels)
+    # the blocked evaluator steps its own block operators and keeps no kernel
+    cached = dict(sys_m._kernel_slot)
     long = np.random.default_rng(13).standard_normal(LONG)
     run(sys_m, Signal(1.0 / dt, long), "all")
-    assert list(sys_m._kernels) == list(cached)
-    assert all(sys_m._kernels[key] is entry for key, entry in cached.items())
+    assert list(sys_m._kernel_slot) == list(cached)
+    assert all(sys_m._kernel_slot[key] is entry for key, entry in cached.items())
 
 
-def test_kernel_cache_stays_at_its_cap():
+def _impulse_spy(monkeypatch):
+    """The step counts of every _impulse call from now on: one per kernel
+    generated (and one per block operator set)."""
+    made = []
+    real = simulator._impulse
+
+    def spy(sys_, dt_, steps, *args, **kwargs):
+        made.append(steps)
+        return real(sys_, dt_, steps, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_impulse", spy)
+    return made
+
+
+def test_kernel_cache_stays_at_its_cap(monkeypatch):
+    # One kernel slot per system: a new key replaces the kernel it holds,
+    # and a repeated key generates nothing
     sys_m = _free_square()
     dt = 0.5 * max_stable_dt(sys_m)
     x = np.random.default_rng(11).standard_normal(100)
-    lengths = list(range(10, 13 + simulator.KERNELS))
-    for steps in lengths:
+    made = _impulse_spy(monkeypatch)
+    for steps in (10, 10, 11, 11, 10, 99, 99):
         run(sys_m, Signal(1.0 / dt, x[:steps]))
-        assert len(sys_m._kernels) <= simulator.KERNELS
-    kept = lengths[-simulator.KERNELS:]
-    assert [key[1] for key in sys_m._kernels] == kept
-    # a kernel used again outlives one left unused
-    run(sys_m, Signal(1.0 / dt, x[:kept[0]]))
-    run(sys_m, Signal(1.0 / dt, x[:99]))
-    assert [key[1] for key in sys_m._kernels] == kept[2:] + [kept[0], 99]
+        assert [key[1] for key in sys_m._kernel_slot] == [steps]
+    assert made == [10, 11, 10, 99]
 
 
 # --- the strided free-response generator -------------------------------------
@@ -728,19 +742,28 @@ def test_free_response_and_its_stride_states_match_leapfrog(name, sys_m, dt_frac
                          ids=[s[0] for s in GENERATOR_SYSTEMS])
 @pytest.mark.parametrize("dt_frac", [simulator._BLOCK_MARGIN, 1.0])
 @pytest.mark.parametrize("steps", [1, 2, 17, 2000])
-def test_kernel_steps_near_the_stability_limit(name, sys_m, dt_frac, steps):
-    # From _BLOCK_MARGIN * dt_max on, the kernel is leapfrog's own impulse
-    # response, bit for bit
-    dt = dt_frac * max_stable_dt(sys_m)
-    sys_m._kernels.clear()
-    spectrum, gain = simulator._kernel(sys_m, dt, steps, sys_m.output_dofs)
-    pulse = np.zeros(steps)
-    pulse[0] = 1.0
-    h = leapfrog(sys_m, dt, pulse, limit=np.inf)
-    want = np.fft.rfft(np.ascontiguousarray(h[:, list(sys_m.output_dofs)].T),
-                       n=simulator._fft_size(steps))
-    assert spectrum.tobytes() == want.tobytes()
-    assert gain == float(np.max(np.sum(np.abs(h), axis=0)))
+def test_kernel_steps_near_the_stability_limit(name, sys_m, dt_frac, steps, monkeypatch):
+    # From _BLOCK_MARGIN * dt_max on, every drive steps: run from rest and
+    # the batch scores equal leapfrog bit for bit, and no kernel is made.
+    # The rate is nudged so that dt = 1 / rate, as run and the scores read
+    # it, stays in [_BLOCK_MARGIN, 1] * dt_max.
+    dt_max = max_stable_dt(sys_m)
+    rate = 1.0 / (dt_frac * dt_max)
+    while 1.0 / rate > dt_max:
+        rate = np.nextafter(rate, np.inf)
+    while 1.0 / rate < simulator._BLOCK_MARGIN * dt_max:
+        rate = np.nextafter(rate, 0.0)
+    dt = 1.0 / rate
+    made = _impulse_spy(monkeypatch)
+    x = np.random.default_rng(steps).standard_normal((steps, 3))
+    dofs = np.asarray(sys_m.output_dofs)
+    want = leapfrog(sys_m, dt, x, dofs=dofs)
+    traj = run(sys_m, Signal(rate, x[:, 0]))
+    np.testing.assert_array_equal(traj.values, leapfrog(sys_m, dt, x[:, 0], dofs=dofs))
+    samples = [Sample(Signal(rate, x[:, b]), 0, "test", b) for b in range(3)]
+    scores = trainer.evaluate_system(sys_m, samples)
+    assert scores.energies.tobytes() == trainer._energies(want, dt).tobytes()
+    assert made == []
 
 
 @pytest.mark.parametrize("name, sys_m", GENERATOR_SYSTEMS,
@@ -896,3 +919,8 @@ def test_comparator_validates_inputs():
         comparator(np.zeros((10, 1)), 1e-3)
     with pytest.raises(InvalidParameterError):
         comparator(np.zeros((10, 2)), dt=0.2, tau_s=0.1)  # dt > tau
+    for tau_s, hysteresis in [(math.nan, 0.1), (math.inf, 0.1), (0.0, 0.1),
+                              (0.05, math.nan), (0.05, math.inf), (0.05, -0.1)]:
+        with pytest.raises(InvalidParameterError):
+            comparator(np.zeros((10, 2)), 1e-3, tau_s=tau_s, hysteresis=hysteresis)
+

@@ -195,19 +195,6 @@ def test_adjoint_sweep_equals_the_oracle(steps):
                          grad_from_hist_oracle(sys_m, dt, hist, dl_de))
 
 
-@pytest.mark.parametrize("batch", [None, 4])
-def test_the_all_dof_history_is_dof_major_so_the_gemm_reads_a_view(batch):
-    _, sys_m, dt = SYSTEMS[1]
-    cols = () if batch is None else (batch,)
-    drive = np.random.default_rng(9).standard_normal((CHUNK + 3,) + cols)
-    hist = leapfrog(sys_m, dt, drive)
-    assert hist.shape == (CHUNK + 3, sys_m.n_dof) + cols
-    assert np.moveaxis(hist, 0, 1).flags.c_contiguous   # (n, T, ...) storage
-    # the (n, (T-1) B) matrix loss_and_grad hands the gradient GEMM
-    u_flat = np.moveaxis(hist[:-1], 0, 1).reshape(sys_m.n_dof, -1)
-    assert np.shares_memory(u_flat, hist)
-
-
 def _loss_and_grad_oracle(spec, cfg, params, drive, labels, dt):
     """loss_and_grad rebuilt from the per-step oracles."""
     sys_m = simulator.assemble(spec, trainer.mech_from_params(spec, cfg, params))
