@@ -16,7 +16,8 @@ frame is computed (one windowed DFT bin); ``stft`` gives the full
 spectrogram the ridge runs through.  Residual ringing of the
 undamped resonances the sweep has already crossed sits in stationary STFT
 bins away from the moving ridge, which is what makes this measurement usable
-on a lossless model.
+on a lossless model.  The measurement processes the chirp as it would
+arrive, one chunk at a time, so its memory does not grow with the sweep.
 """
 
 from __future__ import annotations
@@ -382,24 +383,32 @@ def _chirp(f_start_hz: float, f_end_hz: float, duration_s: float, rate_hz: float
         warnings.warn(
             f"sweep moves {sweep_rate * 10.0 / f_slow:.2f} Hz per 10 periods at "
             f"{f_slow} Hz; consider a longer sweep", stacklevel=3)
-    # 2 pi (((0.5 rate) t) t + f0 t), evaluated in place in that order, one
-    # piece at a time so that each piece's passes run in cache
-    values = np.empty(_sample_count(duration_s, rate_hz))
-    counts = np.arange(min(_SWEEP_PIECE, len(values)), dtype=float)
+    return _chirp_into(np.empty(_sample_count(duration_s, rate_hz)), 0, f_start_hz,
+                       sweep_rate, rate_hz, amplitude)
+
+
+def _chirp_into(out: np.ndarray, i0: int, f_start_hz: float, sweep_rate: float,
+                rate_hz: float, amplitude: float) -> np.ndarray:
+    """Fill `out` with the chirp's samples i0 .. i0 + len(out) - 1 and return
+    it: amplitude sin(2 pi (((0.5 sweep_rate) t) t + f_start t)) at t =
+    i / rate_hz, evaluated in place in that order, _SWEEP_PIECE samples at a
+    time so that each piece's passes run in cache.  Each sample's arithmetic
+    depends on its index alone, so any split of a chirp gives its bits."""
+    counts = np.arange(min(_SWEEP_PIECE, len(out)), dtype=float)
     t = np.empty_like(counts)
-    for i0 in range(0, len(values), _SWEEP_PIECE):
-        phase = values[i0:i0 + _SWEEP_PIECE]
-        ti = t[:len(phase)]
-        np.add(counts[:len(phase)], i0, out=ti)
-        ti /= rate_hz
-        np.multiply(0.5 * sweep_rate, ti, out=phase)
-        phase *= ti
-        ti *= f_start_hz
-        phase += ti
+    for j0 in range(0, len(out), _SWEEP_PIECE):
+        phase = out[j0:j0 + _SWEEP_PIECE]
+        tj = t[:len(phase)]
+        np.add(counts[:len(phase)], i0 + j0, out=tj)
+        tj /= rate_hz
+        np.multiply(0.5 * sweep_rate, tj, out=phase)
+        phase *= tj
+        tj *= f_start_hz
+        phase += tj
         phase *= 2.0 * np.pi
         np.sin(phase, out=phase)
         phase *= amplitude
-    return values
+    return out
 
 
 @dataclass(frozen=True)
@@ -433,27 +442,29 @@ def _window_values(kind: str, n: int) -> np.ndarray:
     return a0 - a1 * np.cos(k) + a2 * np.cos(2.0 * k) - a3 * np.cos(3.0 * k)
 
 
-def _frame_grid(sig: Signal, window_s: float, hop_s: float | None):
-    """stft's frame layout: (n_win, n_hop, starts, times_s, freqs_hz), with
-    starts the first sample of every full frame and times_s their centres."""
-    n_win = int(round(window_s * sig.rate_hz))
-    if n_win < 4 or n_win > len(sig.values):
+def _frame_grid(samples: int, rate_hz: float, window_s: float, hop_s: float | None):
+    """stft's frame layout over `samples` samples at rate_hz: (n_win, n_hop,
+    starts, times_s, freqs_hz), with starts the first sample of every full
+    frame and times_s their centres."""
+    n_win = int(round(window_s * rate_hz))
+    if n_win < 4 or n_win > samples:
         raise InvalidParameterError(
-            f"window of {n_win} samples invalid for a {len(sig.values)}-sample signal")
+            f"window of {n_win} samples invalid for a {samples}-sample signal")
     hop_s = window_s / 2.0 if hop_s is None else hop_s
-    n_hop = int(round(hop_s * sig.rate_hz))
+    n_hop = int(round(hop_s * rate_hz))
     if n_hop < 1:
         raise InvalidParameterError("hop must cover at least one sample")
-    starts = np.arange(0, len(sig.values) - n_win + 1, n_hop)
-    times = (starts + n_win / 2.0) / sig.rate_hz
-    freqs = np.fft.rfftfreq(n_win, d=1.0 / sig.rate_hz)
+    starts = np.arange(0, samples - n_win + 1, n_hop)
+    times = (starts + n_win / 2.0) / rate_hz
+    freqs = np.fft.rfftfreq(n_win, d=1.0 / rate_hz)
     return n_win, n_hop, starts, times, freqs
 
 
 def stft(sig: Signal, window_s: float, hop_s: float | None = None,
          window: str = "hann") -> Spectrogram:
     """Magnitude spectrogram; periodic Hann window and 50% hop by default."""
-    n_win, n_hop, starts, times, freqs = _frame_grid(sig, window_s, hop_s)
+    n_win, n_hop, starts, times, freqs = _frame_grid(len(sig.values), sig.rate_hz,
+                                                     window_s, hop_s)
     window = _window_values(window, n_win)
     frames = np.lib.stride_tricks.sliding_window_view(sig.values, n_win)[starts]
     mags = np.abs(np.fft.rfft(frames * window, axis=1))
@@ -465,10 +476,19 @@ _REANCHOR = 64   # _ridge_mags sets its twiddle exactly at every 64th frame
 
 
 def _ridge_mags(window: np.ndarray, starts: np.ndarray, bins: np.ndarray,
-                *columns: np.ndarray) -> list[np.ndarray]:
-    """|DFT| of windowed frames at one bin per frame: one array per column
-    array c (time along axis 0), whose row j is |rfft(window * c[s:s+N])[k]|
-    for the j-th (s, k) of zip(starts, bins), as stft's mags would read it.
+                pieces) -> list[np.ndarray]:
+    """|DFT| of windowed frames at one bin per frame, read from `pieces` as
+    they arrive: (t0, *columns) tuples, each column array holding rows t0 ..
+    of one signal (time along axis 0), and a piece at t0 = 0 starting the
+    signals, or starting them over.  Returns one array per column array c,
+    whose row j is |rfft(window * c[s:s+N])[k]| for the j-th (s, k) of
+    zip(starts, bins), starts ascending, as stft's mags would read it.
+
+    A frame is read as soon as the samples held cover it: from the piece
+    itself, or, when it starts before the piece, from the samples kept from
+    the last piece (fewer than N, from its first unread frame's start on)
+    joined to the piece's first N.  So at most 2N samples are held besides
+    the piece, and no piece is copied whole.
 
     One windowed twiddle w[m] e^(-2 pi i k m / N) is kept: set from the exact
     integer (k m) mod N at every _REANCHOR-th frame from the first, and in
@@ -482,18 +502,32 @@ def _ridge_mags(window: np.ndarray, starts: np.ndarray, bins: np.ndarray,
     steps = {}
     twiddle = np.empty(n, dtype=complex)
     pair = twiddle.view(float).reshape(n, 2)   # its (re, im) columns
-    out = [np.empty((len(starts),) + c.shape[1:]) for c in columns]
-    for j, (s, k) in enumerate(zip(starts, bins)):
-        if j % _REANCHOR:
-            if k - k_prev not in steps:
-                steps[k - k_prev] = unit[((k - k_prev) * m) % n]
-            twiddle *= steps[k - k_prev]
-        else:
-            np.multiply(unit[(k * m) % n], window, out=twiddle)
-        k_prev = k
-        for c, mags in zip(columns, out):
-            re_im = c[s:s + n].T @ pair
-            mags[j] = np.hypot(re_im[..., 0], re_im[..., 1])
+    for t0, *columns in pieces:
+        if t0 == 0:   # the first piece, or a restart: every frame is read afresh
+            j, joined = 0, None
+            out = [np.empty((len(starts),) + c.shape[1:]) for c in columns]
+        else:   # the kept samples, from `first` on, joined to the piece's head
+            joined = [np.concatenate([h, c[:n]]) for h, c in zip(kept, columns)]
+        end = t0 + len(columns[0])
+        while j < len(starts) and starts[j] + n <= end:
+            k = bins[j]
+            if j % _REANCHOR:
+                if k - k_prev not in steps:
+                    steps[k - k_prev] = unit[((k - k_prev) * m) % n]
+                twiddle *= steps[k - k_prev]
+            else:
+                np.multiply(unit[(k * m) % n], window, out=twiddle)
+            k_prev = k
+            held, s = (columns, starts[j] - t0) if starts[j] >= t0 else (joined, starts[j] - first)
+            for c, mags in zip(held, out):
+                re_im = c[s:s + n].T @ pair
+                mags[j] = np.hypot(re_im[..., 0], re_im[..., 1])
+            j += 1
+        # a piece is scratch its source may overwrite: keep a copy of its tail
+        keep = min(starts[j], end) if j < len(starts) else end
+        kept = ([c[keep - t0:].copy() for c in columns] if keep >= t0
+                else [c[keep - first:] for c in joined])
+        first = keep
     return out
 
 
@@ -526,9 +560,9 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
     The drive level cancels out of that ratio, so ``amplitude`` only matters
     for numerical headroom.
     The chirp is padded by one window length on both sides so every reported
-    frequency comes from a full analysis window.  The drive is built once,
-    marked read-only, and handed to ``Signal`` and ``simulator.run`` without
-    a copy.
+    frequency comes from a full analysis window.  It holds one chunk and one
+    window of samples, however long the sweep: each chunk of the drive is
+    made, run through the lattice and read at every frame it completes.
 
     Two instrument defaults differ from the rest of the package and both
     exist to keep this virtual measurement faithful to the continuous-time
@@ -565,16 +599,19 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
     f_lo = max(f_start_hz - pad_hz, 0.0)
     f_hi = f_end_hz + pad_hz
     duration = (f_hi - f_lo) / sweep_rate_hz_per_s
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the padded start may dip below the guidance band
-        values = _chirp(f_lo, f_hi, duration, rate_hz, amplitude)
-    # the drive current, g_m times gen_sweep's chirp, also gives the input ridge
-    values *= g_m
-    values.setflags(write=False)   # so that Signal keeps the chirp without a copy
-    drive = Signal(rate_hz, values, unit="A")
-    del values
-
-    n_win, n_hop, starts, times, freqs = _frame_grid(drive, window_s, None)
+    if not duration * rate_hz <= MAX_SAMPLES:
+        raise InvalidParameterError(
+            f"the {f_start_hz:g}-{f_end_hz:g} Hz sweep at {sweep_rate_hz_per_s:g} Hz/s, "
+            f"padded by one {window_s:g} s window on each side, lasts {duration:.6g} s: "
+            f"{duration * rate_hz:.3g} samples at {rate_hz:g} Hz, and a generated "
+            f"signal holds at most {MAX_SAMPLES}")
+    samples = int(round(duration * rate_hz))
+    n_win, n_hop, starts, times, freqs = _frame_grid(samples, rate_hz, window_s, None)
+    if f_hi >= rate_hz / 2.0:
+        raise InvalidParameterError(
+            f"f_end={f_end_hz:g} Hz plus the {pad_hz:g} Hz the sweep is padded by "
+            f"(sweep rate {sweep_rate_hz_per_s:g} Hz/s x window {window_s:g} s) "
+            f"must stay below rate/2={rate_hz / 2:g} Hz")
     win = _window_values(window, n_win)
     ridge_f = f_lo + sweep_rate_hz_per_s * times
     keep = (ridge_f >= f_start_hz) & (ridge_f <= f_end_hz)
@@ -586,8 +623,15 @@ def measure_transfer(sys, f_start_hz: float, f_end_hz: float,
     hi = np.clip(np.searchsorted(freqs, ridge_f), 1, len(freqs) - 1)
     bin_idx = hi - (np.abs(freqs[hi - 1] - ridge_f) <= np.abs(freqs[hi] - ridge_f))
 
-    traj = simulator.run(sys, drive)
-    amp_in, amp_out = _ridge_mags(win, starts, bin_idx, drive.values, traj.values)
+    sweep_rate = (f_hi - f_lo) / duration   # gen_sweep's, to the last bit
+
+    def drive(a, b):   # samples a .. b - 1 of the drive current, g_m times gen_sweep's chirp
+        x = _chirp_into(np.empty(b - a), a, f_lo, sweep_rate, rate_hz, amplitude)
+        x *= g_m
+        return x
+
+    pieces = simulator._run_pieces(sys, 1.0 / rate_hz, drive, samples, sys.output_dofs)
+    amp_in, amp_out = _ridge_mags(win, starts, bin_idx, pieces)
     h = np.ascontiguousarray(amp_out.T) / amp_in
     # The out/in ratio at a bin is dominated by the instant the chirp crosses
     # that bin's frequency (stationary phase), so the estimate belongs to the

@@ -22,9 +22,11 @@ values; ``run`` and ``run_rnn`` implement both forms and agree to rounding.
 checks the blow-up bound once per CHUNK steps, yet names the exact step.
 
 The recurrence is linear and time-invariant, so the response from rest is
-the drive convolved with the impulse response.  ``run`` picks how to
-evaluate its (T,) drive and ``_respond_groups`` how to evaluate a (T, B)
-batch from rest for ``trainer``'s scores.  Each asks
+the drive convolved with the impulse response.  ``_run_pieces`` picks how
+to evaluate a (T,) drive, handing the result on piece by piece (``run``
+collects the pieces, ``signals.measure_transfer`` reads them as they
+come), and ``_respond_groups`` how to evaluate a (T, B) batch from rest
+for ``trainer``'s scores.  Each asks
 ``_below_margin`` once: a dt past the stability limit is refused, and only
 a dt below _BLOCK_MARGIN * dt_max may use blocks or kernels (closer to
 dt_max their composed maps drift from stepping).  Below the margin:
@@ -33,6 +35,8 @@ dt_max their composed maps drift from stepping).  Below the margin:
   steps at a time (``_run_blocked``): each block is the free response to
   the state entering it plus its drive times the Toeplitz matrix of the
   impulse response, while a grouped scan over blocks carries the state.
+  Each chunk of _CHUNK_BLOCKS blocks pulls its drive from a source and is
+  one piece, so such a drive need never be held whole, nor its result.
 * A shorter (T,) drive or a (T, B) drive of any length, from rest (no
   initial state, or an all-zero one), is an FFT convolution with the one
   kernel ``SystemMatrices`` keeps, if ``_convolution`` allows it.
@@ -41,7 +45,7 @@ The rest steps with ``leapfrog`` and equals it bit for bit, and so does a
 drive whose bound on |u| over all DOFs (max|x| times the gain, plus a bound
 on the free response for blocks, checked chunk by chunk) cannot rule out
 |u| > BLOWUP_LIMIT: stepping then raises at the exact step or returns its
-own result.  The block operators and the kernels come from one generator,
+own result, as one more piece from step 0 after any chunks before.  The block operators and the kernels come from one generator,
 ``_free_response``: one stride of the 2n unit states' free responses, a scan
 by the stride map they give, and GEMMs against the scanned states.
 
@@ -374,17 +378,45 @@ def run(sys: SystemMatrices, signal: "Signal", record: str = "outputs",
     u_prev, u_curr = _initial_pair(sys, initial)
     dt = 1.0 / signal.rate_hz
     drive = np.asarray(signal.values, dtype=float)
-    values, short = None, len(drive) < MIN_BLOCKS * BLOCK
+    for t0, _, rows in _run_pieces(sys, dt, lambda a, b: drive[a:b], len(drive),
+                                   dofs, u_prev, u_curr):
+        if len(rows) == len(drive):   # the whole drive in one piece, kept as made
+            values = rows
+        else:
+            if t0 == 0:
+                values = np.empty((len(drive), len(dofs)))
+            values[t0:t0 + len(rows)] = rows
+    return Trajectory(dt=dt, dofs=dofs, values=values)
+
+
+def _run_pieces(sys: SystemMatrices, dt: float, source, steps: int,
+                dofs: tuple[int, ...], u_prev: np.ndarray | None = None,
+                u_curr: np.ndarray | None = None):
+    """leapfrog's result at `dofs` for the drive source(0, steps), piece by
+    piece: yields (t0, x, rows), rows the result's rows t0 .. t0 + len(rows)
+    - 1 and x = source(t0, t0 + len(rows)) the drive they answer, where
+    source(a, b) returns drive samples a .. b - 1 as a float array.
+
+    Below the margin a drive of at least MIN_BLOCKS * BLOCK steps comes one
+    chunk of _CHUNK_BLOCKS * BLOCK steps at a time (``_run_blocked``), in
+    scratch the next piece overwrites.  When a chunk's bound is refused the
+    drive is stepped whole from step 0 and yielded as one more piece at
+    t0 = 0: a consumer that sees t0 = 0 again starts over.  Every other
+    drive is one piece, convolved or stepped as the module doc says.
+    """
+    short, x = steps < MIN_BLOCKS * BLOCK, None
     # each branch checks dt once, through _below_margin
     if short and not (np.any(u_prev) or np.any(u_curr)):
-        groups = _convolution(sys, dt, drive[:, None], dofs)
+        x = source(0, steps)
+        groups = _convolution(sys, dt, x[:, None], dofs)
         if groups is not None:   # one group; (d, T) storage: each DOF's samples contiguous
-            values = next(groups)[1][..., 0].copy(order="F")
+            yield 0, x, next(groups)[1][..., 0].copy(order="F")
+            return
     elif _below_margin(sys, dt) and not short:
-        values = _run_blocked(sys, dt, drive, u_prev, u_curr, dofs)
-    if values is None:
-        values = leapfrog(sys, dt, drive, u_prev, u_curr, np.asarray(dofs, dtype=int))
-    return Trajectory(dt=dt, dofs=dofs, values=values)
+        if (yield from _run_blocked(sys, dt, source, steps, u_prev, u_curr, dofs)):
+            return
+    x = source(0, steps) if x is None else x
+    yield 0, x, leapfrog(sys, dt, x, u_prev, u_curr, np.asarray(dofs, dtype=int))
 
 
 def _respond_groups(sys: SystemMatrices, dt: float, drive: np.ndarray,
@@ -588,22 +620,24 @@ def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
             np.sum(np.abs(h), axis=0), ends)
 
 
-def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
+def _run_blocked(sys: SystemMatrices, dt: float, source, steps: int,
                  u_prev: np.ndarray | None, u_curr: np.ndarray | None,
-                 dofs: tuple[int, ...]) -> np.ndarray | None:
-    """leapfrog's result, evaluated BLOCK steps at a time (see module doc).
+                 dofs: tuple[int, ...]):
+    """leapfrog's result, evaluated BLOCK steps at a time (see module doc):
+    a generator of one (t0, x, rows) piece per chunk of _CHUNK_BLOCKS
+    blocks, as ``_run_pieces`` yields them, that returns True when done.
 
-    Each chunk of _CHUNK_BLOCKS blocks scans the state entering its blocks
-    in groups of G = _GROUP_BLOCKS: G - 1 GEMMs scan every group at once
-    from a zero state, a product with trans^G per group carries the state
-    entering the group to the next one, and one GEMM of those group entry
-    states against [trans^1 ... trans^G] adds the part each block's state
-    owes to its group's entry state.  The chunk then bounds |u| per block,
-    steps each block's state to mid-block with one GEMM, [state | first
-    half of the drive] @ mid, and writes its rows as 2 * _CHUNK_BLOCKS
-    half-blocks with one GEMM, [state | half-block drive] @ ops.  Returns
-    None once a chunk's bound exceeds BLOWUP_LIMIT or is not finite; the
-    caller then steps with leapfrog.
+    Each chunk pulls its drive x = source(t0, t0 + m) and scans the state
+    entering its blocks in groups of G = _GROUP_BLOCKS: G - 1 GEMMs scan
+    every group at once from a zero state, a product with trans^G per group
+    carries the state entering the group to the next one, and one GEMM of
+    those group entry states against [trans^1 ... trans^G] adds the part each
+    block's state owes to its group's entry state.  The chunk then bounds
+    |u| per block, steps each block's state to mid-block with one GEMM,
+    [state | first half of the drive] @ mid, and writes its rows as 2 *
+    _CHUNK_BLOCKS half-blocks with one GEMM, [state | half-block drive] @
+    ops.  Returns False, yielding nothing more, once a chunk's bound exceeds
+    BLOWUP_LIMIT or is not finite; the caller then steps with leapfrog.
     """
     n, L, d, G = sys.n_dof, BLOCK, len(dofs), _GROUP_BLOCKS
     half = L // 2
@@ -615,8 +649,7 @@ def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
     powers[:, 0] = trans.T
     for j in range(1, G):
         np.matmul(powers[:, j - 1], powers[:, 0], out=powers[:, j])
-    steps = len(drive)
-    out = np.empty((-(-steps // L) * L, d))   # whole blocks; steps rows returned
+    out = np.empty((min(_CHUNK_BLOCKS, -(-steps // L)) * L, d))   # one chunk's whole blocks
     # lhs[b, 0] and lhs[b, 1] are block b's two [state | half-block drive]
     # rows.  The scan writes the state entering block b + 1 to lhs[b + 1, 0]
     # for every block of the chunk, through views of whole groups (G divides
@@ -632,11 +665,11 @@ def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
         m = min(_CHUNK_BLOCKS * L, steps - t0)
         k, full = -(-m // L), m // L
         groups = -(-k // G)
+        drive = source(t0, t0 + m)
         s, x = lhs[:k, 0, :2 * n], lhs[:k, :, 2 * n:]
-        x[:full] = drive[t0:t0 + full * L].reshape(full, 2, half)
+        x[:full] = drive[:full * L].reshape(full, 2, half)
         if full < k:   # the drive's last block is partial: pad it with zeros
-            x[full] = np.append(drive[t0 + full * L:t0 + m],
-                                np.zeros(k * L - m)).reshape(2, half)
+            x[full] = np.append(drive[full * L:], np.zeros(k * L - m)).reshape(2, half)
         np.matmul(x[:, 0], ends[:half], out=z[:k])
         z[:k] += x[:, 1] @ ends[half:]
         z[k:] = 0.0   # blocks past the drive's end in its last group
@@ -655,12 +688,13 @@ def _run_blocked(sys: SystemMatrices, dt: float, drive: np.ndarray,
         # |u| in a block is at most |s| @ o_max.T + max|x| * sum_t |h[t]|.
         x_max = np.maximum(x.max(axis=(1, 2)), -x.min(axis=(1, 2)))
         if not np.max(np.abs(s) @ o_max.T + x_max[:, None] * h_sum) <= BLOWUP_LIMIT:
-            return None
+            return False
         np.matmul(lhs[:k, 0], mid, out=lhs[:k, 1, :2 * n])
         np.matmul(lhs[:k].reshape(2 * k, 2 * n + half), ops,
-                  out=out[t0:t0 + k * L].reshape(2 * k, half * d))
+                  out=out[:k * L].reshape(2 * k, half * d))
         lhs[0, 0, :2 * n] = lhs[k, 0, :2 * n]
-    return out[:steps]
+        yield t0, drive, out[:m]
+    return True
 
 
 # --- explicit recurrent-network form ---------------------------------------

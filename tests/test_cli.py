@@ -660,6 +660,27 @@ def test_swept_sine_band_without_a_frame_exits_2(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--f-stop", "100", "--rate", "50"],
+     "f_end=100 Hz plus the 1 Hz the sweep is padded by (sweep rate 0.25 Hz/s x "
+     "window 4 s) must stay below rate/2=25 Hz"),
+    (["--f-stop", "30", "--window", "1e9"],
+     "the 20-30 Hz sweep at 0.25 Hz/s, padded by one 1e+09 s window on each side, "
+     "lasts 1e+09 s: 4e+12 samples at 4000 Hz, and a generated signal holds at most "
+     "268435456"),
+], ids=["band_past_nyquist", "window_past_the_sample_bound"])
+def test_swept_sine_refusal_names_the_band_and_the_window(workspace, tmp_path, capsys,
+                                                          flags, message):
+    # the refusal names the band end given and the padding the window adds,
+    # and a window too long for any sweep is refused as such, before the
+    # Nyquist check could name the padded end
+    out = tmp_path / "ss.csv"
+    assert run_cli(["ac-sweep", "--system", workspace["system"], "--method", "swept-sine",
+                    "--f-start", "20", *flags, "--out", out]) == 2
+    assert capsys.readouterr().err == f"resonet: error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_methods_agree_away_from_resonance(workspace, tmp_path):
     spec, circ, scaling = lattice.load_system(workspace["system"])
     sys_m = simulator.assemble(spec, circ)

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from resonet import acsolver, signals, simulator
 from resonet.errors import (ConfigError, DataFormatError,
                             InvalidParameterError)
 from resonet.lattice import CircuitParams, LatticeSpec
+from resonet.simulator import leapfrog
 from resonet.signals import (DEFAULT_G_M, SWEEP_PRESETS, Dataset, DatasetSpec,
                              Signal, add_noise, gen_dataset, gen_pulse,
                              gen_sweep, load_csv, load_dataset, measure_transfer,
@@ -510,13 +512,13 @@ def test_ridge_reader_matches_the_spectrogram(window, n_win):
     rng = np.random.default_rng(n_win)
     x = rng.standard_normal(12 * n_win + 7)
     y = rng.standard_normal((len(x), 3))
-    n, _, starts, _, freqs = signals._frame_grid(Signal(rate, x), n_win / rate, None)
+    n, _, starts, _, freqs = signals._frame_grid(len(x), rate, n_win / rate, None)
     assert n == n_win
     frame_idx = np.arange(1, len(starts), 2)
     bin_idx = rng.integers(0, len(freqs), len(frame_idx))
     bin_idx[0], bin_idx[-1] = 0, len(freqs) - 1   # bin 0, and N/2 for even N
     got_x, got_y = signals._ridge_mags(signals._window_values(window, n),
-                                       starts[frame_idx], bin_idx, x, y)
+                                       starts[frame_idx], bin_idx, [(0, x, y)])
     # the rotated twiddle reads what the exact one does, to rounding
     want_x, want_y = ridge_mags_by_remainder(signals._window_values(window, n),
                                              starts[frame_idx], bin_idx, x, y)
@@ -537,19 +539,53 @@ def test_ridge_reader_holds_over_many_rotations():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(319 * n_hop + n_win)
     y = rng.standard_normal((len(x), 2))
-    n, _, starts, _, freqs = signals._frame_grid(Signal(rate, x), n_win / rate,
+    n, _, starts, _, freqs = signals._frame_grid(len(x), rate, n_win / rate,
                                                  n_hop / rate)
     assert len(starts) == 320
     bin_idx = 40 + np.cumsum(np.resize([0, 1, 3, 7], len(starts)))
     assert bin_idx[-1] < len(freqs)
     win = signals._window_values("nuttall", n)
-    got_x, got_y = signals._ridge_mags(win, starts, bin_idx, x, y)
+    got_x, got_y = signals._ridge_mags(win, starts, bin_idx, [(0, x, y)])
     want_x, want_y = ridge_mags_by_remainder(win, starts, bin_idx, x, y)
     np.testing.assert_allclose(got_x, want_x, rtol=1e-11)
     np.testing.assert_allclose(got_y, want_y, rtol=1e-11)
     frames = np.arange(len(starts))
     want = stft(Signal(rate, x), n_win / rate, n_hop / rate, window="nuttall").mags
     np.testing.assert_allclose(got_x, want[frames, bin_idx], rtol=1e-9)
+
+
+@pytest.mark.parametrize("sizes", ["chunks", "shorter_than_a_frame", "restart"])
+def test_ridge_reader_reads_pieces_as_the_whole_signal(sizes):
+    # fed piece by piece, in scratch overwritten after each piece, the
+    # reader reads every frame bit for bit as from the whole arrays; a
+    # piece at t0 = 0 after others starts the reading over
+    rate, n_win, n_hop = 1000.0, 400, 150
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(30 * n_hop + n_win + 13)
+    y = rng.standard_normal((len(x), 3))
+    n, _, starts, _, freqs = signals._frame_grid(len(x), rate, n_win / rate,
+                                                 n_hop / rate)
+    starts = starts[2:-1]
+    bin_idx = rng.integers(0, len(freqs), len(starts))
+    win = signals._window_values("nuttall", n)
+    want = signals._ridge_mags(win, starts, bin_idx, [(0, x, y)])
+    size = {"chunks": 1000, "shorter_than_a_frame": 97, "restart": 700}[sizes]
+
+    def pieces():
+        if sizes == "restart":   # pieces of another signal, then the whole one
+            z = rng.standard_normal((2 * size, 3))
+            yield 0, z[:size, 0].copy(), z[:size]
+            yield size, z[size:, 0].copy(), z[size:]
+        scratch_x, scratch_y = np.empty(size), np.empty((size, 3))
+        for t0 in range(0, len(x), size):
+            m = min(size, len(x) - t0)
+            scratch_x[:m], scratch_y[:m] = x[t0:t0 + m], y[t0:t0 + m]
+            yield t0, scratch_x[:m], scratch_y[:m]
+            scratch_x[:], scratch_y[:] = np.nan, np.nan
+
+    got = signals._ridge_mags(win, starts, bin_idx, pieces())
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_stft_window_validation():
@@ -597,6 +633,36 @@ def measure_transfer_by_stft(sys_m, f_start_hz, f_end_hz, rate_hz=4000.0,
     return spec_in.freqs_hz[bin_idx], h
 
 
+def measure_transfer_whole(sys_m, f_start_hz, f_end_hz, rate_hz=4000.0,
+                           sweep_rate_hz_per_s=0.25, g_m=DEFAULT_G_M,
+                           window_s=4.0, window="nuttall", amplitude=1.0,
+                           respond=None):
+    """measure_transfer as it made the whole chirp, ran it through the
+    lattice in one call and read the ridge from the whole arrays, kept as
+    its bit-for-bit oracle: (freqs_hz, h).  respond(sys, drive) gives the
+    (T, d) output rows, simulator.run's values unless given."""
+    pad_hz = sweep_rate_hz_per_s * window_s
+    f_lo = max(f_start_hz - pad_hz, 0.0)
+    f_hi = f_end_hz + pad_hz
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sweep = gen_sweep(f_lo, f_hi, (f_hi - f_lo) / sweep_rate_hz_per_s, rate_hz,
+                          amplitude=amplitude)
+    drive = Signal(rate_hz, sweep.values * g_m, unit="A")
+    y = (simulator.run(sys_m, drive).values if respond is None
+         else respond(sys_m, drive))
+    n_win, _, starts, times, freqs = signals._frame_grid(len(drive.values), rate_hz,
+                                                         window_s, None)
+    ridge_f = f_lo + sweep_rate_hz_per_s * times
+    keep = (ridge_f >= f_start_hz) & (ridge_f <= f_end_hz)
+    ridge_f, starts = ridge_f[keep], starts[keep]
+    hi = np.clip(np.searchsorted(freqs, ridge_f), 1, len(freqs) - 1)
+    bin_idx = hi - (np.abs(freqs[hi - 1] - ridge_f) <= np.abs(freqs[hi] - ridge_f))
+    amp_in, amp_out = signals._ridge_mags(signals._window_values(window, n_win),
+                                          starts, bin_idx, [(0, drive.values, y)])
+    return freqs[bin_idx], np.ascontiguousarray(amp_out.T) / amp_in
+
+
 @pytest.mark.parametrize("plant", ["uniform", "small", "small_uneven_steps"])
 def test_measurement_matches_the_stft_oracle(plant, uniform_plant, uniform_measurement):
     if plant == "uniform":
@@ -617,6 +683,10 @@ def test_measurement_matches_the_stft_oracle(plant, uniform_plant, uniform_measu
     freqs, h = measure_transfer_by_stft(*args, **kw)
     assert meas.freqs_hz.tobytes() == freqs.tobytes()
     np.testing.assert_allclose(meas.h, h, rtol=1e-9)
+    # streamed one chunk at a time, it reads the whole arrays' bits
+    freqs, h = measure_transfer_whole(*args, **kw)
+    assert meas.freqs_hz.tobytes() == freqs.tobytes()
+    assert meas.h.tobytes() == h.tobytes()
 
 
 def test_ridge_halfway_between_bins_takes_the_lower_bin():
@@ -672,18 +742,63 @@ def test_overflowing_drive_current_is_refused_before_the_chirp():
             measure_transfer(small_plant(), 20.0, 21.0, g_m=1e300, amplitude=1e10)
 
 
-def test_measurement_hands_its_chirp_to_run_without_a_copy(monkeypatch):
-    seen = []
-    real_run = simulator.run
+def test_measurement_memory_does_not_grow_with_the_sweep(uniform_plant):
+    # the measurement holds one chunk of the drive and of the response, and
+    # one window of each, never the sweep: 1-100 Hz at the default 0.25 Hz/s
+    # and at half that rate peak within 1 MB of each other, under 16 MB
+    _, _, sys_m = uniform_plant
+    peaks = []
+    for rate in (0.25, 0.125):
+        tracemalloc.start()
+        try:
+            measure_transfer(sys_m, 1.0, 100.0, sweep_rate_hz_per_s=rate)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 16.0
+    assert abs(peaks[1] - peaks[0]) <= 1.0
 
-    def spy(sys_, signal, *args, **kwargs):
-        seen.append(signal.values)
-        return real_run(sys_, signal, *args, **kwargs)
 
-    monkeypatch.setattr(simulator, "run", spy)
-    measure_transfer(small_plant(), 15.0, 45.0, sweep_rate_hz_per_s=5.0, window_s=0.5)
-    (drive,) = seen
-    assert drive.flags.owndata and not drive.flags.writeable
+def test_a_chunk_refused_mid_sweep_restarts_from_leapfrog(monkeypatch):
+    # o_max is made infinite once the second chunk's drive is asked for, so
+    # that chunk's bound is refused: the drive is stepped whole, and the
+    # measurement reads leapfrog's rows, none of the blocked rows before
+    sys_m = small_plant()
+    kw = dict(rate_hz=4000.0, sweep_rate_hz_per_s=1.0, window_s=2.0, window="hann")
+    chunk = simulator._CHUNK_BLOCKS * simulator.BLOCK
+    o_maxes, asked = [], []
+    real_ops, real_chirp = simulator._block_operators, signals._chirp_into
+
+    def ops(*args):
+        made = real_ops(*args)
+        o_maxes.append(made[2])
+        return made
+
+    def chirp(out, i0, *args):
+        asked.append((i0, len(out)))
+        if i0 == chunk:
+            o_maxes[-1][...] = np.inf
+        return real_chirp(out, i0, *args)
+
+    monkeypatch.setattr(simulator, "_block_operators", ops)
+    monkeypatch.setattr(signals, "_chirp_into", chirp)
+    meas = measure_transfer(sys_m, 15.0, 45.0, **kw)
+    samples = asked[-1][1]
+    assert asked == [(0, chunk), (chunk, chunk), (0, samples)] and samples > 2 * chunk
+    monkeypatch.undo()
+
+    def stepped(sys_, drive):
+        return leapfrog(sys_, 1.0 / drive.rate_hz, drive.values,
+                        dofs=np.asarray(sys_.output_dofs))
+
+    freqs, h = measure_transfer_whole(sys_m, 15.0, 45.0, respond=stepped, **kw)
+    assert meas.freqs_hz.tobytes() == freqs.tobytes()
+    assert meas.h.tobytes() == h.tobytes()
+    # the first frame lies in the first chunk, and its blocked rows differ
+    # from leapfrog's in the last bits: had it been kept from before the
+    # restart, it would show
+    blocked = measure_transfer_whole(sys_m, 15.0, 45.0, **kw)[1]
+    assert np.all(blocked[:, 0] != h[:, 0])
 
 
 def test_signal_copies_unless_handed_an_owned_read_only_array():
