@@ -190,14 +190,16 @@ def cmd_train(args) -> int:
     else:
         spec = lattice.LatticeSpec.default_grid()
     exp_cfg = _section(cfg_dict, "export", _EXPORT_SECTION, source)
+    series = exp_cfg.get("series", "E96")
     cfg = _train_config_from_dict(cfg_dict, args.seed, source)
-    ds = _dataset_from_config(cfg_dict, source)
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.csv"
     model_path = out / "model.json"
-    refuse_overwrite([metrics_path, model_path], args.force)
+    refuse_overwrite([metrics_path, model_path]
+                     + lattice.system_files(out, series.lower() != "none"), args.force)
+    ds = _dataset_from_config(cfg_dict, source)
+
+    out.mkdir(parents=True, exist_ok=True)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
 
@@ -247,8 +249,7 @@ def cmd_train(args) -> int:
               "artifacts hold the last stable epoch", file=sys.stderr)
         return NUMERIC_EXIT
     exp = trainer.export_trained(spec, result.mech,
-                                 float(exp_cfg.get("r_target_ohm", 1e6)),
-                                 exp_cfg.get("series", "E96"),
+                                 float(exp_cfg.get("r_target_ohm", 1e6)), series,
                                  heldout=ds.split("test"))
     lines = lattice.save_system_files(out, spec, exp.circuit, exp.scaling,
                                       exp.quantized, exp.report, args.force)
@@ -263,9 +264,21 @@ def cmd_train(args) -> int:
 
 # --- classify ----------------------------------------------------------------------
 
+def _verdict(energies) -> tuple[int | None, list[float] | None]:
+    """simulator.classify's class and probabilities, or (None, None) for
+    all-zero energies, which have no verdict."""
+    try:
+        pred, probs = simulator.classify(energies)
+    except UndecidableError:
+        return None, None
+    return pred, [float(p) for p in probs]
+
+
 def cmd_classify(args) -> int:
     if (args.input is None) == (args.manifest is None):
         raise ConfigError("give exactly one of --input or --manifest")
+    if args.out is not None:
+        refuse_overwrite([args.out], args.force)
     spec, circ, scaling, sys_m = _load_system(args.system)
     n_out = len(spec.outputs)
     verdicts = []
@@ -287,11 +300,7 @@ def cmd_classify(args) -> int:
         except _NUMERIC_ERRORS as exc:
             raise type(exc)(f"{source}: {exc}") from exc
         energies = simulator.integrate_energy(traj, traj.dofs)
-        try:
-            pred, probs = simulator.classify(energies)
-            probs_out = [float(p) for p in probs]
-        except UndecidableError:
-            pred, probs_out = None, None   # zero-energy sample: no verdict
+        pred, probs_out = _verdict(energies)
         verdict = {"file": source, "energies": [float(e) for e in energies],
                    "probs": probs_out, "class": pred}
         if label is not None:
@@ -339,13 +348,17 @@ def _check_logic(args, n_out: int, dt: float) -> None:
 
 
 def cmd_simulate(args) -> int:
+    out = Path(args.out)
+    traj_path, energy_path, logic_path = (out / "trajectory.csv", out / "energies.json",
+                                          out / "logic.csv")
+    refuse_overwrite([traj_path, energy_path] + ([logic_path] if args.logic else []),
+                     args.force)
     spec, circ, scaling, sys_m = _load_system(args.system)
     sig = signals.load_csv(args.input, rate=args.rate)
     if args.logic:
         _check_logic(args, len(spec.outputs), 1.0 / sig.rate_hz)
     traj = simulator.run(sys_m, sig, args.record)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.record == "outputs":
         cols = [f"out{i + 1}" for i in range(len(traj.dofs))]
@@ -353,20 +366,14 @@ def cmd_simulate(args) -> int:
         cols = [f"dof{d}" for d in traj.dofs]
     times = traj.times
     rows = ([t] + list(vals) for t, vals in zip(times, traj.values))
-    traj_path = _write_csv(out / "trajectory.csv", ["t"] + cols, rows, args.force)
+    _write_csv(traj_path, ["t"] + cols, rows, args.force)
     print(f"trajectory: {traj_path}")
 
     energies = simulator.integrate_energy(traj, sys_m.output_dofs)
     readout = {"output_cells": list(spec.outputs),
                "energies": [float(e) for e in energies]}
-    try:
-        pred, probs = simulator.classify(energies)
-        readout["predicted_class"] = pred
-        readout["probabilities"] = [float(p) for p in probs]
-    except UndecidableError:
-        readout["predicted_class"] = None
-        readout["probabilities"] = None
-    energy_path = write_json(out / "energies.json", readout, args.force)
+    readout["predicted_class"], readout["probabilities"] = _verdict(energies)
+    write_json(energy_path, readout, args.force)
     print(f"energies: {energy_path}")
     if readout["predicted_class"] is not None:
         print(f"predicted class: {readout['predicted_class']} "
@@ -380,7 +387,7 @@ def cmd_simulate(args) -> int:
                                      hysteresis=args.hysteresis)
         names = [f"out{i + 1}" for i in range(logic.shape[1])]
         rows = ([t] + [int(v) for v in step] for t, step in zip(times, logic))
-        logic_path = _write_csv(out / "logic.csv", ["t"] + names, rows, args.force)
+        _write_csv(logic_path, ["t"] + names, rows, args.force)
         print(f"logic trace: {logic_path}")
     return 0
 
@@ -394,6 +401,7 @@ def cmd_ac_sweep(args) -> int:
     if not 1 <= args.points <= MAX_POINTS:
         raise ConfigError(f"--points must be between 1 and {MAX_POINTS}, "
                           f"got {args.points}")
+    refuse_overwrite([args.out], args.force)
 
     if args.cell:
         cell = unitcell.UnitCellParams(d_outer=args.d_outer, d_inner=args.d_inner,
@@ -446,27 +454,27 @@ def cmd_ac_sweep(args) -> int:
 # --- landscape ---------------------------------------------------------------------
 
 def cmd_landscape(args) -> int:
+    out = Path(args.out)
+    cells_path, edges_path = out / "cells.csv", out / "edges.csv"
+    refuse_overwrite([cells_path, edges_path], args.force)
     spec, circ, scaling, sys_m = _load_system(args.system)
     omega = 2.0 * math.pi * args.freq
     values, flags = acsolver.impedance_map(circ, omega)
     sol = acsolver.ac_solve(sys_m, omega, i_in=args.i_in)
     bc = acsolver.branch_currents(sys_m, circ, sol)
 
-    out = Path(args.out)
     cell_rows = []
     for c in spec.active_cells:
         r, col = spec.rowcol(c)
         cell_rows.append((c, r, col, values[c], flags[c]))
-    cells_path = _write_csv(out / "cells.csv",
-                            ["cell", "row", "col", "z_eff", "flag"],
-                            cell_rows, args.force)
+    _write_csv(cells_path, ["cell", "row", "col", "z_eff", "flag"], cell_rows,
+               args.force)
 
     edge_rows = []
     for k, (a, b) in enumerate(spec.edges):
         cur = float(bc.edge_current[k])
         edge_rows.append((a, b, abs(cur), 1 if cur >= 0.0 else -1))
-    edges_path = _write_csv(out / "edges.csv", ["a", "b", "current", "sign"],
-                            edge_rows, args.force)
+    _write_csv(edges_path, ["a", "b", "current", "sign"], edge_rows, args.force)
 
     print(f"cells: {cells_path} ({len(cell_rows)} rows)")
     print(f"edges: {edges_path} ({len(edge_rows)} rows)")
@@ -483,6 +491,10 @@ def cmd_landscape(args) -> int:
 def cmd_export_netlist(args) -> int:
     if (args.model is None) == (args.system is None):
         raise ConfigError("give exactly one of --model or --system")
+    out = Path(args.out)
+    netlist_path = out / "netlist.csv"
+    quantize = args.series.lower() != "none"
+    refuse_overwrite(lattice.system_files(out, quantize) + [netlist_path], args.force)
     if args.model is not None:
         spec, mech = lattice.mech_from_json_dict(read_json(args.model), args.model)
         exp = trainer.export_trained(spec, mech, args.r_target, args.series)
@@ -491,18 +503,16 @@ def cmd_export_netlist(args) -> int:
     else:
         spec, circ, scaling = lattice.load_system(args.system)
         quantized = report = None
-        if args.series.lower() != "none":
+        if quantize:
             quantized, report = lattice.quantize_eseries(circ, args.series.upper())
 
-    out = Path(args.out)
     lines = lattice.save_system_files(out, spec, circ, scaling, quantized,
                                       report, args.force)
     final = circ if quantized is None else quantized
     rows = lattice.netlist_rows(spec, final)
-    p = _write_csv(out / "netlist.csv",
-                   ["ref", "kind", "value", "unit", "node_a", "node_b"],
-                   rows, args.force)
-    lines.append(f"netlist: {p} ({len(rows)} components)")
+    _write_csv(netlist_path, ["ref", "kind", "value", "unit", "node_a", "node_b"],
+               rows, args.force)
+    lines.append(f"netlist: {netlist_path} ({len(rows)} components)")
     for line in lines:
         print(line)
     return 0

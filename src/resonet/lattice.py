@@ -440,6 +440,13 @@ def save_system(path, spec: LatticeSpec, circ: CircuitParams, s) -> None:
     write_json(path, system_to_json_dict(spec, circ, s), force=True)
 
 
+def system_files(out, quantized: bool) -> list[Path]:
+    """The paths save_system_files writes in directory `out`: system.json,
+    then system_quantized.json and quantization.json if `quantized`."""
+    names = ["system.json", "system_quantized.json", "quantization.json"]
+    return [Path(out) / name for name in names[:3 if quantized else 1]]
+
+
 def save_system_files(out, spec: LatticeSpec, circ: CircuitParams, s,
                       quantized: CircuitParams | None = None,
                       report: QuantizationReport | None = None,
@@ -450,17 +457,16 @@ def save_system_files(out, spec: LatticeSpec, circ: CircuitParams, s,
     Checks every target first and raises ConfigError, writing nothing, if
     one exists and force is not set.
     """
-    out = Path(out)
-    files = [(out / "system.json", system_to_json_dict(spec, circ, s), "system: {}")]
+    docs = [(system_to_json_dict(spec, circ, s), "system: {}")]
     if quantized is not None:
-        files += [
-            (out / "system_quantized.json",
-             system_to_json_dict(spec, quantized, s), "quantized system: {}"),
-            (out / "quantization.json", report.to_json_dict(),
-             "quantization report: {} "
+        docs += [
+            (system_to_json_dict(spec, quantized, s), "quantized system: {}"),
+            (report.to_json_dict(), "quantization report: {} "
              f"(max rel error {report.max_rel_error:.4%})")]
-    refuse_overwrite([path for path, _, _ in files], force)
-    return [line.format(write_json(path, doc, force)) for path, doc, line in files]
+    paths = system_files(out, quantized is not None)
+    refuse_overwrite(paths, force)
+    return [line.format(write_json(path, doc, force))
+            for path, (doc, line) in zip(paths, docs)]
 
 
 def load_system(path) -> tuple[LatticeSpec, CircuitParams, ScalingFactor]:

@@ -69,9 +69,9 @@ class Signal:
             arr = np.asarray(arr, dtype=float).copy()
         if arr.ndim != 1:
             raise InvalidParameterError("signal values must be 1-D")
-        finite = np.isfinite(arr)
-        if not finite.all():
-            bad = int(np.argmin(finite))
+        # min and max, not isfinite: no sample-sized temporary; NaN fails both
+        if len(arr) and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            bad = int(np.argmin(np.isfinite(arr)))
             raise InvalidParameterError(
                 f"signal value {bad} is {arr[bad]}; samples must be finite")
         arr.setflags(write=False)
@@ -201,14 +201,18 @@ def gen_dataset(dspec: DatasetSpec) -> Dataset:
 
 
 def save_dataset(ds: Dataset, out_dir, force: bool = False) -> Path:
-    """Write one bare-values CSV per sample plus manifest.json; returns manifest path."""
+    """Write one bare-values CSV per sample plus manifest.json; returns manifest path.
+
+    Checks every target first and raises ConfigError, writing nothing, if
+    one exists and force is not set.
+    """
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
-    refuse_overwrite([manifest_path], force)
+    names = [f"class{s.label}_{s.split}_{s.class_index:04d}.csv" for s in ds.samples]
+    refuse_overwrite([out / name for name in names] + [manifest_path], force)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for s in ds.samples:
-        name = f"class{s.label}_{s.split}_{s.class_index:04d}.csv"
+    for s, name in zip(ds.samples, names):
         with open(out / name, "w") as fh:
             fh.writelines(f"{float(v)!r}\n" for v in s.signal.values)
         entries.append({"path": name, "label": s.label, "split": s.split})
@@ -360,7 +364,9 @@ def gen_sweep(f_start_hz: float, f_end_hz: float, duration_s: float,
     extraction degrades on such sweeps).
     """
     _check_finite(amplitude=amplitude)
-    return Signal(rate_hz, _chirp(f_start_hz, f_end_hz, duration_s, rate_hz, amplitude))
+    values = _chirp(f_start_hz, f_end_hz, duration_s, rate_hz, amplitude)
+    values.setflags(write=False)   # fresh and owned: Signal keeps it uncopied
+    return Signal(rate_hz, values)
 
 
 def _chirp(f_start_hz: float, f_end_hz: float, duration_s: float, rate_hz: float,

@@ -34,9 +34,10 @@ dt_max their composed maps drift from stepping).  Below the margin:
 * A (T,) drive of at least MIN_BLOCKS * BLOCK steps is evaluated BLOCK
   steps at a time (``_run_blocked``): each block is the free response to
   the state entering it plus its drive times the Toeplitz matrix of the
-  impulse response, while a grouped scan over blocks carries the state.
-  Each chunk of _CHUNK_BLOCKS blocks pulls its drive from a source and is
-  one piece, so such a drive need never be held whole, nor its result.
+  impulse response, one GEMM row per block, while a grouped scan over
+  blocks carries the state.  Each chunk of _CHUNK_BLOCKS blocks pulls its
+  drive from a source and is one piece, so such a drive need never be held
+  whole, nor its result.
 * A shorter (T,) drive or a (T, B) drive of any length, from rest (no
   initial state, or an all-zero one), is an FFT convolution with the one
   kernel ``SystemMatrices`` keeps, if ``_convolution`` allows it.
@@ -45,7 +46,8 @@ The rest steps with ``leapfrog`` and equals it bit for bit, and so does a
 drive whose bound on |u| over all DOFs (max|x| times the gain, plus a bound
 on the free response for blocks, checked chunk by chunk) cannot rule out
 |u| > BLOWUP_LIMIT: stepping then raises at the exact step or returns its
-own result, as one more piece from step 0 after any chunks before.  The block operators and the kernels come from one generator,
+own result, as one more piece from step 0 after any chunks before.  The
+block operators and the kernels come from one generator,
 ``_free_response``: one stride of the 2n unit states' free responses, a scan
 by the stride map they give, and GEMMs against the scanned states.
 
@@ -74,10 +76,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 BLOWUP_LIMIT = 1e12  # |u| beyond this aborts the run as numerically unstable
 CHUNK = 64           # leapfrog steps between two checks of the blow-up limit
-BLOCK = 256          # steps per block of run's blocked evaluation
-MIN_BLOCKS = 64      # drives shorter than this many blocks are not evaluated blockwise
-_CHUNK_BLOCKS = 256  # blocks per GEMM of the blocked evaluation
-_GROUP_BLOCKS = 16   # blocks per group of its state scan, about sqrt(_CHUNK_BLOCKS)
+BLOCK = 128          # steps per block of run's blocked evaluation
+MIN_BLOCKS = 128     # drives shorter than this many blocks are not evaluated blockwise
+_CHUNK_BLOCKS = 512  # blocks per GEMM of the blocked evaluation
+_GROUP_BLOCKS = 16   # blocks per group of its state scan; divides _CHUNK_BLOCKS
 _BLOCK_MARGIN = 0.999  # blocks and kernels only below this share of dt_max
 _FFT_COLUMNS = 16    # drive columns per FFT of _convolution
 _STRIDE = 16         # steps per stride of _free_response's scan
@@ -583,41 +585,37 @@ def _carve(flat: np.ndarray, *shapes) -> list[np.ndarray]:
 
 
 def _block_operators(sys: SystemMatrices, dt: float, dofs: np.ndarray):
-    """One block's operators, from _free_response: (ops, mid, o_max, trans,
-    h_sum, ends).
+    """One block's operators, from _free_response: (ops, o_max, trans, h_sum,
+    ends).
 
     The state entering a block is (u_curr, u_curr - u_prev) as a 2n-vector:
     carrying the step difference rather than u_prev keeps a large rigid
     displacement (free lattice) from swamping the velocity in rounding.
-    With h (L, n) the impulse response and H = L // 2 the half-block: ops
-    (2n + H, H * d) maps [state | half-block drive] to the half-block's
-    (H, d) rows at `dofs`, flattened: the free response to each unit state
-    over the Toeplitz matrix of h[:H].  mid (2n + H, 2n) maps [state | first
-    half of the drive] to the state at mid-block.  o_max (n, 2n) = max_k
-    (max_j |F_j|) @ |X^k|, X the stride map and F_j the free response j + 1
-    steps into a stride, bounds |free response| over the block from above,
-    and h_sum (n,) = sum_t |h[t]|: the two parts of the block's bound on
-    |u|.  trans (2n, 2n) maps the state entering a block to the state
-    entering the next; ends (L, 2n) maps a block's drive to the state it
-    leaves from rest, and its last H rows are those of mid's drive part.
+    With h (L, n) the impulse response: ops (2n + L, L * d) maps [state |
+    block drive] to the block's (L, d) rows at `dofs`, flattened: the free
+    response to each unit state over the Toeplitz matrix of h.  o_max (n,
+    2n) = max_k (max_j |F_j|) @ |X^k|, X the stride map and F_j the free
+    response j + 1 steps into a stride, bounds |free response| over the
+    block from above, and h_sum (n,) = sum_t |h[t]|: the two parts of the
+    bound on |u|, both nonnegative.  trans (2n, 2n) maps the state entering
+    a block to the state entering the next; ends (L, 2n) maps a block's
+    drive to the state it leaves from rest.
     """
     n, L, d = sys.n_dof, BLOCK, len(dofs)
-    half = L // 2
-    free, x, o = _free_response(sys, dt, np.eye(2 * n), half, dofs)
+    free, x, o = _free_response(sys, dt, np.eye(2 * n), L, dofs)
     h = _impulse(sys, dt, L, o)
-    toeplitz = np.zeros((half, half, d))
-    for j in range(half):   # the response to a unit drive at step j
-        toeplitz[j, j:] = h[:half - j, dofs]
+    toeplitz = np.zeros((L, L, d))
+    for j in range(L):   # the response to a unit drive at step j
+        toeplitz[j, j:] = h[:L - j, dofs]
     # The state a block's drive alone leaves it in, from rest, is the drive
     # weighted by the reversed impulse response (and by its step difference).
     ends = np.hstack([h, np.diff(h, axis=0, prepend=0.0)])[::-1].copy()
-    # x[k] = (X^k).T up to mid-block and x[k] @ x[8] = (X^(k + 8)).T: k
-    # strides and j + 1 steps in, |free response| <= max_j |F_j| @ |X^k|
+    # x[k] = (X^k).T: k strides and j + 1 steps in, |free response| <=
+    # max_j |F_j| @ |X^k|
     f_max = np.max(np.abs(o), axis=0).T
-    bound = np.max([np.abs(p) @ f_max for xk in x[:-1] for p in (xk, xk @ x[-1])], axis=0)
-    return (np.concatenate([free, toeplitz]).reshape(2 * n + half, half * d),
-            np.vstack([x[-1], ends[half:]]), bound.T, (x[-1] @ x[-1]).T,
-            np.sum(np.abs(h), axis=0), ends)
+    bound = np.max([np.abs(xk) @ f_max for xk in x[:-1]], axis=0)
+    return (np.concatenate([free, toeplitz]).reshape(2 * n + L, L * d),
+            bound.T, x[-1].T, np.sum(np.abs(h), axis=0), ends)
 
 
 def _run_blocked(sys: SystemMatrices, dt: float, source, steps: int,
@@ -633,15 +631,13 @@ def _run_blocked(sys: SystemMatrices, dt: float, source, steps: int,
     carries the state entering the group to the next one, and one GEMM of
     those group entry states against [trans^1 ... trans^G] adds the part each
     block's state owes to its group's entry state.  The chunk then bounds
-    |u| per block, steps each block's state to mid-block with one GEMM,
-    [state | first half of the drive] @ mid, and writes its rows as 2 *
-    _CHUNK_BLOCKS half-blocks with one GEMM, [state | half-block drive] @
-    ops.  Returns False, yielding nothing more, once a chunk's bound exceeds
-    BLOWUP_LIMIT or is not finite; the caller then steps with leapfrog.
+    |u| over all its blocks at once and writes its rows with one GEMM,
+    [state | block drive] @ ops, one row per block.  Returns False,
+    yielding nothing more, once a chunk's bound exceeds BLOWUP_LIMIT or is
+    not finite; the caller then steps with leapfrog.
     """
     n, L, d, G = sys.n_dof, BLOCK, len(dofs), _GROUP_BLOCKS
-    half = L // 2
-    ops, mid, o_max, trans, h_sum, ends = _block_operators(
+    ops, o_max, trans, h_sum, ends = _block_operators(
         sys, dt, np.asarray(dofs, dtype=int))
     # powers[:, j] = (trans^(j+1)).T, so that a row state s @ powers[:, j]
     # is the state j + 1 blocks on from s with no drive
@@ -650,49 +646,46 @@ def _run_blocked(sys: SystemMatrices, dt: float, source, steps: int,
     for j in range(1, G):
         np.matmul(powers[:, j - 1], powers[:, 0], out=powers[:, j])
     out = np.empty((min(_CHUNK_BLOCKS, -(-steps // L)) * L, d))   # one chunk's whole blocks
-    # lhs[b, 0] and lhs[b, 1] are block b's two [state | half-block drive]
-    # rows.  The scan writes the state entering block b + 1 to lhs[b + 1, 0]
-    # for every block of the chunk, through views of whole groups (G divides
-    # _CHUNK_BLOCKS); the state leaving a chunk lands in the row after its
-    # last block, and the next chunk starts from it.
-    lhs = np.empty((_CHUNK_BLOCKS + 1, 2, 2 * n + half))
+    # lhs[b] is block b's [state | block drive] row.  The scan writes the
+    # state entering block b + 1 to lhs[b + 1] for every block of the chunk,
+    # through views of whole groups (G divides _CHUNK_BLOCKS); the state
+    # leaving a chunk lands in the row after its last block, and the next
+    # chunk starts from it.
+    lhs = np.empty((_CHUNK_BLOCKS + 1, 2 * n + L))
     z = np.zeros((_CHUNK_BLOCKS, 2 * n))   # the state each block's drive leaves, from rest
     entry = np.empty((_CHUNK_BLOCKS // G, 2 * n))   # the state entering each group
-    lhs[0, 0, :n] = 0.0 if u_curr is None else u_curr
-    np.subtract(lhs[0, 0, :n], 0.0 if u_prev is None else u_prev,
-                out=lhs[0, 0, n:2 * n])
+    lhs[0, :n] = 0.0 if u_curr is None else u_curr
+    np.subtract(lhs[0, :n], 0.0 if u_prev is None else u_prev, out=lhs[0, n:2 * n])
     for t0 in range(0, steps, _CHUNK_BLOCKS * L):
         m = min(_CHUNK_BLOCKS * L, steps - t0)
         k, full = -(-m // L), m // L
         groups = -(-k // G)
         drive = source(t0, t0 + m)
-        s, x = lhs[:k, 0, :2 * n], lhs[:k, :, 2 * n:]
-        x[:full] = drive[:full * L].reshape(full, 2, half)
+        s, x = lhs[:k, :2 * n], lhs[:k, 2 * n:]
+        x[:full] = drive[:full * L].reshape(full, L)
         if full < k:   # the drive's last block is partial: pad it with zeros
-            x[full] = np.append(drive[full * L:], np.zeros(k * L - m)).reshape(2, half)
-        np.matmul(x[:, 0], ends[:half], out=z[:k])
-        z[:k] += x[:, 1] @ ends[half:]
+            x[full] = np.append(drive[full * L:], np.zeros(k * L - m))
+        np.matmul(x, ends, out=z[:k])
         z[k:] = 0.0   # blocks past the drive's end in its last group
         zg = z[:groups * G].reshape(groups, G, 2 * n)
-        scan = lhs[1:groups * G + 1, 0, :2 * n].reshape(groups, G, 2 * n)
+        scan = lhs[1:groups * G + 1, :2 * n].reshape(groups, G, 2 * n)
         scan[:, 0] = zg[:, 0]
         for j in range(1, G):
             np.matmul(scan[:, j - 1], powers[:, 0], out=scan[:, j])
             scan[:, j] += zg[:, j]
-        entry[0] = lhs[0, 0, :2 * n]
+        entry[0] = lhs[0, :2 * n]
         for g in range(1, groups):
             np.matmul(entry[g - 1], powers[:, -1], out=entry[g])
             entry[g] += scan[g - 1, -1]
         scan += (entry[:groups] @ powers.reshape(2 * n, G * 2 * n)).reshape(
             groups, G, 2 * n)
-        # |u| in a block is at most |s| @ o_max.T + max|x| * sum_t |h[t]|.
-        x_max = np.maximum(x.max(axis=(1, 2)), -x.min(axis=(1, 2)))
-        if not np.max(np.abs(s) @ o_max.T + x_max[:, None] * h_sum) <= BLOWUP_LIMIT:
+        # |u| in any block is at most |s| @ o_max.T + max|x| * h_sum, and
+        # o_max, h_sum >= 0: the largest |s| and |x| bound the whole chunk
+        s_max = np.maximum(s.max(axis=0), -s.min(axis=0))
+        if not np.max(s_max @ o_max.T + max(x.max(), -x.min()) * h_sum) <= BLOWUP_LIMIT:
             return False
-        np.matmul(lhs[:k, 0], mid, out=lhs[:k, 1, :2 * n])
-        np.matmul(lhs[:k].reshape(2 * k, 2 * n + half), ops,
-                  out=out[:k * L].reshape(2 * k, half * d))
-        lhs[0, 0, :2 * n] = lhs[k, 0, :2 * n]
+        np.matmul(lhs[:k], ops, out=out[:k * L].reshape(k, L * d))
+        lhs[0, :2 * n] = lhs[k, :2 * n]
         yield t0, drive, out[:m]
     return True
 

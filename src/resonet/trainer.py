@@ -530,12 +530,16 @@ class TrainResult:
     mech: MechanicalParams
     history: tuple[dict, ...]
     stop_reason: str       # "epochs", "loss_floor", "diverged"
-    aborted: bool
     checkpoints: tuple[Checkpoint, ...]
     # why a "diverged" run stopped: epoch, message, the NumericError's step,
     # and the sample as its index into the dataset split named by "split"
     # (step, sample and split are None where the error gives none)
     divergence: dict | None = None
+
+    @property
+    def aborted(self) -> bool:
+        """Whether a divergence stopped the run."""
+        return self.stop_reason == "diverged"
 
 
 def _divergence(epoch: int, exc: NumericError, split: str,
@@ -602,7 +606,6 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
 
     checkpoints: list[Checkpoint] = []
     stop_reason = "epochs"
-    aborted = False
     divergence = None
     n_train = len(train_samples)
     # every minibatch's large arrays, allocated once for the run
@@ -633,7 +636,6 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
             # roll back to the last completed epoch, or to where the run began
             divergence = _divergence(epoch, exc, split, idx)
             stop_reason = "diverged"
-            aborted = True
             last = checkpoints[-1] if checkpoints else resume
             if last is not None:
                 params, adam, history = last.params, last.adam, list(last.history)
@@ -655,7 +657,7 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
 
     return TrainResult(params=params, mech=mech_from_params(spec, cfg, params),
                        history=tuple(history), stop_reason=stop_reason,
-                       aborted=aborted, checkpoints=tuple(checkpoints),
+                       checkpoints=tuple(checkpoints),
                        divergence=divergence)
 
 

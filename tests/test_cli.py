@@ -849,6 +849,54 @@ def test_netlist_requires_exactly_one_source(workspace, tmp_path):
                     "--system", workspace["system"], "--out", out]) == 2
 
 
+# --- refusing to overwrite ---------------------------------------------------------
+
+def _refusal_case(command, ws, out):
+    """argv of `command` writing into directory `out`, and the name of the
+    output it writes last (for gen-dataset, its last sample CSV)."""
+    sample = ws["ds"] / "class0_train_0000.csv"
+    return {
+        "gen-dataset": (["gen-dataset", "--out", out, "--seed", "3", "--centers", "30,50",
+                         "--duration", "0.5", "--train-per-class", "3",
+                         "--test-per-class", "2"], "class1_test_0004.csv"),
+        "train": (["train", "--config", ws["config"], "--out", out], "quantization.json"),
+        "classify": (["classify", "--system", ws["system"], "--input", sample,
+                      "--rate", "2000", "--out", out / "verdicts.json"], "verdicts.json"),
+        "simulate": (["simulate", "--system", ws["system"], "--input", sample,
+                      "--rate", "2000", "--out", out, "--logic"], "logic.csv"),
+        "ac-sweep": (["ac-sweep", "--system", ws["system"], "--f-start", "10",
+                      "--f-stop", "60", "--points", "20", "--out", out / "h.csv"], "h.csv"),
+        "landscape": (["landscape", "--system", ws["system"], "--freq", "40",
+                       "--out", out], "edges.csv"),
+        "export-netlist": (["export-netlist", "--model", ws["run1"] / "model.json",
+                            "--out", out], "netlist.csv"),
+    }[command]
+
+
+def _tree(d):
+    """Every path under d, with each file's bytes (None for a directory)."""
+    return {p.relative_to(d): p.read_bytes() if p.is_file() else None
+            for p in d.rglob("*")}
+
+
+@pytest.mark.parametrize("command", ["gen-dataset", "train", "classify", "simulate",
+                                     "ac-sweep", "landscape", "export-netlist"])
+def test_a_refused_command_leaves_its_output_directory_unchanged(workspace, tmp_path,
+                                                                  capsys, command):
+    # every output is checked before any input is read or any work is done:
+    # with the last one present, the command exits 2 and writes nothing
+    out = tmp_path / "out"
+    argv, last = _refusal_case(command, workspace, out)
+    out.mkdir()
+    (out / last).write_text("kept")
+    before = _tree(out)
+    assert run_cli(argv) == 2
+    assert "already exists; pass --force" in capsys.readouterr().err
+    assert _tree(out) == before
+    assert run_cli(argv + ["--force"]) == 0
+    assert (out / last).read_text() != "kept"
+
+
 # --- global flags ------------------------------------------------------------------
 
 def test_threads_flag(workspace, tmp_path):

@@ -26,7 +26,6 @@ TWO_PI = 2.0 * math.pi
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 LONG = simulator.MIN_BLOCKS * simulator.BLOCK   # shortest drive run evaluates blockwise
 CHUNK_LEN = simulator._CHUNK_BLOCKS * simulator.BLOCK   # steps per chunk of blocks
-HALF = simulator.BLOCK // 2
 GROUP = simulator._GROUP_BLOCKS   # blocks per group of the blocked state scan
 
 
@@ -360,21 +359,21 @@ def test_blocked_run_matches_leapfrog():
         assert np.max(np.abs(traj.values - ref)) <= 1e-8 * scale
 
 
-@pytest.mark.parametrize("steps", [LONG, LONG + 1, LONG + simulator.BLOCK - 1,
-                                   LONG + HALF, LONG + HALF + 1,
+@pytest.mark.parametrize("steps", [LONG, LONG + 1, LONG + 2 * simulator.BLOCK - 1,
+                                   LONG + simulator.BLOCK, LONG + simulator.BLOCK + 1,
                                    CHUNK_LEN, CHUNK_LEN + 1,
-                                   CHUNK_LEN + simulator.BLOCK,
-                                   CHUNK_LEN + (GROUP - 1) * simulator.BLOCK,
-                                   CHUNK_LEN + GROUP * simulator.BLOCK,
-                                   CHUNK_LEN + GROUP * simulator.BLOCK + 1])
+                                   CHUNK_LEN + 2 * simulator.BLOCK,
+                                   CHUNK_LEN + (2 * GROUP - 2) * simulator.BLOCK,
+                                   CHUNK_LEN + 2 * GROUP * simulator.BLOCK,
+                                   CHUNK_LEN + 2 * GROUP * simulator.BLOCK + 1])
 def test_blocked_run_at_block_and_chunk_edges_matches_leapfrog(steps):
-    # LONG is whole blocks; one step more ends in a one-step block, BLOCK - 1
-    # more fills all but one of its steps.  LONG + HALF ends on the last
-    # block's first half, one step more puts one step in its second half.
-    # CHUNK_LEN is exactly one chunk; one step more starts a second chunk.
-    # The second chunk's state scan runs in groups of GROUP blocks: a last
-    # chunk of 1, GROUP - 1, GROUP and GROUP + 1 blocks (the last of them a
-    # one-step block) ends inside, on and just past a group.
+    # LONG and LONG + BLOCK are whole blocks; one step more ends in a
+    # one-step block, and LONG + 2 BLOCK - 1 fills all but one step of its
+    # last block.  CHUNK_LEN is exactly one chunk; one step more starts a
+    # second chunk.  The second chunk's state scan runs in groups of GROUP
+    # blocks: a last chunk of 1 or 2 blocks ends inside the first group, one
+    # of 2 GROUP - 2, 2 GROUP and 2 GROUP + 1 blocks (the last of them a
+    # one-step block) inside, on and just past the second.
     rng = np.random.default_rng(steps)
     sys_m = dataclasses.replace(random_small_system(rng)[2], damping=0.5)
     dt = 0.9 * max_stable_dt(sys_m)
@@ -401,36 +400,37 @@ def test_blocked_run_bounds_the_rigid_mode_drift():
 
 
 @pytest.mark.parametrize("system", ["random", "grounded_corner", "free"])
-def test_half_block_operators_are_leapfrog_steps(system):
-    # [state | first half of a block's drive] @ mid is the state leapfrog
-    # reaches after HALF steps, and the rows of ops are leapfrog's free
-    # response to each unit state and its impulse response.
+def test_block_operators_are_leapfrog_steps(system):
+    # The rows of ops are leapfrog's free response to each unit state and
+    # its impulse response; [state | block drive] @ [trans.T; ends] is the
+    # state leapfrog reaches after BLOCK steps.
     rng = np.random.default_rng(31)
     sys_m = {"random": lambda: dataclasses.replace(random_small_system(rng)[2],
                                                    damping=0.5),
              "grounded_corner": lambda: grounded_corner()[2],
              "free": _free_square}[system]()
-    n = sys_m.n_dof
+    n, L = sys_m.n_dof, simulator.BLOCK
     dt = 0.9 * max_stable_dt(sys_m)
     dofs = np.arange(n)
-    ops, mid, *_ = simulator._block_operators(sys_m, dt, dofs)
-    assert ops.shape == (2 * n + HALF, HALF * n) and mid.shape == (2 * n + HALF, 2 * n)
+    ops, _, trans, _, ends = simulator._block_operators(sys_m, dt, dofs)
+    assert ops.shape == (2 * n + L, L * n) and trans.shape == (2 * n, 2 * n)
+    assert ends.shape == (L, 2 * n)
 
-    s, x = rng.standard_normal(2 * n), rng.standard_normal(HALF)
+    s, x = rng.standard_normal(2 * n), rng.standard_normal(L)
     u = leapfrog(sys_m, dt, x, s[:n] - s[n:], s[:n])
     ref = np.concatenate([u[-1], u[-1] - u[-2]])
-    got = np.concatenate([s, x]) @ mid
+    got = trans @ s + x @ ends
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     eye = np.eye(n)
-    free = leapfrog(sys_m, dt, np.zeros((HALF, 2 * n)), np.hstack([eye, -eye]),
+    free = leapfrog(sys_m, dt, np.zeros((L, 2 * n)), np.hstack([eye, -eye]),
                     np.hstack([eye, np.zeros((n, n))]))
-    pulse = np.zeros(HALF)
+    pulse = np.zeros(L)
     pulse[0] = 1.0
     h = leapfrog(sys_m, dt, pulse)
-    toeplitz = np.zeros((HALF, HALF, n))
-    for j in range(HALF):
-        toeplitz[j, j:] = h[:HALF - j]
+    toeplitz = np.zeros((L, L, n))
+    for j in range(L):
+        toeplitz[j, j:] = h[:L - j]
     want = np.concatenate([free.transpose(2, 0, 1), toeplitz]).reshape(ops.shape)
     assert np.max(np.abs(ops - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -468,7 +468,7 @@ def test_the_swept_sine_stays_on_the_blocked_path(uniform_plant, monkeypatch):
     # 4 kHz its largest entry reads 1.15x the exact one.
     _, _, sys_m = uniform_plant
     dt = 1.0 / 4000.0
-    o_max = simulator._block_operators(sys_m, dt, np.arange(sys_m.n_dof))[2]
+    o_max = simulator._block_operators(sys_m, dt, np.arange(sys_m.n_dof))[1]
     assert np.max(o_max) <= 1.2 * np.max(np.abs(_unit_state_block(sys_m, dt)))
     calls = []
     real_leapfrog = simulator.leapfrog
@@ -774,7 +774,7 @@ def test_block_bound_covers_every_unit_states_free_response(name, sys_m, dt_frac
     # state, so the blocked path's bound on |u| stays a bound
     n = sys_m.n_dof
     dt = dt_frac * max_stable_dt(sys_m)
-    o_max = simulator._block_operators(sys_m, dt, np.arange(n))[2]
+    o_max = simulator._block_operators(sys_m, dt, np.arange(n))[1]
     assert o_max.shape == (n, 2 * n)
     assert np.all(o_max >= np.max(np.abs(_unit_state_block(sys_m, dt)), axis=0))
 
