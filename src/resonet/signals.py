@@ -81,9 +81,6 @@ class Signal:
     def duration_s(self) -> float:
         return len(self.values) / self.rate_hz
 
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.values)) / self.rate_hz
-
 
 def gen_pulse(rate_hz: float, duration_s: float, center_hz: float,
               sigma_s: float, amplitude: float = 1.0,
@@ -363,18 +360,8 @@ def gen_sweep(f_start_hz: float, f_end_hz: float, duration_s: float,
     enough to move more than 1 Hz per 10 periods at its slowest point (ridge
     extraction degrades on such sweeps).
     """
-    _check_finite(amplitude=amplitude)
-    values = _chirp(f_start_hz, f_end_hz, duration_s, rate_hz, amplitude)
-    values.setflags(write=False)   # fresh and owned: Signal keeps it uncopied
-    return Signal(rate_hz, values)
-
-
-def _chirp(f_start_hz: float, f_end_hz: float, duration_s: float, rate_hz: float,
-           amplitude: float) -> np.ndarray:
-    """gen_sweep's samples; the parameters are checked, and a fast sweep
-    warned about, as gen_sweep says."""
-    _check_finite(f_start_hz=f_start_hz, f_end_hz=f_end_hz, duration_s=duration_s,
-                  rate_hz=rate_hz)
+    _check_finite(amplitude=amplitude, f_start_hz=f_start_hz, f_end_hz=f_end_hz,
+                  duration_s=duration_s, rate_hz=rate_hz)
     if f_start_hz < 0.0 or f_end_hz < f_start_hz:
         raise InvalidParameterError("need 0 <= f_start <= f_end")
     if f_start_hz == 0.0 and f_end_hz == 0.0:
@@ -388,9 +375,11 @@ def _chirp(f_start_hz: float, f_end_hz: float, duration_s: float, rate_hz: float
     if sweep_rate * 10.0 / f_slow > 1.0:
         warnings.warn(
             f"sweep moves {sweep_rate * 10.0 / f_slow:.2f} Hz per 10 periods at "
-            f"{f_slow} Hz; consider a longer sweep", stacklevel=3)
-    return _chirp_into(np.empty(_sample_count(duration_s, rate_hz)), 0, f_start_hz,
-                       sweep_rate, rate_hz, amplitude)
+            f"{f_slow} Hz; consider a longer sweep", stacklevel=2)
+    values = _chirp_into(np.empty(_sample_count(duration_s, rate_hz)), 0, f_start_hz,
+                         sweep_rate, rate_hz, amplitude)
+    values.setflags(write=False)   # fresh and owned: Signal keeps it uncopied
+    return Signal(rate_hz, values)
 
 
 def _chirp_into(out: np.ndarray, i0: int, f_start_hz: float, sweep_rate: float,

@@ -188,23 +188,15 @@ def assemble(spec: LatticeSpec, params, damping: float = 0.0) -> SystemMatrices:
               np.stack([g, g, -g, -g], axis=1).ravel())
     y = padded[:n, :n].copy()
 
-    # reachability: every output must see the input through live cells
-    adj = {c: [] for c in active}
-    for a, b in spec.edges:
-        if a in adj and b in adj:
-            adj[a].append(b)
-            adj[b].append(a)
-    seen = {spec.input_cell}
-    frontier = [spec.input_cell]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for d in adj[c]:
-                if d not in seen:
-                    seen.add(d)
-                    nxt.append(d)
-        frontier = nxt
-    missing = [c for c in spec.outputs if c not in seen]
+    # reachability on the branch table: mark the input's outer DOF, then both
+    # ends of every DOF-to-DOF branch that touches a marked DOF until no
+    # branch has one end marked; an output is reached if its inner DOF is
+    a, b = np.stack([p, q])[:, (p < n) & (q < n)]
+    seen = np.zeros(n, dtype=bool)
+    seen[outer[spec.input_cell]] = True
+    while (grow := seen[a] != seen[b]).any():
+        seen[a[grow]] = seen[b[grow]] = True
+    missing = [c for c in spec.outputs if not seen[inner[c]]]
     if missing:
         raise TopologyError(f"outputs {missing} unreachable from input cell {spec.input_cell}")
 

@@ -25,12 +25,13 @@ E-series quantization of its resistors.
 
 One ``train`` run steps every minibatch in one workspace (``make_workspace``)
 that it allocates once and drops when it returns: flat storage for the
-widest batch's DOF-major history, adjoint state and output arrays, of which
-a narrower batch takes a contiguous prefix.  It holds what one
-``loss_and_grad`` call used to allocate and free (43 MB on the stock 5x5
-task), so the run no longer pages that memory in afresh for every
-minibatch; ``loss_and_grad`` gives the same results, bit for bit, with a
-workspace or without one.
+widest batch's DOF-major history, adjoint state and one (C, T, B) output
+array, of which a narrower batch takes a contiguous prefix.  The output
+rows are read from the history; the output array holds their squares,
+then the adjoint source.  It holds what one ``loss_and_grad`` call would
+allocate and free (41.7 MB on the stock 5x5 task), so the run does not
+page that memory in afresh for every minibatch; ``loss_and_grad`` gives
+the same results, bit for bit, with a workspace or without one.
 
 Scoring (``evaluate_system``, behind ``evaluate``, and ``_evaluate_drive``,
 behind it and every epoch's train and val scores) never feeds the
@@ -326,12 +327,13 @@ def _project_grad(sys: simulator.SystemMatrices, g_y: np.ndarray) -> np.ndarray:
 
 def make_workspace(spec: LatticeSpec, steps: int, batch: int) -> np.ndarray:
     """Flat storage for loss_and_grad on batches of up to `batch` columns of
-    `steps` steps: the DOF-major forward history, the adjoint state and two
-    DOF-major output arrays.  A narrower batch uses a contiguous prefix of
-    each, so its history and adjoint state stay (n, (T-1) B) views.  The
-    same floats hold the FFT scratch of scoring `steps`-step drives."""
+    `steps` steps: the DOF-major forward history, the adjoint state and one
+    DOF-major (C, T, B) output array.  A narrower batch uses a contiguous
+    prefix of each, so its history and adjoint state stay (n, (T-1) B)
+    views.  The same floats hold the FFT scratch of scoring `steps`-step
+    drives."""
     n, c = 2 * len(spec.active_cells), len(spec.outputs)
-    grad = batch * (n * steps + n * max(steps - 1, 0) + 2 * c * steps)
+    grad = batch * (n * steps + n * max(steps - 1, 0) + c * steps)
     return np.empty(max(grad, simulator._group_floats(steps, c, simulator._FFT_COLUMNS)))
 
 
@@ -353,20 +355,21 @@ def loss_and_grad(spec: LatticeSpec, cfg: TrainConfig, params: TrainableParams,
         workspace = make_workspace(spec, steps, batch)
     # every store is DOF-major, (n or C, T, B); leapfrog writes the history
     # through a transposed view, so the gradient GEMM below reads a view
-    store, lam, out_store, src_store = simulator._carve(
-        workspace, (n, steps, batch), (n, max(steps - 1, 0), batch),
-        (c, steps, batch), (c, steps, batch))
+    store, lam, src_store = simulator._carve(
+        workspace, (n, steps, batch), (n, max(steps - 1, 0), batch), (c, steps, batch))
     simulator.leapfrog(sys, dt, drive, out=store.transpose(1, 0, 2))
+    # the output rows are read from the history, store[dof], a (T, B) view
     for j, dof in enumerate(sys.output_dofs):
-        out_store[j] = store[dof]
-    u_out, src = out_store.transpose(1, 0, 2), src_store.transpose(1, 0, 2)
-    energies = _energies(u_out, dt, src)
+        np.multiply(store[dof], store[dof], out=src_store[j])
+    src = src_store.transpose(1, 0, 2)
+    energies = np.sum(src, axis=0) * dt
     probs, loss, dl_de = _probs_and_loss(energies, labels, cfg.prob_epsilon)
     # dL/du[s] at the output DOFs for every step, and the history as the
     # (n, (T-1) B) matrix the gradient GEMM reads: a view of the DOF-major
     # store, not a copy
-    np.multiply(u_out, 2.0 * dt, out=src)
-    src *= dl_de
+    for j, dof in enumerate(sys.output_dofs):
+        np.multiply(store[dof], 2.0 * dt, out=src_store[j])
+        src_store[j] *= dl_de[j]
     u_flat = store[:, :-1].reshape(n, -1)
     if batch == 1:
         # one column, T-major as before: OpenBLAS's small NN and NT GEMMs round apart

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resonet import lattice, signals, simulator, trainer
 from resonet.errors import (InvalidParameterError, NumericError,
-                            UndecidableError)
+                            TopologyError, UndecidableError)
 from resonet.lattice import (CircuitParams, LatticeSpec, MechanicalParams,
                              ScalingFactor, mech_to_circuit)
 from resonet.signals import Sample, Signal
@@ -106,6 +108,56 @@ def test_assemble_rejects_unreachable_outputs():
     mech = MechanicalParams.uniform(spec, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(TopologyError):
         assemble(spec, mech)
+
+
+@st.composite
+def grid_io(draw):
+    """A grid of up to 4x4 cells with random grounded cells, input and outputs."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = range(rows * cols)
+    input_cell = draw(st.sampled_from(cells))
+    grounded = draw(st.sets(st.sampled_from(cells))) - {input_cell}
+    live = [c for c in cells if c not in grounded]
+    outputs = draw(st.lists(st.sampled_from(live), min_size=1, unique=True))
+    return LatticeSpec(rows=rows, cols=cols, grounded=grounded,
+                       input_cell=input_cell, outputs=tuple(outputs))
+
+
+def unreachable_by_cell_bfs(spec):
+    """The outputs a breadth-first search over the live cells' edges never
+    reaches from the input cell, in output order."""
+    adj = {c: [] for c in spec.active_cells}
+    for a, b in spec.edges:
+        if a in adj and b in adj:
+            adj[a].append(b)
+            adj[b].append(a)
+    seen = {spec.input_cell}
+    frontier = [spec.input_cell]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for d in adj[c]:
+                if d not in seen:
+                    seen.add(d)
+                    nxt.append(d)
+        frontier = nxt
+    return [c for c in spec.outputs if c not in seen]
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_io())
+def test_assemble_refuses_exactly_the_outputs_a_cell_search_cannot_reach(spec):
+    # reachability is decided on the branch table; a cell-level search over
+    # the grid's edges must find the same unreachable outputs
+    mech = MechanicalParams.uniform(spec, 1.0, 1.0, 1.0, 1.0)
+    missing = unreachable_by_cell_bfs(spec)
+    if not missing:
+        assemble(spec, mech)
+        return
+    with pytest.raises(TopologyError) as refused:
+        assemble(spec, mech)
+    assert str(refused.value) == (
+        f"outputs {missing} unreachable from input cell {spec.input_cell}")
 
 
 def test_assemble_accepts_both_parameter_domains():
