@@ -25,11 +25,11 @@ The recurrence is linear and time-invariant, so the response from rest is
 the drive convolved with the impulse response.  ``_run_pieces`` picks how
 to evaluate a (T,) drive, handing the result on piece by piece (``run``
 collects the pieces, ``signals.measure_transfer`` reads them as they
-come), and ``_respond_groups`` how to evaluate a (T, B) batch from rest
-for ``trainer``'s scores.  Each asks
-``_below_margin`` once: a dt past the stability limit is refused, and only
-a dt below _BLOCK_MARGIN * dt_max may use blocks or kernels (closer to
-dt_max their composed maps drift from stepping).  Below the margin:
+come), and ``_respond_groups`` how to evaluate B drives from rest, B rows
+of T samples (the samples' own arrays), for ``trainer``'s scores.  Each
+asks ``_below_margin`` once: a dt past the stability limit is refused, and
+only a dt below _BLOCK_MARGIN * dt_max may use blocks or kernels (closer
+to dt_max their composed maps drift from stepping).  Below the margin:
 
 * A (T,) drive of at least MIN_BLOCKS * BLOCK steps is evaluated BLOCK
   steps at a time (``_run_blocked``): each block is the free response to
@@ -38,8 +38,8 @@ dt_max their composed maps drift from stepping).  Below the margin:
   blocks carries the state.  Each chunk of _CHUNK_BLOCKS blocks pulls its
   drive from a source and is one piece, so such a drive need never be held
   whole, nor its result.
-* A shorter (T,) drive or a (T, B) drive of any length, from rest (no
-  initial state, or an all-zero one), is an FFT convolution with the one
+* A shorter (T,) drive or a batch of B drives of any length, from rest
+  (no initial state, or an all-zero one), is an FFT convolution with the one
   kernel ``SystemMatrices`` keeps, if ``_convolution`` allows it.
 
 The rest steps with ``leapfrog`` and equals it bit for bit, and so does a
@@ -81,7 +81,7 @@ MIN_BLOCKS = 128     # drives shorter than this many blocks are not evaluated bl
 _CHUNK_BLOCKS = 512  # blocks per GEMM of the blocked evaluation
 _GROUP_BLOCKS = 16   # blocks per group of its state scan; divides _CHUNK_BLOCKS
 _BLOCK_MARGIN = 0.999  # blocks and kernels only below this share of dt_max
-_FFT_COLUMNS = 16    # drive columns per FFT of _convolution
+_FFT_COLUMNS = 16    # drives per FFT of _convolution
 _STRIDE = 16         # steps per stride of _free_response's scan
 
 
@@ -402,7 +402,7 @@ def _run_pieces(sys: SystemMatrices, dt: float, source, steps: int,
     # each branch checks dt once, through _below_margin
     if short and not (np.any(u_prev) or np.any(u_curr)):
         x = source(0, steps)
-        groups = _convolution(sys, dt, x[:, None], dofs)
+        groups = _convolution(sys, dt, x[None], dofs)
         if groups is not None:   # one group; (d, T) storage: each DOF's samples contiguous
             yield 0, x, next(groups)[1][..., 0].copy(order="F")
             return
@@ -413,16 +413,16 @@ def _run_pieces(sys: SystemMatrices, dt: float, source, steps: int,
     yield 0, x, leapfrog(sys, dt, x, u_prev, u_curr, np.asarray(dofs, dtype=int))
 
 
-def _respond_groups(sys: SystemMatrices, dt: float, drive: np.ndarray,
+def _respond_groups(sys: SystemMatrices, dt: float, rows,
                     dofs: tuple[int, ...], work: np.ndarray | None = None):
-    """leapfrog's result at `dofs` for a (T, B) drive from rest, for the
-    batch scorers: (lo, values) pairs as ``_convolution`` yields them, or,
-    when it refuses the batch, one pair of the batch stepped whole, so a
-    NumericError names the step and the batch column as leapfrog's does.
-    The values are scratch: the caller may overwrite them, and the next
-    group does."""
-    return _convolution(sys, dt, drive, dofs, work) or [
-        (0, leapfrog(sys, dt, drive, dofs=np.asarray(dofs, dtype=int)))]
+    """leapfrog's result at `dofs` for B drives from rest, `rows` as in
+    ``_convolution``, for the batch scorers: (lo, values) pairs as it yields
+    them, or, when it refuses the batch, one pair of the rows stacked to
+    (T, B) and stepped whole, so a NumericError names the step and the row
+    as leapfrog's does.  The values are scratch: the caller may overwrite
+    them, and the next group does."""
+    return _convolution(sys, dt, rows, dofs, work) or [
+        (0, leapfrog(sys, dt, np.stack(rows, axis=1), dofs=np.asarray(dofs, dtype=int)))]
 
 
 def _below_margin(sys: SystemMatrices, dt: float) -> bool:
@@ -518,30 +518,31 @@ def _free_response(sys: SystemMatrices, dt: float, start: np.ndarray, steps: int
 
 
 def _group_floats(steps: int, d: int, columns: int) -> int:
-    """Floats of scratch _convolution takes for `columns` drive columns of
-    `steps` steps recorded at d DOFs."""
+    """Floats of scratch _convolution takes for `columns` drives of `steps`
+    steps recorded at d DOFs."""
     n_fft = _fft_size(steps)
     return min(columns, _FFT_COLUMNS) * d * (2 * (n_fft // 2 + 1) + n_fft)
 
 
-def _convolution(sys: SystemMatrices, dt: float, x: np.ndarray,
+def _convolution(sys: SystemMatrices, dt: float, rows,
                  dofs: tuple[int, ...], work: np.ndarray | None = None):
-    """The one convolve-or-step decision: None when the (T, B) drive x from
-    rest must step, else its response at `dofs` by FFT convolution.
+    """The one convolve-or-step decision for B drives from rest, `rows` (a
+    (B, T) array or B arrays): None if they must step, else their response
+    at `dofs` by FFT convolution.
 
-    x is convolved when ``_below_margin`` allows dt, x is not empty and
+    The rows are convolved when ``_below_margin`` allows dt, T > 0 and
     max|x| * gain rules out |u| > BLOWUP_LIMIT (a non-finite bound does
-    not).  The result yields (lo, rows), rows the (T, d, g) response of
-    columns lo .. lo + g - 1, _FFT_COLUMNS at a time, in scratch that each
-    group overwrites: the first _group_floats floats of `work`, or two new
-    arrays when it is None or smaller.
+    not).  The result yields (lo, values), values the (T, d, g) response of
+    rows lo .. lo + g - 1, _FFT_COLUMNS at a time, in scratch that each
+    group overwrites (its rows first): the first _group_floats floats of
+    `work`, or two new arrays when it is None or smaller.
     """
-    if not (_below_margin(sys, dt) and len(x)):
+    steps, batch = len(rows[0]), len(rows)
+    if not (_below_margin(sys, dt) and steps):
         return None
-    spectrum, gain = _kernel(sys, dt, len(x), dofs)
-    if not max(x.max(), -x.min()) * gain <= BLOWUP_LIMIT:
+    spectrum, gain = _kernel(sys, dt, steps, dofs)
+    if not all(max(x.max(), -x.min()) * gain <= BLOWUP_LIMIT for x in rows):
         return None
-    steps, batch = x.shape
     d, f = spectrum.shape
     n_fft = _fft_size(steps)
     g = min(batch, _FFT_COLUMNS)
@@ -551,12 +552,14 @@ def _convolution(sys: SystemMatrices, dt: float, x: np.ndarray,
     else:
         prod, res = _carve(work, *shapes)
     prod = prod.view(complex)
+    stack = res.reshape(-1)[:g * steps].reshape(g, steps)   # a group's rows, for the rfft
 
     def groups():
         for lo in range(0, batch, _FFT_COLUMNS):
             k = min(_FFT_COLUMNS, batch - lo)
+            stack[:k] = rows[lo:lo + k]
             # the drive's spectrum is freed before irfft allocates its result
-            np.multiply(np.fft.rfft(x[:, lo:lo + k].T, n=n_fft)[:, None, :], spectrum,
+            np.multiply(np.fft.rfft(stack[:k], n=n_fft)[:, None, :], spectrum,
                         out=prod[:k])
             res[:k] = np.fft.irfft(prod[:k], n=n_fft)
             yield lo, res[:k, :, :steps].transpose(2, 1, 0)

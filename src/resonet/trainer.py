@@ -31,19 +31,22 @@ rows are read from the history; the output array holds their squares,
 then the adjoint source.  It holds what one ``loss_and_grad`` call would
 allocate and free (41.7 MB on the stock 5x5 task), so the run does not
 page that memory in afresh for every minibatch; ``loss_and_grad`` gives
-the same results, bit for bit, with a workspace or without one.
+the same results, bit for bit, with a workspace or without one.  No split
+is stacked whole: both are checked first (as ``stack_batch`` checks), each
+minibatch gathers its (T, B) drive and the scores read the samples' own
+arrays (a stock run's traced peak: 41.9 MiB, or 47.4 MiB with the stacks).
 
 Scoring (``evaluate_system``, behind ``evaluate``, and ``_evaluate_drive``,
 behind it and every epoch's train and val scores) never feeds the
-parameters, so it evaluates the batch through
-``simulator._respond_groups``: drives from rest are FFT convolutions with
-the system's one kernel, within 1e-12 of the largest channel of stepping,
-_FFT_COLUMNS columns at a time in the run's workspace so that only the
-(C, B) energies are kept; a batch at 0.999 dt_max or above, or whose bound
-on |u| passes the blow-up limit, is stepped whole with leapfrog, so a
-divergence still names its step and sample.  Epoch ``loss``, ``train_acc``
-and ``val_acc`` are therefore within rounding of stepped scoring, not bit
-for bit; the trained parameters, checkpoints and the export are bit for bit.
+parameters, so it evaluates B drives through ``simulator._respond_groups``:
+drives from rest are FFT convolutions with the system's one kernel, within
+1e-12 of the largest channel of stepping, _FFT_COLUMNS at a time in the
+run's workspace so that only the (C, B) energies are kept; a batch at 0.999
+dt_max or above, or whose bound on |u| passes the blow-up limit, is stacked
+and stepped whole with leapfrog, so a divergence still names its step and
+sample.  Epoch ``loss``, ``train_acc`` and ``val_acc`` are therefore within
+rounding of stepped scoring, not bit for bit; the trained parameters,
+checkpoints and the export are bit for bit.
 """
 
 from __future__ import annotations
@@ -219,6 +222,13 @@ def adam_step(vec: np.ndarray, grad: np.ndarray,
 
 def stack_batch(samples, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(T, B) drive matrix and (B,) labels from equally sampled labeled signals."""
+    rows, labels = _batch_rows(samples, dt)
+    return np.stack(rows, axis=1), labels
+
+
+def _batch_rows(samples, dt: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """The samples' value arrays (B rows of T samples) and (B,) labels, once
+    all share the first one's rate and length and dt is one over that rate."""
     if not samples:
         raise InvalidParameterError("empty batch")
     rate = samples[0].signal.rate_hz
@@ -229,9 +239,7 @@ def stack_batch(samples, dt: float) -> tuple[np.ndarray, np.ndarray]:
     if abs(dt - 1.0 / rate) > 1e-9 * dt:
         raise InvalidParameterError(
             f"dt={dt} does not match the sample rate {rate} Hz; resample first")
-    drive = np.stack([s.signal.values for s in samples], axis=1)
-    labels = np.asarray([s.label for s in samples], dtype=int)
-    return drive, labels
+    return [s.signal.values for s in samples], np.asarray([s.label for s in samples], dtype=int)
 
 
 def _assemble_checked(spec: LatticeSpec, cfg: TrainConfig, params: TrainableParams,
@@ -395,26 +403,26 @@ def evaluate_system(sys: simulator.SystemMatrices, samples,
                     prob_epsilon: float = 1e-12) -> EvalResult:
     """Run labeled samples through an assembled system (either domain).
 
-    The samples are stacked at their own rate and their output histories
-    come from ``simulator._respond_groups``: FFT convolutions from rest
+    The samples' own arrays, not a stacked copy, are scored at their rate
+    through ``simulator._respond_groups``: FFT convolutions from rest
     within 1e-12 of stepping with ``leapfrog``, not bit for bit.  A batch
     at 0.999 dt_max or above, or whose bound on |u| passes the blow-up
     limit, is stepped, so it equals leapfrog or raises its NumericError; a
     sample rate past the stability limit is an InvalidParameterError.
     """
     dt = _sample_dt(samples)
-    return _evaluate_drive(sys, dt, *stack_batch(samples, dt), prob_epsilon)
+    return _evaluate_drive(sys, dt, *_batch_rows(samples, dt), prob_epsilon)
 
 
-def _evaluate_drive(sys: simulator.SystemMatrices, dt: float, drive: np.ndarray,
+def _evaluate_drive(sys: simulator.SystemMatrices, dt: float, rows,
                     labels: np.ndarray, prob_epsilon: float,
                     workspace: np.ndarray | None = None) -> EvalResult:
-    """evaluate_system on a stacked (T, B) drive: the output histories come
-    from ``simulator._respond_groups`` a column group at a time, with its
-    scratch in `workspace` if that is large enough, and only their (C, B)
-    energies are kept."""
-    energies = np.empty((len(sys.output_dofs), drive.shape[1]))
-    groups = simulator._respond_groups(sys, dt, drive, sys.output_dofs, workspace)
+    """evaluate_system on B drives given as rows (a (B, T) array or B
+    arrays): the output histories come from ``simulator._respond_groups``
+    a group of rows at a time, with its scratch in `workspace` if that is
+    large enough, and only their (C, B) energies are kept."""
+    energies = np.empty((len(sys.output_dofs), len(rows)))
+    groups = simulator._respond_groups(sys, dt, rows, sys.output_dofs, workspace)
     for lo, values in groups:
         energies[:, lo:lo + values.shape[2]] = _energies(values, dt, values)
     probs, loss, _ = _probs_and_loss(energies, labels, prob_epsilon)
@@ -573,11 +581,11 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
     if not train_samples:
         raise InvalidParameterError("dataset has no training split")
     dt = _sample_dt(train_samples)
-    drive, labels = stack_batch(train_samples, dt)
+    rows, labels = _batch_rows(train_samples, dt)
     val = None
     if val_samples:
         val_dt = _sample_dt(val_samples)
-        val = (val_dt,) + stack_batch(val_samples, val_dt)
+        val = (val_dt,) + _batch_rows(val_samples, val_dt)
 
     if resume is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -612,7 +620,7 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
     divergence = None
     n_train = len(train_samples)
     # every minibatch's large arrays, allocated once for the run
-    work = make_workspace(spec, len(drive), min(cfg.batch_size, n_train))
+    work = make_workspace(spec, len(rows[0]), min(cfg.batch_size, n_train))
 
     for epoch in range(start_epoch, cfg.epochs + 1):
         order = rng.permutation(n_train)
@@ -622,13 +630,14 @@ def train(spec: LatticeSpec, dataset, cfg: TrainConfig,
         try:
             for lo in range(0, n_train, cfg.batch_size):
                 idx = order[lo:lo + cfg.batch_size]
-                _, _, grad, _ = loss_and_grad(spec, cfg, params, drive[:, idx],
-                                              labels[idx], dt, work)
+                _, _, grad, _ = loss_and_grad(
+                    spec, cfg, params, np.stack([rows[i] for i in idx], axis=1),
+                    labels[idx], dt, work)
                 vec, adam = adam_step(params.packed(), grad, adam)
                 params = params.from_packed(vec).project()
             idx = None
             sys = _assemble_checked(spec, cfg, params, dt)
-            train_eval = _evaluate_drive(sys, dt, drive, labels,
+            train_eval = _evaluate_drive(sys, dt, rows, labels,
                                          cfg.prob_epsilon, work)
             if not math.isfinite(train_eval.loss):
                 raise NumericError(f"training loss is {train_eval.loss}")

@@ -4,6 +4,7 @@ Exit code mapping under test: 0 success, 1 usage, 2 configuration/data,
 3 numeric failure.  All commands run in-process through cli.main().
 """
 
+import dataclasses
 import json
 import math
 import shutil
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resonet import acsolver, cli, lattice, simulator
+from resonet import acsolver, cli, lattice, signals, simulator, trainer
 from resonet.errors import NumericError
 
 
@@ -280,6 +281,29 @@ def test_train_manifest_label_out_of_range_is_a_data_error(workspace, tmp_path,
     assert _train_on_edited_copy(workspace, tmp_path, edit) == 2
     err = capsys.readouterr().err
     assert "manifest.json" in err and "entry 4" in err and "label 7" in err
+
+
+def test_train_on_a_sample_of_another_length_exits_2_before_stepping(
+        workspace, tmp_path, monkeypatch, capsys):
+    # load_dataset refuses such a manifest itself; a dataset that reaches
+    # train with its last sample (a test one) a value short is refused by
+    # train's check of both splits, as a data error, before any step
+    real_load = signals.load_dataset
+
+    def short_last(path):
+        ds = real_load(path)
+        last = ds.samples[-1]
+        bad = signals.Signal(last.signal.rate_hz, last.signal.values[:-1])
+        return dataclasses.replace(ds, samples=ds.samples[:-1] + (
+            dataclasses.replace(last, signal=bad),))
+
+    stepped = []
+    monkeypatch.setattr(cli.signals, "load_dataset", short_last)
+    monkeypatch.setattr(trainer, "loss_and_grad", lambda *args: stepped.append(args))
+    assert run_cli(["train", "--config", workspace["config"],
+                    "--out", tmp_path / "o"]) == 2
+    assert "share rate and length" in capsys.readouterr().err
+    assert stepped == []
 
 
 def test_train_manifest_entry_without_path_is_a_data_error(workspace, tmp_path,

@@ -2,9 +2,10 @@
 
 ``trainer.evaluate_system`` (behind ``evaluate``) and ``_evaluate_drive``
 (behind it and every epoch of ``train``) take their output histories from
-``simulator._respond_groups``, which convolves drives from rest a column
-group at a time with the kernel ``simulator._kernel`` caches and steps with
-``leapfrog`` only when the gain bound cannot rule out a blow-up.
+``simulator._respond_groups``, which takes the drives as rows (the samples'
+own arrays), convolves them from rest a group of rows at a time with the
+kernel ``simulator._kernel`` caches and steps with ``leapfrog`` only when the
+gain bound cannot rule out a blow-up.
 Stepped scoring is kept here as the oracle: energies must agree to 1e-12 of
 each sample's largest channel (1e-11 on a lattice with a rigid mode, see
 below), blow-ups must raise leapfrog's own NumericError, and training must
@@ -28,12 +29,14 @@ from resonet.trainer import EvalResult, TrainConfig, train
 def stepped_score(sys, samples, prob_epsilon=1e-12):
     """evaluate_system by stepping the whole batch with leapfrog."""
     dt = 1.0 / samples[0].signal.rate_hz
-    return stepped_drive_score(sys, dt, *trainer.stack_batch(samples, dt), prob_epsilon)
+    drive, labels = trainer.stack_batch(samples, dt)
+    return stepped_drive_score(sys, dt, drive.T, labels, prob_epsilon)
 
 
-def stepped_drive_score(sys, dt, drive, labels, prob_epsilon=1e-12, workspace=None):
+def stepped_drive_score(sys, dt, rows, labels, prob_epsilon=1e-12, workspace=None):
     """trainer._evaluate_drive by stepping the whole batch with leapfrog."""
-    u_out = simulator.leapfrog(sys, dt, drive, dofs=np.asarray(sys.output_dofs))
+    u_out = simulator.leapfrog(sys, dt, np.stack(rows, axis=1),
+                               dofs=np.asarray(sys.output_dofs))
     energies = trainer._energies(u_out, dt)
     probs, loss, _ = trainer._probs_and_loss(energies, labels, prob_epsilon)
     preds = np.argmax(energies, axis=0)
@@ -103,8 +106,10 @@ def test_kernel_energies_match_stepping(name, sys_m, dt, steps):
 @pytest.mark.parametrize("batch", [1, simulator._FFT_COLUMNS,
                                    2 * simulator._FFT_COLUMNS + 3])
 def test_grouped_scoring_equals_the_whole_batch_convolution(batch):
-    # Column groups, with their scratch in a workspace or not, give the
-    # energies of one FFT convolution of the whole batch, bit for bit.
+    # Groups of rows, with their scratch in a workspace or not, give the
+    # energies of one FFT convolution of the whole batch, bit for bit,
+    # whether the rows are strided views of one (T, B) matrix, a (B, T)
+    # matrix or separate arrays, as a split's samples are.
     _, sys_m, dt = SYSTEMS[-2]
     steps = 700
     drive = np.random.default_rng(batch).standard_normal((steps, batch))
@@ -116,9 +121,13 @@ def test_grouped_scoring_equals_the_whole_batch_convolution(batch):
     # the whole batch's rows in (B, d, T) storage, read as (T, d, B)
     want = trainer._energies(np.ascontiguousarray(rows).transpose(2, 1, 0), dt)
     work = trainer.make_workspace(sys_m.spec, steps, 4)
-    for workspace in (None, work):
-        got = trainer._evaluate_drive(sys_m, dt, drive, labels, 1e-12, workspace)
-        assert got.energies.tobytes() == want.tobytes()
+    separate = [drive[:, b].copy() for b in range(batch)]
+    assert not any(np.shares_memory(a, b) for a in separate for b in separate
+                   if a is not b)
+    for rows in (drive.T, np.ascontiguousarray(drive.T), separate):
+        for workspace in (None, work):
+            got = trainer._evaluate_drive(sys_m, dt, rows, labels, 1e-12, workspace)
+            assert got.energies.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("steps", [0, 300])
@@ -147,7 +156,7 @@ def test_a_drive_past_the_gain_bound_raises_leapfrogs_error(monkeypatch, loud):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "leapfrog", spy)
-    scorers = [lambda: list(simulator._respond_groups(sys_m, dt, drive,
+    scorers = [lambda: list(simulator._respond_groups(sys_m, dt, drive.T,
                                                       sys_m.output_dofs))]
     if np.isfinite(loud):   # a Signal refuses non-finite samples
         samples = _samples(2000.0, drive, np.zeros(5, dtype=int))

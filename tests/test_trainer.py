@@ -4,6 +4,7 @@ determinism, and export of trained mechanics to circuit values."""
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -340,6 +341,52 @@ def test_a_training_run_steps_every_minibatch_in_one_store(tiny_task, monkeypatc
     assert all(np.shares_memory(h, histories[0]) for h in histories)
     assert len(scored) == 2 * cfg.epochs   # the train and the test split
     assert all(np.shares_memory(a, works[0]) for a in histories + scored)
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+@pytest.mark.parametrize("fault", ["length", "rate"])
+def test_train_checks_both_splits_whole_before_it_steps(tiny_task, monkeypatch,
+                                                        split, fault):
+    # train scores each split from the samples' own arrays and stacks only
+    # minibatches, so it checks every sample of both splits first, with the
+    # check stack_batch makes: a bad sample placed last in either split is
+    # refused before the workspace is made or any minibatch is stepped
+    spec, dataset = tiny_task
+    last = dataset.split(split)[-1]
+    sig = last.signal
+    bad = (Signal(sig.rate_hz, sig.values[:-1]) if fault == "length"
+           else Signal(2.0 * sig.rate_hz, sig.values))
+    samples = tuple(s for s in dataset.samples if s is not last)
+    calls = []
+    for name in ("loss_and_grad", "make_workspace"):
+        monkeypatch.setattr(trainer, name, lambda *a, _name=name: calls.append(_name))
+    with pytest.raises(InvalidParameterError, match="share rate and length"):
+        train(spec, Dataset(dataset.spec, samples + (replace(last, signal=bad),)),
+              _tiny_cfg())
+    assert calls == []
+
+
+def test_training_memory_does_not_grow_with_the_split(tiny_task):
+    # Both splits are scored from the samples' own arrays and only each
+    # minibatch is gathered, so doubling the training split (24 -> 48
+    # samples, past a full 16-row scoring group either way) raises the
+    # run's traced peak by less than half the 192 kB of drive it adds: by
+    # about 1 kB.  A stacked copy of the split, held through the run, adds
+    # all of it (+193 kB)
+    spec, dataset = tiny_task
+    cfg = _tiny_cfg(epochs=1)
+    sets = [gen_dataset(replace(dataset.spec, train_per_class=n)) for n in (12, 24)]
+    train(spec, sets[0], cfg)   # untraced: fills numpy's cache of FFT plans
+    peaks, drive_bytes = [], []
+    for ds in sets:
+        drive_bytes.append(sum(s.signal.values.nbytes for s in ds.split("train")))
+        tracemalloc.start()
+        try:
+            train(spec, ds, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.5 * (drive_bytes[1] - drive_bytes[0])
 
 
 # --- Adam ---------------------------------------------------------------------------
